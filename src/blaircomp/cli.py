@@ -79,6 +79,14 @@ class ExperimentConfig:
     def resolved_m(self) -> int:
         return self.m if self.m is not None else self.m_factor * self.K
 
+    def resolved_jobs(self) -> int:
+        """Worker pool size: ``jobs``, else $BLAIRCOMP_JOBS, else the core count."""
+        env = os.environ.get("BLAIRCOMP_JOBS", "")
+        try:
+            return self.jobs or int(env or 0) or os.cpu_count() or 1
+        except ValueError:
+            raise ConfigError(f"BLAIRCOMP_JOBS must be an integer, got {env!r}") from None
+
     def validate(self) -> None:
         missing = [name for name in ("s", "K", "N", "eta", "max_iters")
                    if getattr(self, name) is None]
@@ -90,16 +98,31 @@ class ExperimentConfig:
             raise ConfigError("set exactly one of m / m_factor, not both")
         if min(self.s, self.K, self.N, self.resolved_m()) < 1:
             raise ConfigError("dimensions must be positive")
+        if self.K > self.resolved_m():
+            raise ConfigError(f"need K <= m, got K={self.K}, m={self.resolved_m()}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.eta <= 0:
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be >= 1")
+        if self.cadence < 1:
+            raise ConfigError("cadence must be >= 1")
+        if self.loo_samples < 0:
+            raise ConfigError("loo_samples must be >= 0")
+        if not self.eta > 0:          # also rejects NaN
             raise ConfigError("eta must be > 0")
+        if not self.sigma2_e >= 0:
+            raise ConfigError("sigma2_e must be >= 0")
         if self.q is not None and len(self.q) != self.s:
             raise ConfigError(f"q must list {self.s} values")
+        if self.q is not None and not all(0 < v <= 1 for v in self.q):
+            raise ConfigError("every q value must lie in (0, 1]")
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.preset == "noise-sweep" and not self.sigma_w_grid:
             raise ConfigError("noise-sweep needs a sigma_w_grid")
+        if self.sigma_w_grid is not None and not all(v > 0 for v in self.sigma_w_grid):
+            raise ConfigError("every sigma_w_grid value must be > 0")
+        self.resolved_jobs()      # rejects a non-integer $BLAIRCOMP_JOBS
 
     def to_json_dict(self) -> Dict:
         d = asdict(self)
@@ -157,7 +180,7 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
     os.makedirs(cfg.out, exist_ok=True)
     t_start = time.perf_counter()
 
-    jobs = cfg.jobs or int(os.environ.get("BLAIRCOMP_JOBS", 0)) or os.cpu_count() or 1
+    jobs = cfg.resolved_jobs()
     if jobs > 1 and cfg.trials > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.trials)) as pool:
             results = list(pool.map(_run_trial, [cfg] * cfg.trials, range(cfg.trials)))

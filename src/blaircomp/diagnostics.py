@@ -227,7 +227,7 @@ def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
 
         ht_norm = np.linalg.norm(h_t, axis=1)
         xt_norm = np.linalg.norm(x_t, axis=1)
-        incoh_x[ti] = np.abs(np.einsum("imn,in->im", inst.a, x_t.conj()) /
+        incoh_x[ti] = np.abs((inst.a @ x_t.conj()[:, :, None])[:, :, 0] /
                              xt_norm[:, None]).max()
         incoh_h[ti] = np.abs(_apply_b(inst.b_rows, h_t) / ht_norm[:, None]).max()
 

@@ -117,7 +117,7 @@ def synthesize_measurements(b_rows: np.ndarray, a: np.ndarray, truth: GroundTrut
     if truth.h.shape[0] != s:
         raise DimensionMismatchError("design tensor and ground truth disagree on s")
     bh = _apply_b(b_rows, truth.h)           # (s, m): b_j^H h_i
-    xa = np.einsum("imn,in->im", a, truth.x.conj())  # (s, m): x_i^H a_ij
+    xa = (a @ truth.x.conj()[:, :, None])[:, :, 0]  # (s, m): x_i^H a_ij
     y = np.sum(bh * xa, axis=0)
     if sigma2_e > 0.0:
         if rng is None:
@@ -197,6 +197,9 @@ def load_instance(path: str) -> ProblemInstance:
             shape = tuple(header["arrays"][name])
             count = int(np.prod(shape))
             buf = fh.read(count * 16)
+            if len(buf) != count * 16:
+                raise IOError(f"{path} is truncated: array {name!r} has "
+                              f"{len(buf)} of {count * 16} bytes")
             arrays[name] = np.frombuffer(buf, dtype="<c16").reshape(shape).copy()
     dims = header["dims"]
     truth = GroundTruth(h=arrays["h"], x=arrays["x"], q=np.asarray(header["q"]))
@@ -216,7 +219,7 @@ def _apply_b(b_rows: np.ndarray, h: np.ndarray) -> np.ndarray:
     """b_j^H h_i for all (i, j); accepts shared (m, K) or per-node (s, m, K) rows."""
     if b_rows.ndim == 2:
         return h @ b_rows.T
-    return np.einsum("imk,ik->im", b_rows, h)
+    return (b_rows @ h[:, :, None])[:, :, 0]
 
 
 def _seed_to_json(seed):

@@ -230,7 +230,7 @@ def wirtinger_hessian_x_block(z: Iterate, inst: ProblemInstance, i: int,
     if w is not None:
         weights = weights * w
     a_i = inst.a[i]                                   # (m, N)
-    d_block = np.einsum("m,mn,mp->np", weights, a_i, a_i.conj())
+    d_block = (weights[:, None] * a_i).T @ a_i.conj()
     n = inst.N
     hess = np.zeros((2 * n, 2 * n), dtype=complex)
     hess[:n, :n] = d_block
@@ -254,7 +254,7 @@ def _forward(z: Iterate, inst: ProblemInstance):
         raise DimensionMismatchError(
             f"iterate shapes {z.h.shape}/{z.x.shape} do not match instance dims")
     bh = _apply_b(inst.b_rows, z.h)                      # (s, m)
-    xa = np.einsum("imn,in->im", inst.a, z.x.conj())     # (s, m): x_i^H a_ij
+    xa = (inst.a @ z.x.conj()[:, :, None])[:, :, 0]      # (s, m): x_i^H a_ij
     r = np.sum(bh * xa, axis=0) - inst.y
     return r, bh, xa
 
@@ -264,15 +264,15 @@ def _gradient_and_loss(z: Iterate, inst: ProblemInstance,
     r, bh, xa = _forward(z, inst)
     if w is None:
         loss_val = float(np.sum(np.abs(r) ** 2))
-        rw = r
+        rc = r.conj()      # the adjoints conjugate r, not the design arrays
     else:
         loss_val = float(np.sum(w * np.abs(r) ** 2))
-        rw = w * r
+        rc = w * r.conj()
     if inst.b_rows.ndim == 2:
-        grad_h = np.einsum("mk,im->ik", inst.b_rows.conj(), rw[None, :] * xa.conj())
+        grad_h = ((rc * xa) @ inst.b_rows).conj()
     else:
-        grad_h = np.einsum("imk,im->ik", inst.b_rows.conj(), rw[None, :] * xa.conj())
-    grad_x = np.einsum("imn,im->in", inst.a, rw.conj()[None, :] * bh)
+        grad_h = ((rc * xa)[:, None, :] @ inst.b_rows)[:, 0, :].conj()
+    grad_x = ((rc * bh)[:, None, :] @ inst.a)[:, 0, :]
     return GradientBlocks(h=grad_h, x=grad_x), loss_val
 
 

@@ -14,28 +14,51 @@ def brute_force_loss(z, inst):
     for j in range(inst.m):
         acc = 0.0 + 0.0j
         for i in range(inst.s):
-            b_row = inst.b_rows[j] if inst.b_rows.ndim == 2 else inst.b_rows[i, j]
-            bh = sum(b_row[k] * z.h[i, k] for k in range(inst.K))
+            bh = sum(b_row(inst, i, j)[k] * z.h[i, k] for k in range(inst.K))
             xa = sum(np.conj(z.x[i, n]) * inst.a[i, j, n] for n in range(inst.N))
             acc += bh * xa
         total += abs(acc - inst.y[j]) ** 2
     return total
 
 
-def brute_force_gradient(z, inst):
-    """Naive per-(i, j) gradient accumulation, no residual sharing."""
+def brute_force_gradient(z, inst, sample_weights=None):
+    """Naive per-(i, j) gradient accumulation, no residual sharing.
+
+    Handles the shared (m, K) and the per-node sign-flip (s, m, K) access
+    rows, and per-sample loss weights (e.g. a leave-one-out zero).
+    """
+    w = np.ones(inst.m) if sample_weights is None else sample_weights
     gh = np.zeros_like(z.h)
     gx = np.zeros_like(z.x)
     for j in range(inst.m):
         r_j = 0.0 + 0.0j
         for k in range(inst.s):
-            r_j += (inst.b_rows[j] @ z.h[k]) * (z.x[k].conj() @ inst.a[k, j])
-        r_j -= inst.y[j]
+            r_j += (b_row(inst, k, j) @ z.h[k]) * (z.x[k].conj() @ inst.a[k, j])
+        r_j = w[j] * (r_j - inst.y[j])
         for i in range(inst.s):
-            b_j = inst.b_rows[j].conj()
-            gh[i] += r_j * b_j * (inst.a[i, j].conj() @ z.x[i])
-            gx[i] += np.conj(r_j) * inst.a[i, j] * (inst.b_rows[j] @ z.h[i])
+            b_j = b_row(inst, i, j)
+            gh[i] += r_j * b_j.conj() * (inst.a[i, j].conj() @ z.x[i])
+            gx[i] += np.conj(r_j) * inst.a[i, j] * (b_j @ z.h[i])
     return gh, gx
+
+
+def brute_force_hessian_x_block(z, inst, i, sample_weights=None):
+    """2N x 2N x-block Hessian from a per-sample sum of weighted outer products."""
+    w = np.ones(inst.m) if sample_weights is None else sample_weights
+    n = inst.N
+    d_block = np.zeros((n, n), dtype=complex)
+    for j in range(inst.m):
+        weight = w[j] * abs(b_row(inst, i, j) @ z.h[i]) ** 2
+        d_block += weight * np.outer(inst.a[i, j], inst.a[i, j].conj())
+    hess = np.zeros((2 * n, 2 * n), dtype=complex)
+    hess[:n, :n] = d_block
+    hess[n:, n:] = d_block.conj()
+    return hess
+
+
+def b_row(inst, i, j):
+    """Access row b_j^H as seen by node i, in either b_rows layout."""
+    return inst.b_rows[j] if inst.b_rows.ndim == 2 else inst.b_rows[i, j]
 
 
 def grid_search_cost(h_a, x_a, h_b, x_b, n_total=1_000_000):

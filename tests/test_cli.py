@@ -154,6 +154,27 @@ class TestMainEntry:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, env", [
+        (["--preset", "fig1-convergence", "--K", "4", "--cadence", "0"], None),
+        (["--preset", "noise-sweep", "--sigma-w-grid", "1,-10"], None),
+        (["--preset", "noise-sweep", "--K", "30", "--m", "20"], None),
+        (["--preset", "noise-sweep", "--sigma2-e", "-1"], None),
+        (["--preset", "noise-sweep", "--q", "1.5"], None),
+        (["--preset", "noise-sweep", "--eta", "nan"], None),
+        (["--preset", "noise-sweep", "--max-iters", "0"], None),
+        (["--preset", "diagnostics", "--loo-samples", "-1"], None),
+        (["--preset", "noise-sweep"], "two"),
+    ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
+            "max_iters", "loo_samples", "jobs_env"])
+    def test_bad_input_rejected_at_boundary(self, flags, env, tmp_path, capsys,
+                                            monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("BLAIRCOMP_JOBS", env)
+        out = tmp_path / "bad"
+        assert main(["run", *flags, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diagnostics_subcommand(self, tmp_path):
         code = main(["diagnostics", "--K", "4", "--m", "40", "--max-iters", "8",
                      "--loo-samples", "2", "--seed", "1", "--jobs", "1",

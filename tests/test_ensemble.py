@@ -171,6 +171,15 @@ class TestInstance:
         assert loaded.sigma2_e == inst.sigma2_e
         assert (loaded.s, loaded.K, loaded.N, loaded.m) == (2, 3, 4, 10)
 
+    def test_truncated_dump_names_file_and_array(self, tmp_path):
+        inst = bc.make_instance(2, 3, 4, 10, seed=7)
+        path = tmp_path / "instance.blcp"
+        bc.save_instance(inst, str(path))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-24])     # arrays follow in name order; y is last
+        with pytest.raises(IOError, match=r"instance\.blcp.*'y'.*136 of 160"):
+            bc.load_instance(str(path))
+
     def test_serialized_layout_is_interleaved_doubles(self, tmp_path):
         inst = bc.make_instance(1, 1, 1, 1, seed=3)
         path = tmp_path / "dump.blcp"

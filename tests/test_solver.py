@@ -5,7 +5,32 @@ import blaircomp as bc
 from blaircomp.errors import DegenerateIterateError, DivergenceError
 from blaircomp.solver import gradient_inner, hessian_quadratic_form
 
-from helpers import brute_force_gradient, brute_force_loss, draw_direction
+from helpers import (brute_force_gradient, brute_force_hessian_x_block,
+                     brute_force_loss, draw_direction)
+
+
+def _kernel_case(m, layout, weights):
+    """Instance, iterate and sample weights for the kernel equivalence checks.
+
+    ``layout`` "sign" swaps in the per-node (s, m, K) access rows of a
+    sign-flip ensemble; ``weights`` "loo" drops one sample from the loss.
+    m=10, "shared", "none" is the small_instance / small_iterate pair.
+    """
+    inst = bc.make_instance(2, 3, 3, m, seed=1)
+    if layout == "sign":
+        inst, _ = bc.sign_flip_ensemble(bc.canonicalize_instance(inst),
+                                        np.random.default_rng(3))
+    z = bc.random_init(2, 3, 3, np.random.default_rng(2))
+    w = None
+    if weights == "loo":
+        w = np.ones(m)
+        w[m // 3] = 0.0
+    return inst, z, w
+
+
+M_VALUES = pytest.mark.parametrize("m", [10, 64])
+LAYOUTS = pytest.mark.parametrize("layout", ["shared", "sign"])
+WEIGHTS = pytest.mark.parametrize("weights", ["none", "loo"])
 
 
 class TestRandomInit:
@@ -59,9 +84,13 @@ class TestWirtingerGradient:
         g = bc.wirtinger_gradient(z, small_instance)
         assert max(np.abs(g.h).max(), np.abs(g.x).max()) < 1e-14
 
-    def test_matches_naive_accumulation(self, small_instance, small_iterate):
-        g = bc.wirtinger_gradient(small_iterate, small_instance)
-        gh, gx = brute_force_gradient(small_iterate, small_instance)
+    @M_VALUES
+    @LAYOUTS
+    @WEIGHTS
+    def test_matches_naive_accumulation(self, m, layout, weights):
+        inst, z, w = _kernel_case(m, layout, weights)
+        g = bc.wirtinger_gradient(z, inst, sample_weights=w)
+        gh, gx = brute_force_gradient(z, inst, sample_weights=w)
         assert np.abs(g.h - gh).max() / np.abs(gh).max() < 1e-12
         assert np.abs(g.x - gx).max() / np.abs(gx).max() < 1e-12
 
@@ -244,6 +273,16 @@ class TestHessianXBlock:
         fd2 = (bc.loss(zp, inst) - 2 * bc.loss(z, inst) + bc.loss(zm, inst)) / eps ** 2
         qf = hessian_quadratic_form(hess, delta)
         assert abs(fd2 - qf) / abs(qf) < 1e-4
+
+    @M_VALUES
+    @LAYOUTS
+    @WEIGHTS
+    def test_matches_per_sample_loop(self, m, layout, weights):
+        inst, z, w = _kernel_case(m, layout, weights)
+        for i in range(inst.s):
+            hess = bc.wirtinger_hessian_x_block(z, inst, i, sample_weights=w)
+            ref = brute_force_hessian_x_block(z, inst, i, sample_weights=w)
+            assert np.abs(hess - ref).max() / np.abs(ref).max() < 1e-12
 
     def test_scalar_hand_case(self):
         inst = bc.make_instance(1, 2, 1, 2, seed=6)
