@@ -183,9 +183,11 @@ def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
     """Evaluate the distance/norm/incoherence quantities the induction
     hypotheses bound, for every iteration logged in all runs.
 
-    Mutual alignments between auxiliary and base iterates are resolved with
-    the same scalar alignment used for the truth alignment.  Entries where an
-    alignment is degenerate are NaN.
+    Base iterates are aligned to ``truth`` with the omega the base run logged,
+    so ``truth`` must be the ground truth of the base run.  Each auxiliary
+    family is aligned to the aligned base iterates in one batched call over
+    its runs and iterations, and per-run quantities take the max over the
+    family's runs.  An entry is NaN only when there are no runs of its kind.
     """
     loo = [r for r in aux if r.kind == "loo"]
     sign = [r for r in aux if r.kind == "sign"]
@@ -193,76 +195,54 @@ def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
     if base.iterates is None or any(r.trace.iterates is None for r in aux):
         raise ParameterError("all traces must be run with keep_iterates=True")
     n_t = min([len(base.iterates)] + [len(r.trace.iterates) for r in aux])
-    s = truth.s
     q = truth.q
-    d_i = 2.0 * q ** 2
     mu = metrics.incoherence(truth, inst.b_rows)
     m = inst.m
     log_m = np.log(m)
     log5m_sqrt = np.sqrt(log_m ** 5)
 
-    shape = (n_t, s)
-    out = {name: np.full(shape, np.nan) for name in
+    out = {name: np.full((n_t, truth.s), np.nan) for name in
            ("loo_dist", "loo_signal_h", "loo_signal_x", "sign_dist_h",
-            "sign_dist_x", "double_diff_h", "double_diff_x",
-            "norm_ratio_h", "norm_ratio_x")}
-    norm_min = np.full(n_t, np.nan)
-    norm_max = np.full(n_t, np.nan)
-    incoh_x = np.full(n_t, np.nan)
-    incoh_h = np.full(n_t, np.nan)
+            "sign_dist_x", "double_diff_h", "double_diff_x")}
+    (h,), (x,) = _stacked([base], n_t)           # (T, s, K), (T, s, N)
+    omega = base.omega[:n_t, :, None]
+    h_t, x_t = h / np.conj(omega), omega * x     # truth-aligned
+    h_norms = np.linalg.norm(h, axis=2)
+    x_norms = np.linalg.norm(x, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out["norm_ratio_h"] = h_norms / (np.abs(base.alpha_h[:n_t]) * log5m_sqrt)
+        out["norm_ratio_x"] = x_norms / (np.abs(base.alpha_x[:n_t]) * log5m_sqrt)
+    incoh_x = np.abs((inst.a @ x_t.conj()[..., None])[..., 0]
+                     / np.linalg.norm(x_t, axis=2)[..., None]).max(axis=(1, 2))
+    incoh_h = np.abs(_apply_b(inst.b_rows, h_t)
+                     / np.linalg.norm(h_t, axis=2)[..., None]).max(axis=(1, 2))
 
-    for ti in range(n_t):
-        z = base.iterates[ti]
-        h_t, x_t = _aligned_blocks(z, truth)          # (s,K), (s,N) truth-aligned
-        alpha_h = np.abs(base.alpha_h[ti])
-        alpha_x = np.abs(base.alpha_x[ti])
-
-        h_norms = np.linalg.norm(z.h, axis=1)
-        x_norms = np.linalg.norm(z.x, axis=1)
-        norm_min[ti] = min(h_norms.min(), x_norms.min())
-        norm_max[ti] = max(h_norms.max(), x_norms.max())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out["norm_ratio_h"][ti] = h_norms / (alpha_h * log5m_sqrt)
-            out["norm_ratio_x"][ti] = x_norms / (alpha_x * log5m_sqrt)
-
-        ht_norm = np.linalg.norm(h_t, axis=1)
-        xt_norm = np.linalg.norm(x_t, axis=1)
-        incoh_x[ti] = np.abs((inst.a @ x_t.conj()[:, :, None])[:, :, 0] /
-                             xt_norm[:, None]).max()
-        incoh_h[ti] = np.abs(_apply_b(inst.b_rows, h_t) / ht_norm[:, None]).max()
-
-        loo_aligned = {}
-        for run in loo:
-            z_l = run.trace.iterates[ti]
-            h_hat, x_hat, cost = _mutual_align(z_l, h_t, x_t)
-            loo_aligned[run.index] = (h_hat, x_hat)
-            for i in range(s):
-                d_val = np.sqrt(cost[i] / d_i[i])
-                out["loo_dist"][ti, i] = _nanmax(out["loo_dist"][ti, i], d_val)
-                sig_h = abs(np.vdot(truth.h[i], h_hat[i] - h_t[i])) / q[i]
-                sig_x = abs(np.vdot(truth.x[i], x_hat[i] - x_t[i])) / q[i]
-                out["loo_signal_h"][ti, i] = _nanmax(out["loo_signal_h"][ti, i], sig_h)
-                out["loo_signal_x"][ti, i] = _nanmax(out["loo_signal_x"][ti, i], sig_x)
-
-        if sign:
-            z_s = sign[0].trace.iterates[ti]
-            h_chk, x_chk, _ = _mutual_align(z_s, h_t, x_t)
-            out["sign_dist_h"][ti] = np.linalg.norm(h_chk - h_t, axis=1)
-            out["sign_dist_x"][ti] = np.linalg.norm(x_chk - x_t, axis=1)
-            for l, (h_hat, x_hat) in loo_aligned.items():
-                if l not in sign_loo:
-                    continue
-                z_sl = sign_loo[l].trace.iterates[ti]
-                h_sl, x_sl, _ = _mutual_align(z_sl, h_chk, x_chk)
-                dd_h = np.linalg.norm(h_t - h_hat - h_chk + h_sl, axis=1)
-                dd_x = np.linalg.norm(x_t - x_hat - x_chk + x_sl, axis=1)
-                for i in range(s):
-                    out["double_diff_h"][ti, i] = _nanmax(out["double_diff_h"][ti, i], dd_h[i])
-                    out["double_diff_x"][ti, i] = _nanmax(out["double_diff_x"][ti, i], dd_x[i])
+    if loo:
+        h_hat, x_hat, cost = _mutual_align(*_stacked([r.trace for r in loo], n_t),
+                                           h_t, x_t)
+        out["loo_dist"] = np.sqrt(cost / (2.0 * q ** 2)).max(axis=0)
+        out["loo_signal_h"] = np.abs(np.sum(truth.h.conj() * (h_hat - h_t), axis=-1)
+                                     ).max(axis=0) / q
+        out["loo_signal_x"] = np.abs(np.sum(truth.x.conj() * (x_hat - x_t), axis=-1)
+                                     ).max(axis=0) / q
+    if sign:
+        (h_chk,), (x_chk,), _ = _mutual_align(*_stacked([sign[0].trace], n_t),
+                                              h_t, x_t)
+        out["sign_dist_h"] = np.linalg.norm(h_chk - h_t, axis=-1)
+        out["sign_dist_x"] = np.linalg.norm(x_chk - x_t, axis=-1)
+        paired = [k for k, run in enumerate(loo) if run.index in sign_loo]
+        if paired:
+            runs = [sign_loo[loo[k].index].trace for k in paired]
+            h_sl, x_sl, _ = _mutual_align(*_stacked(runs, n_t), h_chk, x_chk)
+            out["double_diff_h"] = np.linalg.norm(
+                h_t - h_hat[paired] - h_chk + h_sl, axis=-1).max(axis=0)
+            out["double_diff_x"] = np.linalg.norm(
+                x_t - x_hat[paired] - x_chk + x_sl, axis=-1).max(axis=0)
 
     return HypothesisReport(
         t=np.asarray(base.t[:n_t]),
-        norm_min=norm_min, norm_max=norm_max,
+        norm_min=np.minimum(h_norms.min(axis=1), x_norms.min(axis=1)),
+        norm_max=np.maximum(h_norms.max(axis=1), x_norms.max(axis=1)),
         incoh_x=incoh_x, incoh_x_scale=float(np.sqrt(log_m)),
         incoh_h=incoh_h, incoh_h_scale=float(mu / np.sqrt(m) * log_m ** 2),
         **out)
@@ -285,28 +265,20 @@ def concentration_report(inst: ProblemInstance) -> ConcentrationReport:
         design_norm_ok=bool(max_norm <= bound_norm))
 
 
-def _aligned_blocks(z: Iterate, truth: GroundTruth):
-    s = truth.s
-    h_t = np.empty_like(z.h)
-    x_t = np.empty_like(z.x)
-    for i in range(s):
-        omega = metrics.align_pair(z.h[i], z.x[i], truth.h[i], truth.x[i]).omega
-        h_t[i] = z.h[i] / np.conj(omega)
-        x_t[i] = omega * z.x[i]
-    return h_t, x_t
+def _stacked(traces: Sequence[StateTrace], n_t: int):
+    """h (R, T, s, K) and x (R, T, s, N) from the first n_t kept iterates of
+    each of R runs."""
+    h = np.array([[z.h for z in tr.iterates[:n_t]] for tr in traces])
+    x = np.array([[z.x for z in tr.iterates[:n_t]] for tr in traces])
+    return h, x
 
 
-def _mutual_align(z_aux: Iterate, h_ref: np.ndarray, x_ref: np.ndarray):
-    s = h_ref.shape[0]
-    h_out = np.empty_like(h_ref)
-    x_out = np.empty_like(x_ref)
-    cost = np.empty(s)
-    for i in range(s):
-        res = metrics.align_pair(z_aux.h[i], z_aux.x[i], h_ref[i], x_ref[i])
-        h_out[i] = z_aux.h[i] / np.conj(res.omega)
-        x_out[i] = res.omega * z_aux.x[i]
-        cost[i] = res.cost
-    return h_out, x_out, cost
+def _mutual_align(h_aux: np.ndarray, x_aux: np.ndarray,
+                  h_ref: np.ndarray, x_ref: np.ndarray):
+    """Aligned auxiliary blocks and their costs against broadcast references."""
+    res = metrics.align_pair(h_aux, x_aux, h_ref, x_ref)
+    omega = res.omega[..., None]
+    return h_aux / np.conj(omega), omega * x_aux, res.cost
 
 
 def _e1_unitary(u: np.ndarray) -> np.ndarray:
@@ -333,10 +305,6 @@ def _require_canonical(truth: GroundTruth, tol: float = 1e-9) -> None:
     if np.any(off > tol * truth.q) or np.any(np.abs(first - truth.q) > tol * truth.q):
         raise ParameterError(
             "sign flips need ground-truth signals along e_1; canonicalize_instance first")
-
-
-def _nanmax(current: float, new: float) -> float:
-    return new if np.isnan(current) else max(current, new)
 
 
 def _fmt(v) -> str:

@@ -15,13 +15,13 @@ import numpy as np
 from .ensemble import GroundTruth
 from .errors import DegenerateAlignmentError, ParameterError, UndefinedMetricError
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_SUBDIAGONAL = np.eye(6, k=-1)     # the ones of a sextic's companion matrix
 
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    omega: complex
-    cost: float
+    omega: Union[complex, np.ndarray]   # batch-shaped for stacked blocks
+    cost: Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -51,45 +51,66 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
                h_b: np.ndarray, x_b: np.ndarray) -> AlignmentResult:
     """Global minimizer of ||h_a/w* - h_b||^2 + ||w*x_a - x_b||^2 over w.
 
+    Blocks may be stacked, h_a (..., K) and x_a (..., N) against h_b and x_b
+    that broadcast with them; every pair is aligned at once and omega and
+    cost have the batch shape.  1-D blocks give a complex and a float.
+
     Writing w = r*exp(i*theta), the optimal phase for fixed r is
     theta = -arg(c1/r + c2*r) with c1 = h_b^H h_a and c2 = x_b^H x_a, which
-    reduces the problem to a smooth coercive 1-D cost in u = r^2.  That cost
-    is localized on a log grid, narrowed by golden-section, and polished by
-    guarded Newton steps; the reported cost re-evaluates the objective at w.
+    leaves g(u) = a2/u + b2*u - 2*sqrt(p/u + q*u + rc) in u = r^2.  Its
+    stationary points are positive roots of the sextic
+    (b2*u^2 - a2)^2 (q*u^2 + rc*u + p) - u*(q*u^2 - p)^2, found as
+    companion-matrix eigenvalues; the root with the lowest g, or
+    u = sqrt(a2/b2) if that is lower, gets two Newton steps on g', since a
+    near-double root keeps only half its digits in the eigenvalues.  The
+    reported cost re-evaluates the objective at w.
     """
-    a2 = float(np.vdot(h_a, h_a).real)
-    b2 = float(np.vdot(x_a, x_a).real)
-    if a2 == 0.0 or b2 == 0.0:
+    a2 = (np.abs(h_a) ** 2).sum(axis=-1)
+    b2 = (np.abs(x_a) ** 2).sum(axis=-1)
+    if (a2 == 0.0).any() or (b2 == 0.0).any():
         raise DegenerateAlignmentError("cannot align a zero block")
-    c1 = complex(np.vdot(h_b, h_a))
-    c2 = complex(np.vdot(x_b, x_a))
-    const = float(np.vdot(h_b, h_b).real + np.vdot(x_b, x_b).real)
-    p, q = abs(c1) ** 2, abs(c2) ** 2
-    r_cross = 2.0 * (c1 * np.conj(c2)).real
-
-    def g(u):
-        phi = np.sqrt(np.maximum(p / u + q * u + r_cross, 0.0))
-        return a2 / u + b2 * u + const - 2.0 * phi
-
+    c1 = (np.conj(h_b) * h_a).sum(axis=-1)
+    c2 = (np.conj(x_b) * x_a).sum(axis=-1)
+    # u = sqrt(a2/b2)*v gives g = sqrt(a2*b2)*G(v) + const with
+    # G(v) = v + 1/v - 2*sqrt(p/v + q*v + rc) in the rescaled p, q, rc below.
+    # Swapping p and q maps v to 1/v, so the sextic is solved in w = v or 1/v,
+    # whichever puts the larger of the two in the leading coefficient.
     u_scale = np.sqrt(a2 / b2)
-    lo, hi = 1e-12 * u_scale, 1e12 * u_scale
-
-    # Coarse log-grid scan keeps golden-section honest if g is not unimodal
-    # over the full 24-decade bracket.
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), 257))
-    best = int(np.argmin(g(grid)))
-    u_lo = grid[max(best - 1, 0)]
-    u_hi = grid[min(best + 1, len(grid) - 1)]
-    u = _golden_section(g, u_lo, u_hi)
-    u = _newton_polish(u, a2, b2, p, q, r_cross, u_lo, u_hi)
-
-    r = np.sqrt(u)
-    c = c1 / r + c2 * r
-    theta = -np.angle(c) if c != 0 else 0.0
-    omega = r * np.exp(1j * theta)
-    cost = float(np.linalg.norm(h_a / np.conj(omega) - h_b) ** 2
-                 + np.linalg.norm(omega * x_a - x_b) ** 2)
-    return AlignmentResult(omega=complex(omega), cost=cost)
+    ab = a2 * b2
+    p = np.abs(c1) ** 2 / (u_scale * ab)
+    q = np.abs(c2) ** 2 * u_scale / ab
+    rc = 2.0 * (c1 * np.conj(c2)).real / ab
+    hi, lo = np.maximum(p, q), np.minimum(p, q)
+    # (w^2 - 1)^2 (hi*w^2 + rc*w + lo) - w*(hi*w^2 - lo)^2, over its lead hi
+    comp = np.empty(rc.shape + (6, 6))
+    comp[...] = _SUBDIAGONAL
+    for k, coef in enumerate((rc - hi * hi, lo - 2.0 * hi, 2.0 * (lo * hi - rc),
+                              hi - 2.0 * lo, rc - lo * lo, lo)):
+        comp[..., 0, k] = coef
+    # hi = 0 means c1 = c2 = 0: every coefficient vanishes and only the
+    # fallback w = 1 is left.
+    comp[..., 0, :] /= -np.where(hi == 0.0, 1.0, hi)[..., None]
+    w = np.concatenate([np.linalg.eigvals(comp).real, np.ones(rc.shape + (1,))],
+                       axis=-1)
+    w = np.where(w > 0.0, w, 1.0)        # non-positive roots: the fallback
+    lo_, hi_, rc_ = lo[..., None], hi[..., None], rc[..., None]
+    big_g = w + 1.0 / w - 2.0 * np.sqrt(np.maximum(lo_ / w + hi_ * w + rc_, 0.0))
+    w = np.take_along_axis(w, np.argmin(big_g, axis=-1)[..., None], axis=-1)[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            phi = np.sqrt(lo / w + hi * w + rc)
+            slope = hi - lo / w ** 2
+            g1 = 1.0 - 1.0 / w ** 2 - slope / phi
+            g2 = 2.0 / w ** 3 * (1.0 - lo / phi) + slope ** 2 / (2.0 * phi ** 3)
+            step = w - g1 / g2
+            w = np.where(np.isfinite(step) & (step > 0.0), step, w)
+    r = np.sqrt(u_scale * np.where(p > q, 1.0 / w, w))
+    omega = r * np.exp(-1j * np.angle(c1 / r + c2 * r))
+    cost = ((np.abs(h_a / np.conj(omega)[..., None] - h_b) ** 2).sum(axis=-1)
+            + (np.abs(omega[..., None] * x_a - x_b) ** 2).sum(axis=-1))
+    if omega.ndim == 0:
+        return AlignmentResult(omega=complex(omega), cost=float(cost))
+    return AlignmentResult(omega=omega, cost=cost)
 
 
 def dist(z, truth: GroundTruth) -> float:
@@ -98,66 +119,27 @@ def dist(z, truth: GroundTruth) -> float:
     Square root of the sum over nodes of the minimal alignment cost divided
     by d_i = ||h_bar_i||^2 + ||x_bar_i||^2.
     """
-    total = 0.0
-    for i in range(truth.s):
-        res = align_pair(z.h[i], z.x[i], truth.h[i], truth.x[i])
-        total += res.cost / (2.0 * truth.q[i] ** 2)
-    return float(np.sqrt(total))
+    return _dist(align_pair(z.h, z.x, truth.h, truth.x).cost, truth)
 
 
 def relative_error(z, truth: GroundTruth) -> float:
     """Normalized error of the recovered target sum, with per-node alignment
     parameters recomputed at call time."""
-    target = np.sum(truth.x, axis=0)
-    denom = np.linalg.norm(target)
-    if denom == 0.0:
-        raise UndefinedMetricError("target vector sums to zero")
-    est = np.zeros_like(target)
-    for i in range(truth.s):
-        omega = align_pair(z.h[i], z.x[i], truth.h[i], truth.x[i]).omega
-        est = est + omega * z.x[i]
-    return float(np.linalg.norm(est - target) / denom)
+    return _relative_error(align_pair(z.h, z.x, truth.h, truth.x).omega, z, truth)
 
 
 def decompose(z, truth: GroundTruth) -> ComponentDecomposition:
     """Split each aligned block into its ground-truth-direction component
     (alpha) and perpendicular remainder norm (beta)."""
-    s = truth.s
-    alpha_h = np.zeros(s, dtype=complex)
-    beta_h = np.zeros(s)
-    alpha_x = np.zeros(s, dtype=complex)
-    beta_x = np.zeros(s)
-    rmse_x = np.zeros(s)
-    omegas = np.zeros(s, dtype=complex)
-    for i in range(s):
-        omega = align_pair(z.h[i], z.x[i], truth.h[i], truth.x[i]).omega
-        omegas[i] = omega
-        h_t = z.h[i] / np.conj(omega)
-        x_t = omega * z.x[i]
-        alpha_h[i], beta_h[i] = _components(h_t, truth.h[i])
-        alpha_x[i], beta_x[i] = _components(x_t, truth.x[i])
-        rmse_x[i] = beta_x[i] / np.linalg.norm(z.x[i])
-    return ComponentDecomposition(alpha_h=alpha_h, beta_h=beta_h,
-                                  alpha_x=alpha_x, beta_x=beta_x,
-                                  rmse_x=rmse_x, omega=omegas)
+    return _decompose(z, truth, align_pair(z.h, z.x, truth.h, truth.x).omega)
 
 
 def snapshot_metrics(z, truth: GroundTruth) -> MetricSnapshot:
     """relative_error, dist, and the component split from one alignment pass."""
-    target = np.sum(truth.x, axis=0)
-    denom = np.linalg.norm(target)
-    if denom == 0.0:
-        raise UndefinedMetricError("target vector sums to zero")
-    dec = decompose(z, truth)
-    est = np.einsum("i,in->n", dec.omega, z.x)
-    rel = float(np.linalg.norm(est - target) / denom)
-    total = 0.0
-    for i in range(truth.s):
-        cost = (np.linalg.norm(z.h[i] / np.conj(dec.omega[i]) - truth.h[i]) ** 2
-                + np.linalg.norm(dec.omega[i] * z.x[i] - truth.x[i]) ** 2)
-        total += cost / (2.0 * truth.q[i] ** 2)
-    return MetricSnapshot(relative_error=rel, dist=float(np.sqrt(total)),
-                          decomposition=dec)
+    res = align_pair(z.h, z.x, truth.h, truth.x)
+    return MetricSnapshot(relative_error=_relative_error(res.omega, z, truth),
+                          dist=_dist(res.cost, truth),
+                          decomposition=_decompose(z, truth, res.omega))
 
 
 def incoherence(truth: GroundTruth, b_rows: np.ndarray) -> float:
@@ -181,61 +163,30 @@ def perturb_alignment(omega: Union[complex, np.ndarray], sigma_w: float,
     return complex(out) if out.ndim == 0 else out
 
 
-def aligned_block_distance(h_a, x_a, h_b, x_b, d: float) -> float:
-    """Minimal alignment cost between two blocks, normalized by d."""
-    return float(np.sqrt(align_pair(h_a, x_a, h_b, x_b).cost / d))
+def _relative_error(omega: np.ndarray, z, truth: GroundTruth) -> float:
+    target = np.sum(truth.x, axis=0)
+    denom = np.linalg.norm(target)
+    if denom == 0.0:
+        raise UndefinedMetricError("target vector sums to zero")
+    return float(np.linalg.norm(omega @ z.x - target) / denom)
+
+
+def _dist(cost: np.ndarray, truth: GroundTruth) -> float:
+    return float(np.sqrt(np.sum(cost / (2.0 * truth.q ** 2))))
+
+
+def _decompose(z, truth: GroundTruth, omega: np.ndarray) -> ComponentDecomposition:
+    alpha_h, beta_h = _components(z.h / np.conj(omega)[:, None], truth.h)
+    alpha_x, beta_x = _components(omega[:, None] * z.x, truth.x)
+    return ComponentDecomposition(alpha_h=alpha_h, beta_h=beta_h,
+                                  alpha_x=alpha_x, beta_x=beta_x,
+                                  rmse_x=beta_x / np.linalg.norm(z.x, axis=1),
+                                  omega=omega)
 
 
 def _components(v_tilde: np.ndarray, v_bar: np.ndarray):
-    nb = np.linalg.norm(v_bar)
-    overlap = np.vdot(v_bar, v_tilde)
-    alpha = overlap / nb
-    perp = v_tilde - (overlap / nb ** 2) * v_bar
-    return complex(alpha), float(np.linalg.norm(perp))
-
-
-def _golden_section(g, lo: float, hi: float, rel_width: float = 1e-10) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    gc, gd = g(c), g(d)
-    while (b - a) > rel_width * b:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - _GOLDEN * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _GOLDEN * (b - a)
-            gd = g(d)
-    return 0.5 * (a + b)
-
-
-def _newton_polish(u: float, a2, b2, p, q, r_cross, lo, hi, steps: int = 12) -> float:
-    # Root-find g'(u) = 0; tracking |g'| avoids the cancellation floor of
-    # comparing g itself near a flat minimum.
-    def deriv(v):
-        phi2 = p / v + q * v + r_cross
-        if phi2 <= 1e-300:
-            return None, None
-        phi = np.sqrt(phi2)
-        dphi_num = -p / v ** 2 + q
-        g1 = -a2 / v ** 2 + b2 - dphi_num / phi
-        g2 = (2.0 * a2 / v ** 3 - (2.0 * p / v ** 3) / phi
-              + dphi_num ** 2 / (2.0 * phi ** 3))
-        return g1, g2
-
-    g1, g2 = deriv(u)
-    if g1 is None:
-        return u
-    for _ in range(steps):
-        if g2 is None or g2 <= 0.0 or not np.isfinite(g1) or not np.isfinite(g2):
-            break
-        u_new = u - g1 / g2
-        if not (lo * 0.5 <= u_new <= hi * 2.0) or u_new <= 0.0:
-            break
-        g1_new, g2_new = deriv(u_new)
-        if g1_new is None or abs(g1_new) >= abs(g1):
-            break
-        u, g1, g2 = u_new, g1_new, g2_new
-    return u
+    """Per-row overlap with v_bar's direction and the norm of the remainder."""
+    nb = np.linalg.norm(v_bar, axis=1)
+    overlap = np.sum(np.conj(v_bar) * v_tilde, axis=1)
+    perp = v_tilde - (overlap / nb ** 2)[:, None] * v_bar
+    return overlap / nb, np.linalg.norm(perp, axis=1)

@@ -79,6 +79,7 @@ class StateTrace:
     alpha_x: np.ndarray           # (T, s) complex
     beta_x: np.ndarray            # (T, s)
     rmse_x: np.ndarray            # (T, s)
+    omega: np.ndarray             # (T, s) complex truth alignment of each node
     final: Iterate
     s: int
     K: int
@@ -153,7 +154,7 @@ def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
     observers = tuple(observers)
     w = _check_weights(sample_weights, inst.m)
     logged_t: List[int] = []
-    logged = {k: [] for k in ("loss", "rel", "dist", "ah", "bh", "ax", "bx", "rm")}
+    logged = {k: [] for k in ("loss", "rel", "dist", "ah", "bh", "ax", "bx", "rm", "om")}
     kept: Optional[List[Iterate]] = [] if settings.keep_iterates else None
 
     z = z0.copy()
@@ -172,6 +173,7 @@ def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
         logged["ax"].append(d.alpha_x)
         logged["bx"].append(d.beta_x)
         logged["rm"].append(d.rmse_x)
+        logged["om"].append(d.omega)
         if kept is not None:
             kept.append(z_now.copy())
         for obs in observers:
@@ -208,6 +210,7 @@ def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
         alpha_x=np.asarray(logged["ax"]),
         beta_x=np.asarray(logged["bx"]),
         rmse_x=np.asarray(logged["rm"]),
+        omega=np.asarray(logged["om"]),
         final=z,
         s=inst.s, K=inst.K, N=inst.N, m=inst.m,
         q=inst.truth.q.copy(), eta=settings.eta,

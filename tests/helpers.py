@@ -90,6 +90,20 @@ def grid_search_cost(h_a, x_a, h_b, x_b, n_total=1_000_000):
     return float(best)
 
 
+def noise_sweep_rows_loop(trace, truth, sigma_w_grid, rng, trial):
+    """Per-row noise sweep: one perturb_alignment draw and one recovered sum
+    per (logged iteration, sigma_w), from the run's logged omega."""
+    target = np.sum(truth.x, axis=0)
+    denom = np.linalg.norm(target)
+    rows = []
+    for ti, z in enumerate(trace.iterates):
+        for sigma_w in sigma_w_grid:
+            w_hat = np.atleast_1d(bc.perturb_alignment(trace.omega[ti], sigma_w, rng))
+            err = np.linalg.norm(np.einsum("i,in->n", w_hat, z.x) - target) / denom
+            rows.append([trial, int(trace.t[ti]), sigma_w, float(err)])
+    return rows
+
+
 def draw_direction(rng, s, K, N, scale=0.1):
     """Random perturbation direction with a fixed small Frobenius norm."""
     dh = rng.normal(size=(s, K)) + 1j * rng.normal(size=(s, K))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
-from blaircomp.cli import main, trace_header
+from blaircomp.cli import _noise_sweep_rows, main, trace_header
 from blaircomp.errors import ConfigError
+
+from helpers import noise_sweep_rows_loop, run_desk_scale
 
 
 class TestParseConfig:
@@ -128,6 +130,17 @@ class TestRunExperiment:
         assert len(sweep["points"]) == 3
         assert -1.5 < sweep["slope_db_per_db"] < -0.5
         assert os.path.exists(result["paths"]["noise"])
+
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_noise_sweep_rows_match_per_row_loop(self, s):
+        inst, _, trace = run_desk_scale(3, s=s, max_iters=40, keep_iterates=True)
+        grid = [1.0, 10.0, 1e3, 1e5]
+        rows = _noise_sweep_rows(trace, inst.truth, grid, np.random.default_rng(8), 2)
+        ref = noise_sweep_rows_loop(trace, inst.truth, grid,
+                                    np.random.default_rng(8), 2)
+        assert [r[:3] for r in rows] == [r[:3] for r in ref]
+        np.testing.assert_allclose([r[3] for r in rows], [r[3] for r in ref],
+                                   rtol=1e-14, atol=0)
 
     def test_diagnostics_preset_emits_hypotheses(self, tmp_path):
         cfg = bc.parse_config(overrides=dict(

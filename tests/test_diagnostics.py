@@ -192,6 +192,36 @@ class TestMeasureHypotheses:
                    if r["quantity"] == "loo_dist" and r["t"] == "0"]
         assert max(t0_vals) < 1e-7
 
+    def test_matches_per_pair_alignment(self, small_suite):
+        inst, base, aux, report = small_suite
+        truth = inst.truth
+        loo = [r for r in aux if r.kind == "loo"]
+        sign = next(r for r in aux if r.kind == "sign")
+        sign_loo = {r.index: r for r in aux if r.kind == "sign_loo"}
+
+        def aligned(z, i, h_ref, x_ref):
+            res = bc.align_pair(z.h[i], z.x[i], h_ref, x_ref)
+            return z.h[i] / np.conj(res.omega), res.omega * z.x[i], res.cost
+
+        for ti in (1, len(report.t) // 2, len(report.t) - 1):
+            for i in range(truth.s):
+                h_t, x_t, _ = aligned(base.iterates[ti], i, truth.h[i], truth.x[i])
+                h_chk, x_chk, _ = aligned(sign.trace.iterates[ti], i, h_t, x_t)
+                dists, signals, double_diffs = [], [], []
+                for run in loo:
+                    h_hat, x_hat, cost = aligned(run.trace.iterates[ti], i, h_t, x_t)
+                    h_sl, _, _ = aligned(sign_loo[run.index].trace.iterates[ti], i,
+                                         h_chk, x_chk)
+                    dists.append(np.sqrt(cost / (2.0 * truth.q[i] ** 2)))
+                    signals.append(abs(np.vdot(truth.x[i], x_hat - x_t)) / truth.q[i])
+                    double_diffs.append(np.linalg.norm(h_t - h_hat - h_chk + h_sl))
+                assert report.loo_dist[ti, i] == pytest.approx(max(dists), rel=1e-9)
+                assert report.loo_signal_x[ti, i] == pytest.approx(max(signals), rel=1e-9)
+                assert report.sign_dist_x[ti, i] == pytest.approx(
+                    np.linalg.norm(x_chk - x_t), rel=1e-9)
+                assert report.double_diff_h[ti, i] == pytest.approx(
+                    max(double_diffs), rel=1e-9)
+
     def test_requires_kept_iterates(self):
         inst = bc.canonicalize_instance(bc.make_instance(1, 3, 3, 12, seed=3))
         z0 = bc.random_init(1, 3, 3, np.random.default_rng(4))

@@ -66,6 +66,50 @@ class TestAlignPair:
             bc.align_pair(np.zeros(4, dtype=complex), truth.x[0],
                           truth.h[0], truth.x[0])
 
+    def test_stacked_blocks_match_per_pair_calls(self):
+        rng = np.random.default_rng(15)
+        scale = 10.0 ** rng.uniform(-3, 3, (3, 4, 1))
+        h_a = (rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))) * scale
+        x_a = (rng.normal(size=(3, 4, 6)) + 1j * rng.normal(size=(3, 4, 6))) / scale
+        h_b = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        x_b = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        h_a[0, 0], x_a[0, 0] = 2.0 * h_b[0], x_b[0] / 2.0    # exactly alignable
+        res = bc.align_pair(h_a, x_a, h_b, x_b)               # h_b broadcasts
+        assert res.omega.shape == res.cost.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                one = bc.align_pair(h_a[i, j], x_a[i, j], h_b[j], x_b[j])
+                assert isinstance(one.omega, complex) and isinstance(one.cost, float)
+                assert abs(res.omega[i, j] - one.omega) <= 1e-14 * abs(one.omega)
+                assert abs(res.cost[i, j] - one.cost) <= 1e-14 * max(one.cost, 1.0)
+
+    @pytest.mark.parametrize("where", [(0, 0, "h"), (2, 3, "x")])
+    def test_zero_block_anywhere_in_batch_rejected(self, where):
+        rng = np.random.default_rng(16)
+        h = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+        x = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+        i, j, block = where
+        (h if block == "h" else x)[i, j] = 0.0
+        with pytest.raises(DegenerateAlignmentError):
+            bc.align_pair(h, x, h[0], x[0])
+
+    @pytest.mark.parametrize("orthogonal", ["h", "x", "both"])
+    def test_orthogonal_overlaps_match_grid_search(self, orthogonal):
+        # c1 = h_b^H h_a = 0 or c2 = x_b^H x_a = 0 exactly: the sextic's
+        # leading (or constant) coefficient vanishes and its degree drops
+        e = np.eye(4, dtype=complex)
+        rng = np.random.default_rng(17)
+        h_a = 2.0 * e[0] + 0.5j * e[1]
+        x_a = rng.normal(size=4) + 1j * rng.normal(size=4)
+        h_b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        x_b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if orthogonal in ("h", "both"):
+            h_b = 3.0 * e[2] - 1j * e[3]
+        if orthogonal in ("x", "both"):
+            x_a, x_b = 0.7 * e[1], e[0] + 2.0 * e[3]
+        res = bc.align_pair(h_a, x_a, h_b, x_b)
+        assert abs(res.cost - grid_search_cost(h_a, x_a, h_b, x_b)) < 1e-6
+
 
 class TestDistAndRelativeError:
     def test_zero_at_truth(self):

@@ -217,6 +217,16 @@ class TestRunWf:
         assert np.array_equal(t1.final.h, t2.final.h)
         assert np.array_equal(t1.final.x, t2.final.x)
 
+    def test_logged_omega_is_truth_alignment(self, small_instance, small_iterate):
+        settings = bc.SolverSettings(eta=0.05, max_iters=12, tol=np.inf, cadence=4,
+                                     keep_iterates=True)
+        trace = bc.run_wf(small_instance, small_iterate, settings)
+        truth = small_instance.truth
+        assert trace.omega.shape == (len(trace.t), small_instance.s)
+        for ti, z in enumerate(trace.iterates):
+            res = bc.align_pair(z.h, z.x, truth.h, truth.x)
+            np.testing.assert_allclose(trace.omega[ti], res.omega, rtol=1e-14, atol=0)
+
     def test_observer_cadence(self, small_instance, small_iterate):
         seen = []
         settings = bc.SolverSettings(eta=0.01, max_iters=10, tol=np.inf, cadence=3)
