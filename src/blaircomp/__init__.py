@@ -4,14 +4,14 @@ from .ensemble import (GroundTruth, ProblemInstance, compute_nomographic_target,
                        generate_partial_dft, load_instance, make_instance,
                        mean_post, sample_design_tensor, sample_ground_truth,
                        save_instance, synthesize_measurements)
-from .errors import (ConfigError, DegenerateAlignmentError, DegenerateIterateError,
-                     DimensionMismatchError, DivergenceError, ParameterError,
-                     UndefinedMetricError)
+from .errors import (BlaircompError, ConfigError, DegenerateAlignmentError,
+                     DegenerateIterateError, DimensionMismatchError,
+                     DivergenceError, ParameterError, UndefinedMetricError)
 from .metrics import (AlignmentResult, ComponentDecomposition, align_pair,
                       decompose, dist, incoherence, perturb_alignment,
                       relative_error, snapshot_metrics)
-from .solver import (GradientBlocks, Iterate, SolverSettings, StateTrace, loss,
-                     population_gradient, random_init, run_wf, wf_step,
+from .solver import (GradientBlocks, Iterate, RunBatch, SolverSettings, StateTrace,
+                     loss, population_gradient, random_init, run_wf, wf_step,
                      wirtinger_gradient, wirtinger_hessian_x_block)
 from .state_evolution import (PerturbationSeries, SEState, StageReport,
                               detect_stages, extract_perturbations,

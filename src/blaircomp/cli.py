@@ -15,14 +15,14 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import diagnostics as diag
 from . import state_evolution
 from .ensemble import make_instance
-from .errors import ConfigError, DivergenceError
+from .errors import BlaircompError, ConfigError, DivergenceError
 from .solver import SolverSettings, random_init, run_wf
 
 PRESET_NAMES = ("fig1-convergence", "components", "ratio-growth",
@@ -125,7 +125,11 @@ class ExperimentConfig:
         self.resolved_jobs()      # rejects a non-integer $BLAIRCOMP_JOBS
 
     def to_json_dict(self) -> Dict:
+        """The settings that determine the results: every field but ``out``
+        and ``jobs``, so the echo is the same wherever and however wide the
+        pool a run goes."""
         d = asdict(self)
+        del d["out"], d["jobs"]
         d["tol"] = None if not np.isfinite(self.tol) else self.tol
         return d
 
@@ -172,9 +176,10 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
     """Run all trials for a config and write the artifact set.
 
     Emits trace.csv (fixed 5 + 5s column schema), stages.json (config echo,
-    per-trial stage reports, wall clock), report.json (preset-specific
-    summary), a gnuplot stub, and per-preset extras.  Returns a summary dict
-    with artifact paths; ``ok`` is False when any trial diverged.
+    per-trial summaries and stage reports), report.json (preset-specific
+    summary), a gnuplot stub, per-preset extras, and timings.json (wall clock
+    and pool size, the only artifact that changes between reruns).  Returns
+    a summary dict with artifact paths; ``ok`` is False when any trial failed.
     """
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
@@ -190,13 +195,13 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
     paths = {"trace": os.path.join(cfg.out, "trace.csv"),
              "stages": os.path.join(cfg.out, "stages.json"),
              "report": os.path.join(cfg.out, "report.json"),
-             "plot": os.path.join(cfg.out, "plot.gp")}
+             "plot": os.path.join(cfg.out, "plot.gp"),
+             "timings": os.path.join(cfg.out, "timings.json")}
     _write_trace_csv(paths["trace"], cfg.s, results)
     _write_plot_stub(paths["plot"], cfg)
 
     stages_doc = {
         "config": cfg.to_json_dict(),
-        "wall_clock_s": time.perf_counter() - t_start,
         "trials": [r["summary"] for r in results],
     }
     with open(paths["stages"], "w") as fh:
@@ -214,8 +219,11 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
                 report.setdefault("hypotheses_csv", []).append(name)
     with open(paths["report"], "w") as fh:
         json.dump(report, fh, indent=2)
+    with open(paths["timings"], "w") as fh:
+        json.dump({"wall_clock_s": time.perf_counter() - t_start, "jobs": jobs},
+                  fh, indent=2)
 
-    ok = all(not r["summary"]["diverged"] for r in results)
+    ok = all(r["summary"]["error"] is None for r in results)
     return {"ok": ok, "paths": paths, "report": report,
             "trials": [r["summary"] for r in results]}
 
@@ -231,6 +239,25 @@ def read_trace_csv(path: str) -> Dict[str, np.ndarray]:
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> Dict:
+    """One trial's summary and per-trial results.
+
+    A package error ends only its own trial: the summary records its type
+    and message, the trial logs no trace rows, and the other trials go on.
+    """
+    summary = {"trial": trial, "diverged": False, "error": None, "error_type": None}
+    try:
+        outcome, result = _solve_trial(cfg, trial)
+    except BlaircompError as exc:
+        summary.update(diverged=isinstance(exc, DivergenceError), error=str(exc),
+                       error_type=type(exc).__name__)
+        return {"summary": summary, "trace": []}
+    summary.update(outcome)
+    result["summary"] = summary
+    return result
+
+
+def _solve_trial(cfg: ExperimentConfig, trial: int) -> Tuple[Dict, Dict]:
+    """The trial's summary fields and its per-trial results."""
     ss = np.random.SeedSequence([cfg.seed, trial])
     inst_seed, init_seed, aux_seed = ss.spawn(3)
     m = cfg.resolved_m()
@@ -243,36 +270,30 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> Dict:
     settings = SolverSettings(eta=cfg.eta, max_iters=cfg.max_iters, tol=cfg.tol,
                               cadence=cfg.cadence, keep_iterates=keep)
 
-    summary = {"trial": trial, "diverged": False, "error": None}
-    result: Dict = {"summary": summary}
-    try:
-        aux_rng = np.random.default_rng(aux_seed)
-        if cfg.preset == "diagnostics":
-            loo = diag.select_loo_indices(m, cfg.loo_samples, aux_rng)
-            trace, aux_runs, _ = diag.run_diagnostics_suite(inst, z0, settings,
-                                                            loo, aux_rng)
-            result["hypotheses"] = diag.measure_hypotheses(trace, aux_runs,
-                                                           inst.truth, inst)
-            result["concentration"] = diag.concentration_report(inst).to_json_dict()
-        else:
-            trace = run_wf(inst, z0, settings)
-        if cfg.preset == "noise-sweep":
-            result["noise_rows"] = _noise_sweep_rows(trace, inst.truth,
-                                                     cfg.sigma_w_grid, aux_rng, trial)
-        stages = state_evolution.detect_stages(trace)
-        summary.update({
-            "converged": trace.converged,
-            "n_iters": trace.n_iters,
-            "final_relative_error": float(trace.relative_error[-1]),
-            "final_loss": float(trace.loss[-1]),
-            "stages": stages.to_json_dict(),
-        })
-        result["trace"] = _trace_columns(trace, trial)
-    except DivergenceError as exc:
-        summary["diverged"] = True
-        summary["error"] = str(exc)
-        result["trace"] = []
-    return result
+    result: Dict = {}
+    aux_rng = np.random.default_rng(aux_seed)
+    if cfg.preset == "diagnostics":
+        loo = diag.select_loo_indices(m, cfg.loo_samples, aux_rng)
+        trace, aux_runs, _ = diag.run_diagnostics_suite(inst, z0, settings,
+                                                        loo, aux_rng)
+        result["hypotheses"] = diag.measure_hypotheses(trace, aux_runs,
+                                                       inst.truth, inst)
+        result["concentration"] = diag.concentration_report(inst).to_json_dict()
+    else:
+        trace = run_wf(inst, z0, settings)
+    if cfg.preset == "noise-sweep":
+        result["noise_rows"] = _noise_sweep_rows(trace, inst.truth,
+                                                 cfg.sigma_w_grid, aux_rng, trial)
+    stages = state_evolution.detect_stages(trace)
+    outcome = {
+        "converged": trace.converged,
+        "n_iters": trace.n_iters,
+        "final_relative_error": float(trace.relative_error[-1]),
+        "final_loss": float(trace.loss[-1]),
+        "stages": stages.to_json_dict(),
+    }
+    result["trace"] = _trace_columns(trace, trial)
+    return outcome, result
 
 
 def _noise_sweep_rows(trace, truth, sigma_w_grid: Sequence[float],
@@ -320,11 +341,12 @@ def fit_noise_slope(noise_rows: Sequence[Sequence[float]]) -> Dict:
 
 def _build_report(cfg: ExperimentConfig, results: List[Dict]) -> Dict:
     summaries = [r["summary"] for r in results]
-    ok = [s for s in summaries if not s["diverged"]]
+    ok = [s for s in summaries if s["error"] is None]
     report: Dict = {
         "preset": cfg.preset,
         "n_trials": cfg.trials,
         "n_diverged": sum(s["diverged"] for s in summaries),
+        "n_failed": cfg.trials - len(ok),
         "n_converged": sum(bool(s.get("converged")) for s in ok),
         "final_relative_errors": [s.get("final_relative_error") for s in ok],
     }
@@ -482,8 +504,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     for summary in result["trials"]:
-        if summary["diverged"]:
-            print(f"trial {summary['trial']}: DIVERGED ({summary['error']})")
+        if summary["error"] is not None:
+            label = "DIVERGED" if summary["diverged"] else "FAILED"
+            print(f"trial {summary['trial']}: {label} "
+                  f"({summary['error_type']}: {summary['error']})")
         else:
             status = "converged" if summary.get("converged") else "finished"
             print(f"trial {summary['trial']}: {status} after "

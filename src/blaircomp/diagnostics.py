@@ -144,10 +144,7 @@ def leave_one_out_run(inst: ProblemInstance, l: int, z0: Iterate,
                       settings: SolverSettings,
                       base_weights: Optional[np.ndarray] = None) -> AuxiliaryRun:
     """Run the flow on the loss with sample l dropped, from the shared init."""
-    if not 0 <= l < inst.m:
-        raise IndexError(f"sample index {l} outside [0, {inst.m})")
-    w = np.ones(inst.m) if base_weights is None else np.asarray(base_weights, float).copy()
-    w[l] = 0.0
+    w = _loo_weights(inst.m, [l], base_weights)[1]
     trace = run_wf(inst, z0, settings, sample_weights=w)
     return AuxiliaryRun(kind="loo", index=l, trace=trace)
 
@@ -156,24 +153,29 @@ def run_diagnostics_suite(inst: ProblemInstance, z0: Iterate,
                           settings: SolverSettings, loo_indices: Sequence[int],
                           rng: np.random.Generator
                           ) -> Tuple[StateTrace, List[AuxiliaryRun], np.ndarray]:
-    """Base run plus the three auxiliary families, all from the same z0."""
+    """Base run plus the three auxiliary families, all from the same z0.
+
+    Two lockstep ``run_wf`` calls, on ``inst`` and on its sign-flipped
+    ensemble, each with 1+L weight rows: all ones, then one row per dropped
+    sample of ``loo_indices``.
+    """
     if not settings.keep_iterates:
         raise ParameterError("diagnostics needs keep_iterates=True in the settings")
-    base = run_wf(inst, z0, settings)
-    aux: List[AuxiliaryRun] = []
-    for l in loo_indices:
-        aux.append(leave_one_out_run(inst, l, z0, settings))
+    weights = _loo_weights(inst.m, loo_indices)
+    plain = run_wf(inst, z0, settings, sample_weights=weights).runs
     inst_sgn, xi = sign_flip_ensemble(inst, rng)
-    aux.append(AuxiliaryRun(kind="sign", index=None,
-                            trace=run_wf(inst_sgn, z0, settings)))
-    for l in loo_indices:
-        run = leave_one_out_run(inst_sgn, l, z0, settings)
-        aux.append(AuxiliaryRun(kind="sign_loo", index=run.index, trace=run.trace))
-    return base, aux, xi
+    flipped = run_wf(inst_sgn, z0, settings, sample_weights=weights).runs
+    aux = [AuxiliaryRun(kind="loo", index=l, trace=tr)
+           for l, tr in zip(loo_indices, plain[1:])]
+    aux.append(AuxiliaryRun(kind="sign", index=None, trace=flipped[0]))
+    aux += [AuxiliaryRun(kind="sign_loo", index=l, trace=tr)
+            for l, tr in zip(loo_indices, flipped[1:])]
+    return plain[0], aux, xi
 
 
 def select_loo_indices(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample of dropped-sample indices (checking all m is O(m) runs)."""
+    """Uniform sample of dropped-sample indices (checking all m takes m + 1
+    weight rows in each of the suite's two batched runs)."""
     count = min(count, m)
     return np.sort(rng.choice(m, size=count, replace=False))
 
@@ -263,6 +265,19 @@ def concentration_report(inst: ProblemInstance) -> ConcentrationReport:
         incoherence=mu,
         first_entry_ok=bool(max_first <= bound_first),
         design_norm_ok=bool(max_norm <= bound_norm))
+
+
+def _loo_weights(m: int, indices: Sequence[int],
+                 base_weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """(1+L, m) sample weights: row 0 is ``base_weights`` (all ones if None),
+    row k+1 also drops sample ``indices[k]``."""
+    base = np.ones(m) if base_weights is None else np.asarray(base_weights, float)
+    rows = np.tile(base, (1 + len(indices), 1))
+    for k, l in enumerate(indices):
+        if not 0 <= l < m:
+            raise IndexError(f"sample index {l} outside [0, {m})")
+        rows[k + 1, l] = 0.0
+    return rows
 
 
 def _stacked(traces: Sequence[StateTrace], n_t: int):

@@ -216,10 +216,11 @@ def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.nd
 
 
 def _apply_b(b_rows: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """b_j^H h_i for all (i, j); accepts shared (m, K) or per-node (s, m, K) rows."""
+    """b_j^H h_i for all (i, j), (..., s, m) from h (..., s, K); accepts shared
+    (m, K) or per-node (s, m, K) rows."""
     if b_rows.ndim == 2:
         return h @ b_rows.T
-    return (b_rows @ h[:, :, None])[:, :, 0]
+    return (b_rows @ h[..., None])[..., 0]
 
 
 def _seed_to_json(seed):

@@ -42,8 +42,8 @@ class ComponentDecomposition:
 
 @dataclass(frozen=True)
 class MetricSnapshot:
-    relative_error: float
-    dist: float
+    relative_error: Union[float, np.ndarray]    # batch-shaped for stacked runs
+    dist: Union[float, np.ndarray]
     decomposition: ComponentDecomposition
 
 
@@ -67,10 +67,16 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
     """
     a2 = (np.abs(h_a) ** 2).sum(axis=-1)
     b2 = (np.abs(x_a) ** 2).sum(axis=-1)
-    if (a2 == 0.0).any() or (b2 == 0.0).any():
+    if not (a2.all() and b2.all()):
         raise DegenerateAlignmentError("cannot align a zero block")
     c1 = (np.conj(h_b) * h_a).sum(axis=-1)
     c2 = (np.conj(x_b) * x_a).sum(axis=-1)
+    # The root finding runs on the flattened batch, since numpy's cost per
+    # call grows with the number of axes.
+    batch = c1.shape
+    if a2.shape != batch or b2.shape != batch:     # a broadcast reference
+        a2, b2 = np.broadcast_to(a2, batch), np.broadcast_to(b2, batch)
+    a2, b2, c1, c2 = a2.ravel(), b2.ravel(), c1.ravel(), c2.ravel()
     # u = sqrt(a2/b2)*v gives g = sqrt(a2*b2)*G(v) + const with
     # G(v) = v + 1/v - 2*sqrt(p/v + q*v + rc) in the rescaled p, q, rc below.
     # Swapping p and q maps v to 1/v, so the sextic is solved in w = v or 1/v,
@@ -95,7 +101,7 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
     w = np.where(w > 0.0, w, 1.0)        # non-positive roots: the fallback
     lo_, hi_, rc_ = lo[..., None], hi[..., None], rc[..., None]
     big_g = w + 1.0 / w - 2.0 * np.sqrt(np.maximum(lo_ / w + hi_ * w + rc_, 0.0))
-    w = np.take_along_axis(w, np.argmin(big_g, axis=-1)[..., None], axis=-1)[..., 0]
+    w = w[np.arange(len(w)), np.argmin(big_g, axis=-1)]
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(2):
             phi = np.sqrt(lo / w + hi * w + rc)
@@ -105,7 +111,7 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
             step = w - g1 / g2
             w = np.where(np.isfinite(step) & (step > 0.0), step, w)
     r = np.sqrt(u_scale * np.where(p > q, 1.0 / w, w))
-    omega = r * np.exp(-1j * np.angle(c1 / r + c2 * r))
+    omega = (r * np.exp(-1j * np.angle(c1 / r + c2 * r))).reshape(batch)
     cost = ((np.abs(h_a / np.conj(omega)[..., None] - h_b) ** 2).sum(axis=-1)
             + (np.abs(omega[..., None] * x_a - x_b) ** 2).sum(axis=-1))
     if omega.ndim == 0:
@@ -135,7 +141,11 @@ def decompose(z, truth: GroundTruth) -> ComponentDecomposition:
 
 
 def snapshot_metrics(z, truth: GroundTruth) -> MetricSnapshot:
-    """relative_error, dist, and the component split from one alignment pass."""
+    """relative_error, dist, and the component split from one alignment pass.
+
+    The iterate may stack runs, h (..., s, K) and x (..., s, N); errors then
+    have the batch shape and the decomposition's arrays (..., s).
+    """
     res = align_pair(z.h, z.x, truth.h, truth.x)
     return MetricSnapshot(relative_error=_relative_error(res.omega, z, truth),
                           dist=_dist(res.cost, truth),
@@ -163,30 +173,36 @@ def perturb_alignment(omega: Union[complex, np.ndarray], sigma_w: float,
     return complex(out) if out.ndim == 0 else out
 
 
-def _relative_error(omega: np.ndarray, z, truth: GroundTruth) -> float:
+def _relative_error(omega: np.ndarray, z, truth: GroundTruth):
     target = np.sum(truth.x, axis=0)
     denom = np.linalg.norm(target)
     if denom == 0.0:
         raise UndefinedMetricError("target vector sums to zero")
-    return float(np.linalg.norm(omega @ z.x - target) / denom)
+    recovered = (omega[..., None, :] @ z.x)[..., 0, :]
+    return _scalar(np.linalg.norm(recovered - target, axis=-1) / denom)
 
 
-def _dist(cost: np.ndarray, truth: GroundTruth) -> float:
-    return float(np.sqrt(np.sum(cost / (2.0 * truth.q ** 2))))
+def _dist(cost: np.ndarray, truth: GroundTruth):
+    return _scalar(np.sqrt((cost / (2.0 * truth.q ** 2)).sum(axis=-1)))
 
 
 def _decompose(z, truth: GroundTruth, omega: np.ndarray) -> ComponentDecomposition:
-    alpha_h, beta_h = _components(z.h / np.conj(omega)[:, None], truth.h)
-    alpha_x, beta_x = _components(omega[:, None] * z.x, truth.x)
+    alpha_h, beta_h = _components(z.h / np.conj(omega)[..., None], truth.h)
+    alpha_x, beta_x = _components(omega[..., None] * z.x, truth.x)
     return ComponentDecomposition(alpha_h=alpha_h, beta_h=beta_h,
                                   alpha_x=alpha_x, beta_x=beta_x,
-                                  rmse_x=beta_x / np.linalg.norm(z.x, axis=1),
+                                  rmse_x=beta_x / np.linalg.norm(z.x, axis=-1),
                                   omega=omega)
 
 
 def _components(v_tilde: np.ndarray, v_bar: np.ndarray):
     """Per-row overlap with v_bar's direction and the norm of the remainder."""
-    nb = np.linalg.norm(v_bar, axis=1)
-    overlap = np.sum(np.conj(v_bar) * v_tilde, axis=1)
-    perp = v_tilde - (overlap / nb ** 2)[:, None] * v_bar
-    return overlap / nb, np.linalg.norm(perp, axis=1)
+    nb = np.linalg.norm(v_bar, axis=-1)
+    overlap = (np.conj(v_bar) * v_tilde).sum(axis=-1)
+    perp = v_tilde - (overlap / nb ** 2)[..., None] * v_bar
+    return overlap / nb, np.linalg.norm(perp, axis=-1)
+
+
+def _scalar(v: np.ndarray):
+    """A float for a 0-d result, else the array."""
+    return float(v) if v.ndim == 0 else v

@@ -10,14 +10,14 @@ block's squared norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import metrics
 from .ensemble import GroundTruth, ProblemInstance, _apply_b
 from .errors import (DegenerateIterateError, DimensionMismatchError,
-                     DivergenceError)
+                     DivergenceError, ParameterError)
 
 _DIVERGENCE_FACTOR = 1e6
 
@@ -93,6 +93,16 @@ class StateTrace:
     iterates: Optional[List[Iterate]] = None
 
 
+@dataclass
+class RunBatch:
+    """The runs of one multi-run ``run_wf`` call."""
+
+    runs: List[StateTrace]        # one per weight row, in row order
+    n_iters: int                  # iterations summed over the runs
+    t: np.ndarray                 # every run's logged iterations, concatenated
+    s: int
+
+
 def random_init(s: int, K: int, N: int, rng: np.random.Generator) -> Iterate:
     """Gaussian starting point with E||h_i||^2 = E||x_i||^2 = 1, unnormalized."""
     h = (rng.normal(0.0, np.sqrt(0.5 / K), (s, K))
@@ -105,6 +115,8 @@ def random_init(s: int, K: int, N: int, rng: np.random.Generator) -> Iterate:
 def loss(z: Iterate, inst: ProblemInstance,
          sample_weights: Optional[np.ndarray] = None) -> float:
     r, _, _ = _forward(z, inst)
+    if r.ndim != 1:
+        raise DimensionMismatchError("loss takes one iterate, not a stack")
     w = _check_weights(sample_weights, inst.m)
     if w is None:
         return float(np.sum(np.abs(r) ** 2))
@@ -131,91 +143,142 @@ def population_gradient(z: Iterate, truth: GroundTruth) -> GradientBlocks:
 
 
 def wf_step(z: Iterate, g: GradientBlocks, eta: float) -> Iterate:
-    """One block-scaled descent step; the input iterate is left untouched."""
-    x_norm2 = np.sum(np.abs(z.x) ** 2, axis=1)
-    h_norm2 = np.sum(np.abs(z.h) ** 2, axis=1)
-    if np.any(x_norm2 == 0.0) or np.any(h_norm2 == 0.0):
+    """One block-scaled descent step; the input iterate is left untouched.
+
+    Blocks may carry leading run axes, (..., s, K) and (..., s, N).
+    """
+    x_norm2 = (np.abs(z.x) ** 2).sum(axis=-1)
+    h_norm2 = (np.abs(z.h) ** 2).sum(axis=-1)
+    if not (x_norm2.all() and h_norm2.all()):
         raise DegenerateIterateError("zero block norm in update scaling")
-    h = z.h - (eta / x_norm2)[:, None] * g.h
-    x = z.x - (eta / h_norm2)[:, None] * g.x
+    h = z.h - (eta / x_norm2)[..., None] * g.h
+    x = z.x - (eta / h_norm2)[..., None] * g.x
     return Iterate(h=h, x=x, t=z.t + 1)
 
 
 def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
            observers: Iterable[Observer] = (),
-           sample_weights: Optional[np.ndarray] = None) -> StateTrace:
+           sample_weights: Optional[np.ndarray] = None
+           ) -> Union[StateTrace, RunBatch]:
     """Iterate Wirtinger flow, logging metrics at the configured cadence.
 
     Observers are called with (t, iterate, loss) at each logged iteration and
     must not mutate the iterate.  Stops at max_iters, at the relative-error
     or loss tolerance, or with a DivergenceError naming the offending
     iteration if the loss becomes non-finite or grows a millionfold.
+
+    ``sample_weights`` of shape (m,) weights the loss of the one run.  Shape
+    (R, m) runs R runs in lockstep from z0, one per weight row, and returns
+    a RunBatch: iterates are stacked (R, s, K/N), so each iteration takes one
+    forward/gradient pass, one ``wf_step`` and, at log points, one
+    ``snapshot_metrics`` call for all active runs.  A run that meets a
+    tolerance or diverges is masked out and logs nothing more; after the
+    loop the DivergenceError of the first diverging run in row order is
+    raised, as running the rows one by one would.  Observers need R = 1.
     """
     observers = tuple(observers)
-    w = _check_weights(sample_weights, inst.m)
+    if z0.h.ndim != 2 or z0.x.ndim != 2:
+        raise DimensionMismatchError("z0 must be one iterate, h (s, K) and x (s, N)")
+    w = _run_weights(sample_weights, inst.m)
+    n_runs = 1 if w is None else w.shape[0]
+    if observers and n_runs > 1:
+        raise ParameterError("observers need a single run, got "
+                             f"{n_runs} weight rows")
+    columns = ("loss", "relative_error", "dist", "alpha_h", "beta_h", "alpha_x",
+               "beta_x", "rmse_x", "omega")
+    logged: List[tuple] = []         # per log point: (R, ...) columns, then h, x
     logged_t: List[int] = []
-    logged = {k: [] for k in ("loss", "rel", "dist", "ah", "bh", "ax", "bx", "rm", "om")}
-    kept: Optional[List[Iterate]] = [] if settings.keep_iterates else None
+    n_logged = np.zeros(n_runs, dtype=int)
+    n_iters = np.zeros(n_runs, dtype=int)
+    stop_reason = ["max_iters"] * n_runs
+    final_h = np.empty((n_runs, inst.s, inst.K), dtype=complex)
+    final_x = np.empty((n_runs, inst.s, inst.N), dtype=complex)
+    runs = np.arange(n_runs)         # weight row of each active run, ascending
+    failure = None                   # (row, t, loss) of the first divergence
 
-    z = z0.copy()
-    z.t = 0
-    stop_reason = "max_iters"
-
-    def log_point(t: int, z_now: Iterate, loss_now: float) -> float:
-        snap = metrics.snapshot_metrics(z_now, inst.truth)
-        logged_t.append(t)
-        logged["loss"].append(loss_now)
-        logged["rel"].append(snap.relative_error)
-        logged["dist"].append(snap.dist)
-        d = snap.decomposition
-        logged["ah"].append(d.alpha_h)
-        logged["bh"].append(d.beta_h)
-        logged["ax"].append(d.alpha_x)
-        logged["bx"].append(d.beta_x)
-        logged["rm"].append(d.rmse_x)
-        logged["om"].append(d.omega)
-        if kept is not None:
-            kept.append(z_now.copy())
-        for obs in observers:
-            obs(t, z_now, loss_now)
-        return snap.relative_error
-
+    z = Iterate(h=np.repeat(z0.h[None], n_runs, axis=0),
+                x=np.repeat(z0.x[None], n_runs, axis=0), t=0)
     g, loss_t = _gradient_and_loss(z, inst, w)
-    loss_0 = loss_t
-    rel = log_point(0, z, loss_t)
-    if _stopped(rel, loss_t, settings):
-        stop_reason = "tol"
-        t_final = 0
-    else:
-        t_final = 0
-        for t in range(1, settings.max_iters + 1):
+    # Capped at the largest float, so a non-finite loss never passes
+    # loss <= limit; fmin ignores a NaN initial loss, as loss > NaN would.
+    limit = np.fmin(_DIVERGENCE_FACTOR * np.maximum(loss_t, 1e-300),
+                    np.finfo(float).max)
+    # A disabled (non-finite) tolerance becomes -inf, which nothing meets.
+    tol, loss_tol = (v if np.isfinite(v) else -np.inf
+                     for v in (settings.tol, settings.loss_tol))
+
+    def log_point(t: int) -> np.ndarray:
+        snap = metrics.snapshot_metrics(z, inst.truth)
+        d = snap.decomposition
+        row = (loss_t, snap.relative_error, snap.dist, d.alpha_h, d.beta_h,
+               d.alpha_x, d.beta_x, d.rmse_x, d.omega)
+        if settings.keep_iterates:
+            row += (z.h, z.x)
+        if len(runs) < n_runs:           # rows of stopped runs are never read
+            row = tuple(_scatter(v, runs, n_runs) for v in row)
+        logged.append(row)
+        logged_t.append(t)
+        for obs in observers:
+            obs(t, Iterate(h=z.h[0], x=z.x[0], t=t), float(loss_t[0]))
+        return (snap.relative_error <= tol) | (loss_t <= loss_tol)
+
+    def retire(keep: np.ndarray) -> None:
+        nonlocal z, g, loss_t, limit, runs, w
+        gone = runs[~keep]
+        final_h[gone], final_x[gone] = z.h[~keep], z.x[~keep]
+        n_iters[gone], n_logged[gone] = z.t, len(logged_t)
+        z = Iterate(h=z.h[keep], x=z.x[keep], t=z.t)
+        g = GradientBlocks(h=g.h[keep], x=g.x[keep])
+        loss_t, limit, runs = loss_t[keep], limit[keep], runs[keep]
+        if w is not None:
+            w = w[keep]
+
+    for t in range(settings.max_iters + 1):
+        if t > 0:
             z = wf_step(z, g, settings.eta)
             g, loss_t = _gradient_and_loss(z, inst, w)
-            t_final = t
-            if not np.isfinite(loss_t) or loss_t > _DIVERGENCE_FACTOR * max(loss_0, 1e-300):
-                raise DivergenceError(f"loss diverged at iteration {t}: {loss_t!r}")
-            if t % settings.cadence == 0 or t == settings.max_iters:
-                rel = log_point(t, z, loss_t)
-                if _stopped(rel, loss_t, settings):
-                    stop_reason = "tol"
+            ok = loss_t <= limit
+            if not ok.all():
+                # Only rows before the first diverging one can change the
+                # error raised; the rest are dropped.
+                k = int(np.argmin(ok))
+                failure = (runs[k], t, float(loss_t[k]))
+                retire(np.arange(len(runs)) < k)
+                if not len(runs):
                     break
+        if t % settings.cadence == 0 or t == settings.max_iters:
+            stop = log_point(t)
+            if stop.any():
+                for r in runs[stop]:
+                    stop_reason[r] = "tol"
+                retire(~stop)
+                if not len(runs):
+                    break
+    if failure is not None:
+        raise DivergenceError(f"loss diverged at iteration {failure[1]}: "
+                              f"{failure[2]!r}")
+    retire(np.zeros(len(runs), dtype=bool))      # the rest end at max_iters
 
-    return StateTrace(
-        t=np.asarray(logged_t),
-        loss=np.asarray(logged["loss"]),
-        relative_error=np.asarray(logged["rel"]),
-        dist=np.asarray(logged["dist"]),
-        alpha_h=np.asarray(logged["ah"]),
-        beta_h=np.asarray(logged["bh"]),
-        alpha_x=np.asarray(logged["ax"]),
-        beta_x=np.asarray(logged["bx"]),
-        rmse_x=np.asarray(logged["rm"]),
-        omega=np.asarray(logged["om"]),
-        final=z,
-        s=inst.s, K=inst.K, N=inst.N, m=inst.m,
-        q=inst.truth.q.copy(), eta=settings.eta,
-        n_iters=t_final, converged=(stop_reason == "tol"),
-        stop_reason=stop_reason, iterates=kept)
+    t_all = np.asarray(logged_t)
+    cols = dict(zip(columns, map(np.asarray, zip(*logged))))   # (T, R, ...)
+    traces = []
+    for r in range(n_runs):
+        n = n_logged[r]
+        kept = None
+        if settings.keep_iterates:
+            kept = [Iterate(h=row[-2][r], x=row[-1][r], t=t)
+                    for row, t in zip(logged[:n], logged_t)]
+        traces.append(StateTrace(
+            t=t_all[:n], **{name: cols[name][:n, r] for name in columns},
+            final=Iterate(h=final_h[r], x=final_x[r], t=int(n_iters[r])),
+            s=inst.s, K=inst.K, N=inst.N, m=inst.m,
+            q=inst.truth.q.copy(), eta=settings.eta,
+            n_iters=int(n_iters[r]), converged=(stop_reason[r] == "tol"),
+            stop_reason=stop_reason[r], iterates=kept))
+    if sample_weights is None or np.ndim(sample_weights) == 1:
+        return traces[0]
+    return RunBatch(runs=traces, n_iters=int(n_iters.sum()),
+                    t=np.concatenate([tr.t for tr in traces]), s=inst.s)
 
 
 def wirtinger_hessian_x_block(z: Iterate, inst: ProblemInstance, i: int,
@@ -253,29 +316,34 @@ def gradient_inner(g: GradientBlocks, dh: np.ndarray, dx: np.ndarray) -> complex
 
 
 def _forward(z: Iterate, inst: ProblemInstance):
-    if z.h.shape != (inst.s, inst.K) or z.x.shape != (inst.s, inst.N):
+    """Residual (..., m) and the factors b_j^H h_i, x_i^H a_ij (..., s, m) of
+    an iterate with optional leading run axes."""
+    if z.h.shape[-2:] != (inst.s, inst.K) or z.x.shape[-2:] != (inst.s, inst.N):
         raise DimensionMismatchError(
             f"iterate shapes {z.h.shape}/{z.x.shape} do not match instance dims")
-    bh = _apply_b(inst.b_rows, z.h)                      # (s, m)
-    xa = (inst.a @ z.x.conj()[:, :, None])[:, :, 0]      # (s, m): x_i^H a_ij
-    r = np.sum(bh * xa, axis=0) - inst.y
+    bh = _apply_b(inst.b_rows, z.h)
+    xa = (inst.a @ z.x.conj()[..., None])[..., 0]
+    r = (bh * xa).sum(axis=-2) - inst.y
     return r, bh, xa
 
 
-def _gradient_and_loss(z: Iterate, inst: ProblemInstance,
-                       w: Optional[np.ndarray]) -> Tuple[GradientBlocks, float]:
+def _gradient_and_loss(z: Iterate, inst: ProblemInstance, w: Optional[np.ndarray]
+                       ) -> Tuple[GradientBlocks, np.ndarray]:
+    """Gradient blocks and the loss, per run for stacked iterates; ``w``
+    broadcasts against the residual (..., m)."""
     r, bh, xa = _forward(z, inst)
     if w is None:
-        loss_val = float(np.sum(np.abs(r) ** 2))
+        loss_val = (np.abs(r) ** 2).sum(axis=-1)
         rc = r.conj()      # the adjoints conjugate r, not the design arrays
     else:
-        loss_val = float(np.sum(w * np.abs(r) ** 2))
+        loss_val = (w * np.abs(r) ** 2).sum(axis=-1)
         rc = w * r.conj()
+    rc = rc[..., None, :]
     if inst.b_rows.ndim == 2:
         grad_h = ((rc * xa) @ inst.b_rows).conj()
     else:
-        grad_h = ((rc * xa)[:, None, :] @ inst.b_rows)[:, 0, :].conj()
-    grad_x = ((rc * bh)[:, None, :] @ inst.a)[:, 0, :]
+        grad_h = ((rc * xa)[..., None, :] @ inst.b_rows)[..., 0, :].conj()
+    grad_x = ((rc * bh)[..., None, :] @ inst.a)[..., 0, :]
     return GradientBlocks(h=grad_h, x=grad_x), loss_val
 
 
@@ -288,9 +356,20 @@ def _check_weights(w: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:
     return w
 
 
-def _stopped(rel: float, loss_val: float, settings: SolverSettings) -> bool:
-    if np.isfinite(settings.tol) and rel <= settings.tol:
-        return True
-    if np.isfinite(settings.loss_tol) and loss_val <= settings.loss_tol:
-        return True
-    return False
+def _scatter(v: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """v (len(rows), ...) placed at ``rows`` of a zero (n_rows, ...) array."""
+    out = np.zeros((n_rows,) + v.shape[1:], v.dtype)
+    out[rows] = v
+    return out
+
+
+def _run_weights(w: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:
+    """None, or the (R, m) weight rows of ``run_wf``; (m,) is one row."""
+    if w is None:
+        return None
+    w = np.asarray(w, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != m or w.size == 0:
+        raise DimensionMismatchError(
+            f"sample weights shape {w.shape} is neither ({m},) nor (R, {m})")
+    return w.reshape(-1, m)
+

@@ -1,12 +1,14 @@
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
 import blaircomp as bc
+from blaircomp import cli
 from blaircomp.cli import _noise_sweep_rows, main, trace_header
-from blaircomp.errors import ConfigError
+from blaircomp.errors import ConfigError, DegenerateAlignmentError
 
 from helpers import noise_sweep_rows_loop, run_desk_scale
 
@@ -100,16 +102,18 @@ class TestRunExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         r1 = bc.run_experiment(_tiny_cfg(tmp_path / "a"))
         r2 = bc.run_experiment(_tiny_cfg(tmp_path / "b"))
-        with open(r1["paths"]["trace"], "rb") as f1, \
-                open(r2["paths"]["trace"], "rb") as f2:
-            assert f1.read() == f2.read()
+        for name in ("trace", "stages", "report"):
+            with open(r1["paths"][name], "rb") as f1, \
+                    open(r2["paths"][name], "rb") as f2:
+                assert f1.read() == f2.read(), name
 
     def test_worker_pool_matches_serial(self, tmp_path):
         serial = bc.run_experiment(_tiny_cfg(tmp_path / "s", jobs=1))
         pooled = bc.run_experiment(_tiny_cfg(tmp_path / "p", jobs=2))
-        with open(serial["paths"]["trace"], "rb") as f1, \
-                open(pooled["paths"]["trace"], "rb") as f2:
-            assert f1.read() == f2.read()
+        for name in ("trace", "stages", "report"):
+            with open(serial["paths"][name], "rb") as f1, \
+                    open(pooled["paths"][name], "rb") as f2:
+                assert f1.read() == f2.read(), name
 
     def test_stages_json_structure(self, tmp_path):
         result = bc.run_experiment(_tiny_cfg(tmp_path / "r3"))
@@ -117,8 +121,11 @@ class TestRunExperiment:
             doc = json.load(fh)
         assert doc["config"]["preset"] == "custom"
         assert len(doc["trials"]) == 2
-        assert "wall_clock_s" in doc
+        assert "wall_clock_s" not in doc
         assert "stages" in doc["trials"][0]
+        with open(result["paths"]["timings"]) as fh:
+            timings = json.load(fh)
+        assert timings["wall_clock_s"] > 0 and timings["jobs"] == 1
 
     def test_noise_sweep_report(self, tmp_path):
         cfg = bc.parse_config(overrides=dict(
@@ -150,6 +157,57 @@ class TestRunExperiment:
         assert result["ok"]
         assert result["report"]["concentration"][0]["incoherence"] > 0
         assert os.path.exists(os.path.join(cfg.out, "hypotheses_0.csv"))
+
+
+def _fail_trial_1(monkeypatch):
+    """Make trial 1's instance build raise; trial k's seed is [seed, k]."""
+    real = cli.make_instance
+
+    def make_instance(*args, seed, **kwargs):
+        if seed.entropy[1] == 1:
+            raise DegenerateAlignmentError("forced failure in trial 1")
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "make_instance", make_instance)
+
+
+class TestTrialFailure:
+    # jobs=2 relies on forked workers inheriting the patched module.
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers do not inherit the patch"))])
+    def test_failed_trial_recorded_and_others_written(self, tmp_path, monkeypatch,
+                                                      jobs):
+        ref = bc.run_experiment(_tiny_cfg(tmp_path / "ok", trials=3))
+        _fail_trial_1(monkeypatch)
+        result = bc.run_experiment(_tiny_cfg(tmp_path / "f", trials=3, jobs=jobs))
+        assert not result["ok"]
+        failed = result["trials"][1]
+        assert failed["error_type"] == "DegenerateAlignmentError"
+        assert "forced failure" in failed["error"] and not failed["diverged"]
+        assert [t["error"] for t in result["trials"][::2]] == [None, None]
+        cols = bc.read_trace_csv(result["paths"]["trace"])
+        assert set(cols["trial"]) == {0.0, 2.0}
+        with open(result["paths"]["stages"]) as fh:
+            recorded = json.load(fh)["trials"][1]
+        assert recorded["error_type"] == "DegenerateAlignmentError"
+        assert result["report"]["n_failed"] == 1
+        assert result["report"]["n_diverged"] == 0
+        # the other trials are the ones an unbroken run writes
+        ref_cols = bc.read_trace_csv(ref["paths"]["trace"])
+        keep = ref_cols["trial"] != 1.0
+        np.testing.assert_array_equal(cols["loss"], ref_cols["loss"][keep])
+
+    def test_main_exits_1_naming_the_type(self, tmp_path, monkeypatch, capsys):
+        _fail_trial_1(monkeypatch)
+        code = main(["run", "--preset", "custom", "--s", "1", "--K", "4",
+                     "--N", "4", "--m", "60", "--eta", "0.1", "--max-iters",
+                     "20", "--trials", "2", "--seed", "2", "--jobs", "1",
+                     "--out", str(tmp_path / "cli")])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "trial 1: FAILED (DegenerateAlignmentError: forced failure" in out
+        assert "trial 0: finished" in out
 
 
 class TestMainEntry:

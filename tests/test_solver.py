@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
-from blaircomp.errors import DegenerateIterateError, DivergenceError
+from blaircomp.errors import (DegenerateAlignmentError, DegenerateIterateError,
+                              DimensionMismatchError, DivergenceError,
+                              ParameterError)
 from blaircomp.solver import gradient_inner, hessian_quadratic_form
 
 from helpers import (brute_force_gradient, brute_force_hessian_x_block,
@@ -257,6 +259,111 @@ class TestRunWf:
                                      loss_tol=1e-12)
         trace = bc.run_wf(small_instance, z0, settings)
         assert trace.converged and trace.n_iters == 0
+
+
+def _single_runs(inst, z0, settings, weights):
+    """The rows of a weight matrix run one by one, as single-run calls."""
+    return [bc.run_wf(inst, z0, settings, sample_weights=w) for w in weights]
+
+
+def _assert_same_run(batched, single):
+    """A batched run against its single-run trace, to 1e-12 relative."""
+    assert np.array_equal(batched.t, single.t)
+    assert (batched.n_iters, batched.stop_reason, batched.converged) == \
+        (single.n_iters, single.stop_reason, single.converged)
+    pairs = [(getattr(batched, name), getattr(single, name)) for name in (
+        "loss", "relative_error", "dist", "omega", "alpha_h", "beta_h",
+        "alpha_x", "beta_x", "rmse_x")]
+    pairs += [(batched.final.h, single.final.h), (batched.final.x, single.final.x)]
+    if single.iterates is not None:
+        assert len(batched.iterates) == len(single.iterates)
+        for zb, zs in zip(batched.iterates, single.iterates):
+            assert zb.t == zs.t
+            pairs += [(zb.h, zs.h), (zb.x, zs.x)]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestRunBatch:
+    @LAYOUTS
+    def test_runs_match_single_run_traces(self, layout):
+        inst, z0, _ = _kernel_case(40, layout, "none")
+        rng = np.random.default_rng(5)
+        weights = np.ones((4, inst.m))
+        weights[1, 7] = 0.0
+        weights[2] = rng.uniform(0.5, 1.5, inst.m)
+        weights[3, [0, 39]] = 0.0
+        settings = bc.SolverSettings(eta=0.1, max_iters=25, tol=np.inf, cadence=3,
+                                     keep_iterates=True)
+        batch = bc.run_wf(inst, z0, settings, sample_weights=weights)
+        singles = _single_runs(inst, z0, settings, weights)
+        assert isinstance(batch, bc.RunBatch) and len(batch.runs) == 4
+        for run, single in zip(batch.runs, singles):
+            _assert_same_run(run, single)
+        assert batch.n_iters == sum(tr.n_iters for tr in singles)
+        assert np.array_equal(batch.t, np.concatenate([tr.t for tr in singles]))
+        assert batch.s == inst.s
+
+    def test_run_meeting_tol_stops_alone(self):
+        # Halving the weights halves the step, so the runs stop at different
+        # iterations: 232 and 470 at tol, and the last at max_iters.
+        inst = bc.make_instance(1, 4, 4, 80, seed=3)
+        z0 = bc.random_init(1, 4, 4, np.random.default_rng(4))
+        settings = bc.SolverSettings(eta=0.1, max_iters=600, tol=1e-6)
+        weights = np.array([1.0, 0.5, 0.25])[:, None] * np.ones(inst.m)
+        batch = bc.run_wf(inst, z0, settings, sample_weights=weights)
+        singles = _single_runs(inst, z0, settings, weights)
+        for run, single in zip(batch.runs, singles):
+            _assert_same_run(run, single)
+        assert [run.stop_reason for run in batch.runs] == ["tol", "tol", "max_iters"]
+        assert batch.runs[0].n_iters < batch.runs[1].n_iters < 600
+        assert batch.runs[2].t[-1] == 600
+
+    def test_first_diverging_row_is_reported(self):
+        # Row 1 diverges at iteration 5 and row 2 already at iteration 1; the
+        # rows run one by one raise row 1's error, and so must the batch.
+        inst = bc.make_instance(1, 4, 4, 80, seed=3)
+        z0 = bc.random_init(1, 4, 4, np.random.default_rng(4))
+        settings = bc.SolverSettings(eta=0.1, max_iters=60, tol=np.inf)
+        weights = np.array([1.0, 30.0, 1e3])[:, None] * np.ones(inst.m)
+        with pytest.raises(DivergenceError) as sequential:
+            _single_runs(inst, z0, settings, weights)
+        assert "iteration 5:" in str(sequential.value)
+        with pytest.raises(DivergenceError) as batched:
+            bc.run_wf(inst, z0, settings, sample_weights=weights)
+        assert str(batched.value) == str(sequential.value)
+
+    def test_bad_input_rejected(self, small_instance, small_iterate):
+        settings = bc.SolverSettings(eta=0.05, max_iters=3, tol=np.inf)
+        for shape in [(2, small_instance.m + 1), (0, small_instance.m),
+                      (1, 2, small_instance.m)]:
+            with pytest.raises(DimensionMismatchError):
+                bc.run_wf(small_instance, small_iterate, settings,
+                          sample_weights=np.ones(shape))
+        with pytest.raises(ParameterError):
+            bc.run_wf(small_instance, small_iterate, settings,
+                      observers=[lambda t, z, lv: None],
+                      sample_weights=np.ones((2, small_instance.m)))
+        stacked = bc.Iterate(h=np.stack([small_iterate.h] * 2),
+                             x=np.stack([small_iterate.x] * 2))
+        with pytest.raises(DimensionMismatchError):
+            bc.run_wf(small_instance, stacked, settings)
+        with pytest.raises(DimensionMismatchError):
+            bc.loss(stacked, small_instance)
+
+    def test_zero_block_in_one_run_raises(self, small_instance, small_iterate):
+        h = np.stack([small_iterate.h] * 3)
+        h[2, 1] = 0.0
+        z = bc.Iterate(h=h, x=np.stack([small_iterate.x] * 3))
+        g = bc.GradientBlocks(h=np.ones_like(z.h), x=np.ones_like(z.x))
+        with pytest.raises(DegenerateIterateError):
+            bc.wf_step(z, g, 0.1)
+        # A zero start block fails the truth alignment of the first log point.
+        z0 = bc.Iterate(h=h[2], x=small_iterate.x)
+        with pytest.raises(DegenerateAlignmentError):
+            bc.run_wf(small_instance, z0, bc.SolverSettings(max_iters=3),
+                      sample_weights=np.ones((3, small_instance.m)))
 
 
 class TestHessianXBlock:
