@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -102,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError(f"need K <= m, got K={self.K}, m={self.resolved_m()}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if self.cadence < 1:
@@ -187,6 +188,8 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
 
     jobs = cfg.resolved_jobs()
     if jobs > 1 and cfg.trials > 1:
+        # Imported here, so that importing the package does not load it.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.trials)) as pool:
             results = list(pool.map(_run_trial, [cfg] * cfg.trials, range(cfg.trials)))
     else:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import metrics
-from .ensemble import GroundTruth, ProblemInstance, _apply_b
+from .ensemble import GroundTruth, ProblemInstance
 from .errors import ParameterError
 from .solver import Iterate, SolverSettings, StateTrace, run_wf
 
@@ -92,9 +92,9 @@ def canonicalize_instance(inst: ProblemInstance) -> ProblemInstance:
 
     Applies the same unitary to that node's design vectors, which preserves
     every model value and the design distribution; measurements are kept.
+    A folded sign ensemble keeps its truth on e_1, so for it the rotation is
+    the identity.
     """
-    if inst.b_rows.ndim != 2:
-        raise ParameterError("canonicalize the base instance, not a sign ensemble")
     s, N = inst.s, inst.N
     a_new = np.empty_like(inst.a)
     x_new = np.zeros((s, N), dtype=complex)
@@ -117,21 +117,23 @@ def sample_sign_flips(s: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def apply_sign_flips(inst: ProblemInstance, xi: np.ndarray) -> ProblemInstance:
-    """Flip the first design entry and the access rows by xi_ij.
+    """Flip the first design entry by xi_ij and the access row by conj(xi_ij).
 
+    The flips are stored folded into the design tensor, on the shared rows:
+    conj(xi_ij) (b_j^H h_i) (x_i^H a^sgn_ij) = (b_j^H h_i) (x_i^H a~_ij) with
+    a^sgn_ij = (xi_ij a_ij,1, a_ij,2:N) and a~_ij = (a_ij,1, conj(xi_ij) a_ij,2:N),
+    so the returned instance has the loss of the per-node construction.
     Measurements are not regenerated: with canonical ground truth the flipped
     ensemble produces identical measurements term by term.
     """
     if xi.shape != (inst.s, inst.m):
         raise ParameterError(f"sign flips shape {xi.shape} != {(inst.s, inst.m)}")
     _require_canonical(inst.truth)
-    a_new = inst.a.copy()
-    a_new[:, :, 0] *= xi
-    b_new = xi.conj()[:, :, None] * np.broadcast_to(
-        inst.b_rows[None, :, :], (inst.s, inst.m, inst.K))
-    return ProblemInstance(s=inst.s, K=inst.K, N=inst.N, m=inst.m, b_rows=b_new,
-                           a=a_new, truth=inst.truth, y=inst.y,
-                           sigma2_e=inst.sigma2_e, seed=inst.seed)
+    a_new = inst.a * xi.conj()[:, :, None]
+    a_new[:, :, 0] = inst.a[:, :, 0]    # copied, not |xi|^2 a: the identity is exact
+    return ProblemInstance(s=inst.s, K=inst.K, N=inst.N, m=inst.m,
+                           b_rows=inst.b_rows, a=a_new, truth=inst.truth,
+                           y=inst.y, sigma2_e=inst.sigma2_e, seed=inst.seed)
 
 
 def sign_flip_ensemble(inst: ProblemInstance, rng: np.random.Generator
@@ -216,7 +218,7 @@ def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
         out["norm_ratio_x"] = x_norms / (np.abs(base.alpha_x[:n_t]) * log5m_sqrt)
     incoh_x = np.abs((inst.a @ x_t.conj()[..., None])[..., 0]
                      / np.linalg.norm(x_t, axis=2)[..., None]).max(axis=(1, 2))
-    incoh_h = np.abs(_apply_b(inst.b_rows, h_t)
+    incoh_h = np.abs(h_t @ inst.b_rows.T
                      / np.linalg.norm(h_t, axis=2)[..., None]).max(axis=(1, 2))
 
     if loo:
@@ -257,8 +259,7 @@ def concentration_report(inst: ProblemInstance) -> ConcentrationReport:
     bound_first = 5.0 * np.sqrt(np.log(inst.m))
     max_norm = float(np.linalg.norm(inst.a, axis=2).max())
     bound_norm = 3.0 * np.sqrt(inst.N)
-    b_rows = inst.b_rows if inst.b_rows.ndim == 2 else inst.b_rows[0]
-    mu = metrics.incoherence(inst.truth, b_rows)
+    mu = metrics.incoherence(inst.truth, inst.b_rows)
     return ConcentrationReport(
         max_abs_first_entry=max_first, first_entry_bound=float(bound_first),
         max_design_norm=max_norm, design_norm_bound=float(bound_norm),

@@ -40,16 +40,16 @@ class GroundTruth:
 class ProblemInstance:
     """Immutable synthetic problem; safe to share across parallel runs.
 
-    ``b_rows`` holds the access vectors as rows ``b_j^H`` (shape (m, K)).
-    Auxiliary sign-flipped ensembles carry a per-node variant of shape
-    (s, m, K); all solver kernels accept both layouts.
+    ``b_rows`` holds the access vectors as rows ``b_j^H``, shape (m, K),
+    shared by all nodes.  A sign-flipped ensemble keeps these rows and stores
+    the flips folded into its design tensor (see ``apply_sign_flips``).
     """
 
     s: int
     K: int
     N: int
     m: int
-    b_rows: np.ndarray          # (m, K) or (s, m, K) complex
+    b_rows: np.ndarray          # (m, K) complex
     a: np.ndarray               # (s, m, N) complex design tensor
     truth: GroundTruth
     y: np.ndarray               # (m,) complex measurements
@@ -59,10 +59,9 @@ class ProblemInstance:
     def __post_init__(self):
         if min(self.s, self.K, self.N, self.m) < 1:
             raise ParameterError("all dimensions must be >= 1")
-        if self.b_rows.shape not in ((self.m, self.K), (self.s, self.m, self.K)):
+        if self.b_rows.shape != (self.m, self.K):
             raise DimensionMismatchError(
-                f"b_rows shape {self.b_rows.shape} inconsistent with "
-                f"(m={self.m}, K={self.K})")
+                f"b_rows shape {self.b_rows.shape} != {(self.m, self.K)}")
         if self.a.shape != (self.s, self.m, self.N):
             raise DimensionMismatchError(
                 f"design tensor shape {self.a.shape} != {(self.s, self.m, self.N)}")
@@ -116,7 +115,7 @@ def synthesize_measurements(b_rows: np.ndarray, a: np.ndarray, truth: GroundTrut
     s, m, _ = a.shape
     if truth.h.shape[0] != s:
         raise DimensionMismatchError("design tensor and ground truth disagree on s")
-    bh = _apply_b(b_rows, truth.h)           # (s, m): b_j^H h_i
+    bh = truth.h @ b_rows.T                  # (s, m): b_j^H h_i
     xa = (a @ truth.x.conj()[:, :, None])[:, :, 0]  # (s, m): x_i^H a_ij
     y = np.sum(bh * xa, axis=0)
     if sigma2_e > 0.0:
@@ -213,14 +212,6 @@ def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.nd
     # Circularly symmetric: re/im each carry half the per-entry variance.
     scale = np.sqrt(variance / 2.0)
     return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
-
-
-def _apply_b(b_rows: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """b_j^H h_i for all (i, j), (..., s, m) from h (..., s, K); accepts shared
-    (m, K) or per-node (s, m, K) rows."""
-    if b_rows.ndim == 2:
-        return h @ b_rows.T
-    return (b_rows @ h[..., None])[..., 0]
 
 
 def _seed_to_json(seed):

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .ensemble import GroundTruth, ProblemInstance, _apply_b
+from .ensemble import GroundTruth, ProblemInstance
 from .errors import (DegenerateIterateError, DimensionMismatchError,
                      DivergenceError, ParameterError)
 
@@ -291,7 +291,7 @@ def wirtinger_hessian_x_block(z: Iterate, inst: ProblemInstance, i: int,
     the 2x2 layout so the quadratic form matches second differences of f.
     """
     w = _check_weights(sample_weights, inst.m)
-    bh = _apply_b(inst.b_rows, z.h)[i]                # (m,) b_j^H h_i
+    bh = z.h[i] @ inst.b_rows.T                       # (m,) b_j^H h_i
     weights = np.abs(bh) ** 2
     if w is not None:
         weights = weights * w
@@ -321,7 +321,7 @@ def _forward(z: Iterate, inst: ProblemInstance):
     if z.h.shape[-2:] != (inst.s, inst.K) or z.x.shape[-2:] != (inst.s, inst.N):
         raise DimensionMismatchError(
             f"iterate shapes {z.h.shape}/{z.x.shape} do not match instance dims")
-    bh = _apply_b(inst.b_rows, z.h)
+    bh = z.h @ inst.b_rows.T
     xa = (inst.a @ z.x.conj()[..., None])[..., 0]
     r = (bh * xa).sum(axis=-2) - inst.y
     return r, bh, xa
@@ -339,10 +339,7 @@ def _gradient_and_loss(z: Iterate, inst: ProblemInstance, w: Optional[np.ndarray
         loss_val = (w * np.abs(r) ** 2).sum(axis=-1)
         rc = w * r.conj()
     rc = rc[..., None, :]
-    if inst.b_rows.ndim == 2:
-        grad_h = ((rc * xa) @ inst.b_rows).conj()
-    else:
-        grad_h = ((rc * xa)[..., None, :] @ inst.b_rows)[..., 0, :].conj()
+    grad_h = ((rc * xa) @ inst.b_rows).conj()
     grad_x = ((rc * bh)[..., None, :] @ inst.a)[..., 0, :]
     return GradientBlocks(h=grad_h, x=grad_x), loss_val
 

@@ -1,6 +1,7 @@
 """Shared oracles for the test suite: brute-force evaluators and grid search."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -8,8 +9,9 @@ import numpy as np
 import blaircomp as bc
 
 
-def brute_force_loss(z, inst):
-    """O(s*m*K*N) triple-loop evaluation of the objective."""
+def brute_force_loss(z, inst, sample_weights=None):
+    """O(s*m*K*N) triple-loop evaluation of the (weighted) objective."""
+    w = np.ones(inst.m) if sample_weights is None else sample_weights
     total = 0.0
     for j in range(inst.m):
         acc = 0.0 + 0.0j
@@ -17,15 +19,16 @@ def brute_force_loss(z, inst):
             bh = sum(b_row(inst, i, j)[k] * z.h[i, k] for k in range(inst.K))
             xa = sum(np.conj(z.x[i, n]) * inst.a[i, j, n] for n in range(inst.N))
             acc += bh * xa
-        total += abs(acc - inst.y[j]) ** 2
+        total += w[j] * abs(acc - inst.y[j]) ** 2
     return total
 
 
 def brute_force_gradient(z, inst, sample_weights=None):
     """Naive per-(i, j) gradient accumulation, no residual sharing.
 
-    Handles the shared (m, K) and the per-node sign-flip (s, m, K) access
-    rows, and per-sample loss weights (e.g. a leave-one-out zero).
+    Handles the shared (m, K) access rows and the per-node (s, m, K) rows of
+    ``explicit_sign_flip``, and per-sample loss weights (e.g. a leave-one-out
+    zero).
     """
     w = np.ones(inst.m) if sample_weights is None else sample_weights
     gh = np.zeros_like(z.h)
@@ -57,8 +60,25 @@ def brute_force_hessian_x_block(z, inst, i, sample_weights=None):
 
 
 def b_row(inst, i, j):
-    """Access row b_j^H as seen by node i, in either b_rows layout."""
+    """Access row b_j^H as seen by node i: shared (m, K) rows of an instance,
+    or the per-node (s, m, K) rows of ``explicit_sign_flip``."""
     return inst.b_rows[j] if inst.b_rows.ndim == 2 else inst.b_rows[i, j]
+
+
+def explicit_sign_flip(inst, xi):
+    """The sign-flip ensemble built per node, as the analysis writes it.
+
+    Node i sees the access rows conj(xi_ij) b_j^H and the design vectors with
+    first entry xi_ij a_ij,1; ``bc.apply_sign_flips`` stores the same loss
+    folded into the design tensor.  The (s, m, K) rows are not a valid
+    ``ProblemInstance``, so this is a plain namespace with the same fields,
+    read by the brute-force evaluators.
+    """
+    a = inst.a.copy()
+    a[:, :, 0] *= xi
+    b_rows = xi.conj()[:, :, None] * inst.b_rows[None, :, :]
+    return SimpleNamespace(s=inst.s, K=inst.K, N=inst.N, m=inst.m, b_rows=b_rows,
+                           a=a, truth=inst.truth, y=inst.y)
 
 
 def grid_search_cost(h_a, x_a, h_b, x_b, n_total=1_000_000):

@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,8 +237,9 @@ class TestMainEntry:
         (["--preset", "noise-sweep", "--max-iters", "0"], None),
         (["--preset", "diagnostics", "--loo-samples", "-1"], None),
         (["--preset", "noise-sweep"], "two"),
+        (["--preset", "fig1-convergence", "--K", "4", "--seed", "-1"], None),
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
-            "max_iters", "loo_samples", "jobs_env"])
+            "max_iters", "loo_samples", "jobs_env", "seed"])
     def test_bad_input_rejected_at_boundary(self, flags, env, tmp_path, capsys,
                                             monkeypatch):
         if env is not None:
@@ -245,6 +248,15 @@ class TestMainEntry:
         assert main(["run", *flags, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_import_does_not_load_process_pool(self):
+        src = os.path.dirname(os.path.dirname(bc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, blaircomp; "
+                 "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_diagnostics_subcommand(self, tmp_path):
         code = main(["diagnostics", "--K", "4", "--m", "40", "--max-iters", "8",

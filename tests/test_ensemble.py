@@ -157,6 +157,9 @@ class TestInstance:
         with pytest.raises(DimensionMismatchError):
             bc.ProblemInstance(s=1, K=2, N=2, m=4, b_rows=inst.b_rows,
                                a=inst.a[:, :3], truth=inst.truth, y=inst.y)
+        with pytest.raises(DimensionMismatchError):     # per-node (s, m, K) rows
+            bc.ProblemInstance(s=1, K=2, N=2, m=4, b_rows=inst.b_rows[None],
+                               a=inst.a, truth=inst.truth, y=inst.y)
 
     def test_serialization_round_trip(self, tmp_path):
         inst = bc.make_instance(2, 3, 4, 10, q=[1.0, 0.5], sigma2_e=0.1, seed=7)
@@ -170,6 +173,15 @@ class TestInstance:
         assert np.array_equal(loaded.truth.q, inst.truth.q)
         assert loaded.sigma2_e == inst.sigma2_e
         assert (loaded.s, loaded.K, loaded.N, loaded.m) == (2, 3, 4, 10)
+
+        inst_sgn, _ = bc.sign_flip_ensemble(bc.canonicalize_instance(inst),
+                                            np.random.default_rng(8))
+        bc.save_instance(inst_sgn, str(path))
+        loaded = bc.load_instance(str(path))
+        assert loaded.b_rows.shape == (10, 3)
+        for name in ("a", "b_rows", "y"):
+            assert np.array_equal(getattr(loaded, name), getattr(inst_sgn, name))
+        assert np.array_equal(loaded.truth.x, inst_sgn.truth.x)
 
     def test_truncated_dump_names_file_and_array(self, tmp_path):
         inst = bc.make_instance(2, 3, 4, 10, seed=7)

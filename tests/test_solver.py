@@ -8,26 +8,30 @@ from blaircomp.errors import (DegenerateAlignmentError, DegenerateIterateError,
 from blaircomp.solver import gradient_inner, hessian_quadratic_form
 
 from helpers import (brute_force_gradient, brute_force_hessian_x_block,
-                     brute_force_loss, draw_direction)
+                     brute_force_loss, draw_direction, explicit_sign_flip)
 
 
 def _kernel_case(m, layout, weights):
-    """Instance, iterate and sample weights for the kernel equivalence checks.
+    """Instance, brute-force oracle, iterate and sample weights for the kernel
+    equivalence checks.
 
-    ``layout`` "sign" swaps in the per-node (s, m, K) access rows of a
-    sign-flip ensemble; ``weights`` "loo" drops one sample from the loss.
-    m=10, "shared", "none" is the small_instance / small_iterate pair.
+    ``layout`` "sign" swaps in a sign-flip ensemble (flips folded into the
+    design tensor) and, as its oracle, the same flips built per node by
+    ``helpers.explicit_sign_flip``; "shared" is its own oracle.  ``weights``
+    "loo" drops one sample from the loss.  m=10, "shared", "none" is the
+    small_instance / small_iterate pair.
     """
-    inst = bc.make_instance(2, 3, 3, m, seed=1)
+    inst = oracle = bc.make_instance(2, 3, 3, m, seed=1)
     if layout == "sign":
-        inst, _ = bc.sign_flip_ensemble(bc.canonicalize_instance(inst),
-                                        np.random.default_rng(3))
+        base = bc.canonicalize_instance(inst)
+        inst, xi = bc.sign_flip_ensemble(base, np.random.default_rng(3))
+        oracle = explicit_sign_flip(base, xi)
     z = bc.random_init(2, 3, 3, np.random.default_rng(2))
     w = None
     if weights == "loo":
         w = np.ones(m)
         w[m // 3] = 0.0
-    return inst, z, w
+    return inst, oracle, z, w
 
 
 M_VALUES = pytest.mark.parametrize("m", [10, 64])
@@ -64,9 +68,13 @@ class TestLoss:
         expected = np.sum(np.abs(small_instance.y) ** 2)
         assert bc.loss(z, small_instance) == pytest.approx(expected, rel=1e-14)
 
-    def test_matches_brute_force(self, small_instance, small_iterate):
-        lv = bc.loss(small_iterate, small_instance)
-        bv = brute_force_loss(small_iterate, small_instance)
+    @M_VALUES
+    @LAYOUTS
+    @WEIGHTS
+    def test_matches_brute_force(self, m, layout, weights):
+        inst, oracle, z, w = _kernel_case(m, layout, weights)
+        lv = bc.loss(z, inst, sample_weights=w)
+        bv = brute_force_loss(z, oracle, sample_weights=w)
         assert abs(lv - bv) / bv < 1e-12
 
     def test_gauge_invariance(self, small_instance, small_iterate):
@@ -90,9 +98,9 @@ class TestWirtingerGradient:
     @LAYOUTS
     @WEIGHTS
     def test_matches_naive_accumulation(self, m, layout, weights):
-        inst, z, w = _kernel_case(m, layout, weights)
+        inst, oracle, z, w = _kernel_case(m, layout, weights)
         g = bc.wirtinger_gradient(z, inst, sample_weights=w)
-        gh, gx = brute_force_gradient(z, inst, sample_weights=w)
+        gh, gx = brute_force_gradient(z, oracle, sample_weights=w)
         assert np.abs(g.h - gh).max() / np.abs(gh).max() < 1e-12
         assert np.abs(g.x - gx).max() / np.abs(gx).max() < 1e-12
 
@@ -288,7 +296,7 @@ def _assert_same_run(batched, single):
 class TestRunBatch:
     @LAYOUTS
     def test_runs_match_single_run_traces(self, layout):
-        inst, z0, _ = _kernel_case(40, layout, "none")
+        inst, _, z0, _ = _kernel_case(40, layout, "none")
         rng = np.random.default_rng(5)
         weights = np.ones((4, inst.m))
         weights[1, 7] = 0.0
@@ -395,10 +403,10 @@ class TestHessianXBlock:
     @LAYOUTS
     @WEIGHTS
     def test_matches_per_sample_loop(self, m, layout, weights):
-        inst, z, w = _kernel_case(m, layout, weights)
+        inst, oracle, z, w = _kernel_case(m, layout, weights)
         for i in range(inst.s):
             hess = bc.wirtinger_hessian_x_block(z, inst, i, sample_weights=w)
-            ref = brute_force_hessian_x_block(z, inst, i, sample_weights=w)
+            ref = brute_force_hessian_x_block(z, oracle, i, sample_weights=w)
             assert np.abs(hess - ref).max() / np.abs(ref).max() < 1e-12
 
     def test_scalar_hand_case(self):
