@@ -18,10 +18,9 @@ from .state_evolution import (PerturbationSeries, SEState, StageReport,
                               population_se_step, run_population_se)
 from .diagnostics import (AuxiliaryRun, ConcentrationReport, HypothesisReport,
                           apply_sign_flips, canonicalize_instance,
-                          concentration_report, leave_one_out_run,
-                          measure_hypotheses, run_diagnostics_suite,
-                          sample_sign_flips, select_loo_indices,
-                          sign_flip_ensemble)
+                          concentration_report, measure_hypotheses,
+                          run_diagnostics_suite, sample_sign_flips,
+                          select_loo_indices, sign_flip_ensemble)
 from .cli import ExperimentConfig, parse_config, read_trace_csv, run_experiment
 
 __version__ = "0.1.0"

@@ -80,11 +80,18 @@ class ExperimentConfig:
 
     def resolved_jobs(self) -> int:
         """Worker pool size: ``jobs``, else $BLAIRCOMP_JOBS, else the core count."""
+        if self.jobs is not None:
+            return self.jobs
         env = os.environ.get("BLAIRCOMP_JOBS", "")
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return self.jobs or int(env or 0) or os.cpu_count() or 1
+            jobs = int(env)
         except ValueError:
-            raise ConfigError(f"BLAIRCOMP_JOBS must be an integer, got {env!r}") from None
+            jobs = 0
+        if jobs < 1:
+            raise ConfigError(f"BLAIRCOMP_JOBS must be an integer >= 1, got {env!r}")
+        return jobs
 
     def validate(self) -> None:
         missing = [name for name in ("s", "K", "N", "eta", "max_iters")
@@ -107,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError("max_iters must be >= 1")
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
+        if self.jobs is not None and self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
         if self.loo_samples < 0:
             raise ConfigError("loo_samples must be >= 0")
         if not self.eta > 0:          # also rejects NaN
@@ -123,7 +132,7 @@ class ExperimentConfig:
             raise ConfigError("noise-sweep needs a sigma_w_grid")
         if self.sigma_w_grid is not None and not all(v > 0 for v in self.sigma_w_grid):
             raise ConfigError("every sigma_w_grid value must be > 0")
-        self.resolved_jobs()      # rejects a non-integer $BLAIRCOMP_JOBS
+        self.resolved_jobs()      # rejects a bad $BLAIRCOMP_JOBS
 
     def to_json_dict(self) -> Dict:
         """The settings that determine the results: every field but ``out``
@@ -266,12 +275,11 @@ def _solve_trial(cfg: ExperimentConfig, trial: int) -> Tuple[Dict, Dict]:
     m = cfg.resolved_m()
     inst = make_instance(cfg.s, cfg.K, cfg.N, m, q=cfg.q,
                          sigma2_e=cfg.sigma2_e, seed=inst_seed)
-    keep = cfg.preset in ("noise-sweep", "diagnostics")
     if cfg.preset == "diagnostics":
         inst = diag.canonicalize_instance(inst)
     z0 = random_init(cfg.s, cfg.K, cfg.N, np.random.default_rng(init_seed))
     settings = SolverSettings(eta=cfg.eta, max_iters=cfg.max_iters, tol=cfg.tol,
-                              cadence=cfg.cadence, keep_iterates=keep)
+                              cadence=cfg.cadence)
 
     result: Dict = {}
     aux_rng = np.random.default_rng(aux_seed)
@@ -311,11 +319,10 @@ def _noise_sweep_rows(trace, truth, sigma_w_grid: Sequence[float],
     target = np.sum(truth.x, axis=0)
     denom = np.linalg.norm(target)
     grid = np.asarray(sigma_w_grid, dtype=float)
-    x = np.array([z.x for z in trace.iterates])                  # (T, s, N)
-    noise = (rng.standard_normal((len(x), len(grid), 2, truth.s))
+    noise = (rng.standard_normal((len(trace.t), len(grid), 2, truth.s))
              * np.sqrt(0.5 / grid)[:, None, None])
     w_hat = trace.omega[:, None, :] + (noise[:, :, 0] + 1j * noise[:, :, 1])
-    err = np.linalg.norm(w_hat @ x - target, axis=-1) / denom   # (T, grid)
+    err = np.linalg.norm(w_hat @ trace.x - target, axis=-1) / denom   # (T, grid)
     return [[trial, int(t), sigma_w, float(e)]
             for t, row in zip(trace.t, err) for sigma_w, e in zip(sigma_w_grid, row)]
 

@@ -142,15 +142,6 @@ def sign_flip_ensemble(inst: ProblemInstance, rng: np.random.Generator
     return apply_sign_flips(inst, xi), xi
 
 
-def leave_one_out_run(inst: ProblemInstance, l: int, z0: Iterate,
-                      settings: SolverSettings,
-                      base_weights: Optional[np.ndarray] = None) -> AuxiliaryRun:
-    """Run the flow on the loss with sample l dropped, from the shared init."""
-    w = _loo_weights(inst.m, [l], base_weights)[1]
-    trace = run_wf(inst, z0, settings, sample_weights=w)
-    return AuxiliaryRun(kind="loo", index=l, trace=trace)
-
-
 def run_diagnostics_suite(inst: ProblemInstance, z0: Iterate,
                           settings: SolverSettings, loo_indices: Sequence[int],
                           rng: np.random.Generator
@@ -161,8 +152,6 @@ def run_diagnostics_suite(inst: ProblemInstance, z0: Iterate,
     ensemble, each with 1+L weight rows: all ones, then one row per dropped
     sample of ``loo_indices``.
     """
-    if not settings.keep_iterates:
-        raise ParameterError("diagnostics needs keep_iterates=True in the settings")
     weights = _loo_weights(inst.m, loo_indices)
     plain = run_wf(inst, z0, settings, sample_weights=weights).runs
     inst_sgn, xi = sign_flip_ensemble(inst, rng)
@@ -196,9 +185,7 @@ def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
     loo = [r for r in aux if r.kind == "loo"]
     sign = [r for r in aux if r.kind == "sign"]
     sign_loo = {r.index: r for r in aux if r.kind == "sign_loo"}
-    if base.iterates is None or any(r.trace.iterates is None for r in aux):
-        raise ParameterError("all traces must be run with keep_iterates=True")
-    n_t = min([len(base.iterates)] + [len(r.trace.iterates) for r in aux])
+    n_t = min([len(base.t)] + [len(r.trace.t) for r in aux])
     q = truth.q
     mu = metrics.incoherence(truth, inst.b_rows)
     m = inst.m
@@ -208,7 +195,7 @@ def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
     out = {name: np.full((n_t, truth.s), np.nan) for name in
            ("loo_dist", "loo_signal_h", "loo_signal_x", "sign_dist_h",
             "sign_dist_x", "double_diff_h", "double_diff_x")}
-    (h,), (x,) = _stacked([base], n_t)           # (T, s, K), (T, s, N)
+    h, x = base.h[:n_t], base.x[:n_t]            # (T, s, K), (T, s, N)
     omega = base.omega[:n_t, :, None]
     h_t, x_t = h / np.conj(omega), omega * x     # truth-aligned
     h_norms = np.linalg.norm(h, axis=2)
@@ -222,7 +209,8 @@ def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
                      / np.linalg.norm(h_t, axis=2)[..., None]).max(axis=(1, 2))
 
     if loo:
-        h_hat, x_hat, cost = _mutual_align(*_stacked([r.trace for r in loo], n_t),
+        h_hat, x_hat, cost = _mutual_align(np.stack([r.trace.h[:n_t] for r in loo]),
+                                           np.stack([r.trace.x[:n_t] for r in loo]),
                                            h_t, x_t)
         out["loo_dist"] = np.sqrt(cost / (2.0 * q ** 2)).max(axis=0)
         out["loo_signal_h"] = np.abs(np.sum(truth.h.conj() * (h_hat - h_t), axis=-1)
@@ -230,14 +218,16 @@ def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
         out["loo_signal_x"] = np.abs(np.sum(truth.x.conj() * (x_hat - x_t), axis=-1)
                                      ).max(axis=0) / q
     if sign:
-        (h_chk,), (x_chk,), _ = _mutual_align(*_stacked([sign[0].trace], n_t),
-                                              h_t, x_t)
+        h_chk, x_chk, _ = _mutual_align(sign[0].trace.h[:n_t],
+                                        sign[0].trace.x[:n_t], h_t, x_t)
         out["sign_dist_h"] = np.linalg.norm(h_chk - h_t, axis=-1)
         out["sign_dist_x"] = np.linalg.norm(x_chk - x_t, axis=-1)
         paired = [k for k, run in enumerate(loo) if run.index in sign_loo]
         if paired:
             runs = [sign_loo[loo[k].index].trace for k in paired]
-            h_sl, x_sl, _ = _mutual_align(*_stacked(runs, n_t), h_chk, x_chk)
+            h_sl, x_sl, _ = _mutual_align(np.stack([tr.h[:n_t] for tr in runs]),
+                                          np.stack([tr.x[:n_t] for tr in runs]),
+                                          h_chk, x_chk)
             out["double_diff_h"] = np.linalg.norm(
                 h_t - h_hat[paired] - h_chk + h_sl, axis=-1).max(axis=0)
             out["double_diff_x"] = np.linalg.norm(
@@ -279,14 +269,6 @@ def _loo_weights(m: int, indices: Sequence[int],
             raise IndexError(f"sample index {l} outside [0, {m})")
         rows[k + 1, l] = 0.0
     return rows
-
-
-def _stacked(traces: Sequence[StateTrace], n_t: int):
-    """h (R, T, s, K) and x (R, T, s, N) from the first n_t kept iterates of
-    each of R runs."""
-    h = np.array([[z.h for z in tr.iterates[:n_t]] for tr in traces])
-    x = np.array([[z.x for z in tr.iterates[:n_t]] for tr in traces])
-    return h, x
 
 
 def _mutual_align(h_aux: np.ndarray, x_aux: np.ndarray,

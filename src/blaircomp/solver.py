@@ -10,18 +10,19 @@ block's squared norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import metrics
 from .ensemble import GroundTruth, ProblemInstance
-from .errors import (DegenerateIterateError, DimensionMismatchError,
-                     DivergenceError, ParameterError)
+from .errors import DegenerateIterateError, DimensionMismatchError, DivergenceError
 
 _DIVERGENCE_FACTOR = 1e6
-
-Observer = Callable[[int, "Iterate", float], None]
+# Iterations whose log points share one snapshot_metrics call (at least one
+# point per call).  Tolerances are tested once per block, so a run that stops
+# has taken fewer than this many steps past its stop, which are discarded.
+_METRIC_BLOCK = 32
 
 
 @dataclass
@@ -55,7 +56,6 @@ class SolverSettings:
     tol: float = np.inf
     loss_tol: float = np.nan
     cadence: int = 1
-    keep_iterates: bool = False
 
     def __post_init__(self):
         if self.eta <= 0.0:
@@ -80,7 +80,9 @@ class StateTrace:
     beta_x: np.ndarray            # (T, s)
     rmse_x: np.ndarray            # (T, s)
     omega: np.ndarray             # (T, s) complex truth alignment of each node
-    final: Iterate
+    h: np.ndarray                 # (T, s, K) logged iterates
+    x: np.ndarray                 # (T, s, N)
+    final: Iterate                # the last logged iterate
     s: int
     K: int
     N: int
@@ -90,7 +92,6 @@ class StateTrace:
     n_iters: int
     converged: bool
     stop_reason: str
-    iterates: Optional[List[Iterate]] = None
 
 
 @dataclass
@@ -157,42 +158,38 @@ def wf_step(z: Iterate, g: GradientBlocks, eta: float) -> Iterate:
 
 
 def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
-           observers: Iterable[Observer] = (),
            sample_weights: Optional[np.ndarray] = None
            ) -> Union[StateTrace, RunBatch]:
-    """Iterate Wirtinger flow, logging metrics at the configured cadence.
+    """Iterate Wirtinger flow, recording the iterate and its metrics at the
+    configured cadence.
 
-    Observers are called with (t, iterate, loss) at each logged iteration and
-    must not mutate the iterate.  Stops at max_iters, at the relative-error
-    or loss tolerance, or with a DivergenceError naming the offending
-    iteration if the loss becomes non-finite or grows a millionfold.
+    Stops at max_iters, at the relative-error or loss tolerance, or with a
+    DivergenceError naming the offending iteration if the loss becomes
+    non-finite or grows a millionfold.  Divergence is checked at every step;
+    the metrics and the tolerance test run on blocks of log points, one
+    ``snapshot_metrics`` call per block, and a run that meets a tolerance
+    ends at the first log point that meets it, its later steps discarded.
+    A divergence or a degenerate step settles the pending block first, so
+    an earlier tolerance stop wins, as testing every log point as it comes
+    would have it.
 
     ``sample_weights`` of shape (m,) weights the loss of the one run.  Shape
     (R, m) runs R runs in lockstep from z0, one per weight row, and returns
     a RunBatch: iterates are stacked (R, s, K/N), so each iteration takes one
-    forward/gradient pass, one ``wf_step`` and, at log points, one
-    ``snapshot_metrics`` call for all active runs.  A run that meets a
-    tolerance or diverges is masked out and logs nothing more; after the
-    loop the DivergenceError of the first diverging run in row order is
-    raised, as running the rows one by one would.  Observers need R = 1.
+    forward/gradient pass and one ``wf_step`` for all active runs.  A run
+    that meets a tolerance or diverges is masked out and logs nothing more;
+    after the loop the DivergenceError of the first diverging run in row
+    order is raised, as running the rows one by one would.
     """
-    observers = tuple(observers)
     if z0.h.ndim != 2 or z0.x.ndim != 2:
         raise DimensionMismatchError("z0 must be one iterate, h (s, K) and x (s, N)")
     w = _run_weights(sample_weights, inst.m)
     n_runs = 1 if w is None else w.shape[0]
-    if observers and n_runs > 1:
-        raise ParameterError("observers need a single run, got "
-                             f"{n_runs} weight rows")
-    columns = ("loss", "relative_error", "dist", "alpha_h", "beta_h", "alpha_x",
-               "beta_x", "rmse_x", "omega")
-    logged: List[tuple] = []         # per log point: (R, ...) columns, then h, x
-    logged_t: List[int] = []
+    block_len = max(1, _METRIC_BLOCK // settings.cadence)   # in log points
+    pending: List[tuple] = []        # (t, loss, h, x) of unsettled log points
+    blocks: List[tuple] = []         # (t (B,), active rows, columns (B, A, ...))
     n_logged = np.zeros(n_runs, dtype=int)
-    n_iters = np.zeros(n_runs, dtype=int)
-    stop_reason = ["max_iters"] * n_runs
-    final_h = np.empty((n_runs, inst.s, inst.K), dtype=complex)
-    final_x = np.empty((n_runs, inst.s, inst.N), dtype=complex)
+    converged = np.zeros(n_runs, dtype=bool)
     runs = np.arange(n_runs)         # weight row of each active run, ascending
     failure = None                   # (row, t, loss) of the first divergence
 
@@ -207,77 +204,91 @@ def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
     tol, loss_tol = (v if np.isfinite(v) else -np.inf
                      for v in (settings.tol, settings.loss_tol))
 
-    def log_point(t: int) -> np.ndarray:
-        snap = metrics.snapshot_metrics(z, inst.truth)
-        d = snap.decomposition
-        row = (loss_t, snap.relative_error, snap.dist, d.alpha_h, d.beta_h,
-               d.alpha_x, d.beta_x, d.rmse_x, d.omega)
-        if settings.keep_iterates:
-            row += (z.h, z.x)
-        if len(runs) < n_runs:           # rows of stopped runs are never read
-            row = tuple(_scatter(v, runs, n_runs) for v in row)
-        logged.append(row)
-        logged_t.append(t)
-        for obs in observers:
-            obs(t, Iterate(h=z.h[0], x=z.x[0], t=t), float(loss_t[0]))
-        return (snap.relative_error <= tol) | (loss_t <= loss_tol)
-
     def retire(keep: np.ndarray) -> None:
         nonlocal z, g, loss_t, limit, runs, w
-        gone = runs[~keep]
-        final_h[gone], final_x[gone] = z.h[~keep], z.x[~keep]
-        n_iters[gone], n_logged[gone] = z.t, len(logged_t)
         z = Iterate(h=z.h[keep], x=z.x[keep], t=z.t)
         g = GradientBlocks(h=g.h[keep], x=g.x[keep])
         loss_t, limit, runs = loss_t[keep], limit[keep], runs[keep]
         if w is not None:
             w = w[keep]
 
+    def settle() -> None:
+        """Metrics of the pending log points in one call; every run that
+        meets a tolerance at one of them ends at the first such point."""
+        if not pending:
+            return
+        t_b, loss_b, h_b, x_b = map(np.asarray, zip(*pending))
+        pending.clear()
+        snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), inst.truth)
+        # The decomposition's fields are StateTrace columns by name.
+        blocks.append((t_b, runs, dict(vars(snap.decomposition), loss=loss_b,
+                                       relative_error=snap.relative_error,
+                                       dist=snap.dist, h=h_b, x=x_b)))
+        stop = (snap.relative_error <= tol) | (loss_b <= loss_tol)   # (B, A)
+        met, first = stop.any(axis=0), stop.argmax(axis=0)
+        n_logged[runs] += np.where(met, first + 1, len(t_b))
+        converged[runs[met]] = True
+        retire(~met)
+
     for t in range(settings.max_iters + 1):
         if t > 0:
-            z = wf_step(z, g, settings.eta)
+            try:
+                z = wf_step(z, g, settings.eta)
+            except DegenerateIterateError:
+                if not pending:
+                    raise
+                settle()         # a pending metric error or tolerance stop wins
+                if not len(runs):
+                    break
+                z = wf_step(z, g, settings.eta)
             g, loss_t = _gradient_and_loss(z, inst, w)
-            ok = loss_t <= limit
-            if not ok.all():
-                # Only rows before the first diverging one can change the
-                # error raised; the rest are dropped.
-                k = int(np.argmin(ok))
-                failure = (runs[k], t, float(loss_t[k]))
-                retire(np.arange(len(runs)) < k)
+            if not (loss_t <= limit).all():
+                settle()         # an earlier tolerance stop wins
+                ok = loss_t <= limit
+                if not ok.all():
+                    # Only rows before the first diverging one can change
+                    # the error raised; the rest are dropped.
+                    k = int(np.argmin(ok))
+                    failure = (runs[k], t, float(loss_t[k]))
+                    retire(np.arange(len(runs)) < k)
                 if not len(runs):
                     break
         if t % settings.cadence == 0 or t == settings.max_iters:
-            stop = log_point(t)
-            if stop.any():
-                for r in runs[stop]:
-                    stop_reason[r] = "tol"
-                retire(~stop)
+            pending.append((t, loss_t, z.h, z.x))
+            if len(pending) == block_len or t == settings.max_iters:
+                settle()
                 if not len(runs):
                     break
     if failure is not None:
         raise DivergenceError(f"loss diverged at iteration {failure[1]}: "
                               f"{failure[2]!r}")
-    retire(np.zeros(len(runs), dtype=bool))      # the rest end at max_iters
 
-    t_all = np.asarray(logged_t)
-    cols = dict(zip(columns, map(np.asarray, zip(*logged))))   # (T, R, ...)
+    # Blocks are (B, A, ...) over their active rows; placed at those rows of
+    # (T, R, ...) columns, each run's points are a prefix of its column.
+    t_all = np.concatenate([t_b for t_b, _, _ in blocks])
+    cols = {}
+    for name, like in blocks[0][2].items():
+        col = np.zeros((len(t_all), n_runs) + like.shape[2:], like.dtype)
+        start = 0
+        for t_b, rows, values in blocks:
+            col[start:start + len(t_b), rows] = values[name]
+            start += len(t_b)
+        cols[name] = col
     traces = []
     for r in range(n_runs):
         n = n_logged[r]
-        kept = None
-        if settings.keep_iterates:
-            kept = [Iterate(h=row[-2][r], x=row[-1][r], t=t)
-                    for row, t in zip(logged[:n], logged_t)]
+        run = {name: col[:n, r] for name, col in cols.items()}
+        n_iters = int(t_all[n - 1])      # every run ends at a log point
         traces.append(StateTrace(
-            t=t_all[:n], **{name: cols[name][:n, r] for name in columns},
-            final=Iterate(h=final_h[r], x=final_x[r], t=int(n_iters[r])),
+            t=t_all[:n], **run,
+            final=Iterate(h=run["h"][-1], x=run["x"][-1], t=n_iters),
             s=inst.s, K=inst.K, N=inst.N, m=inst.m,
-            q=inst.truth.q.copy(), eta=settings.eta,
-            n_iters=int(n_iters[r]), converged=(stop_reason[r] == "tol"),
-            stop_reason=stop_reason[r], iterates=kept))
+            q=inst.truth.q.copy(), eta=settings.eta, n_iters=n_iters,
+            converged=bool(converged[r]),
+            stop_reason="tol" if converged[r] else "max_iters"))
     if sample_weights is None or np.ndim(sample_weights) == 1:
         return traces[0]
-    return RunBatch(runs=traces, n_iters=int(n_iters.sum()),
+    return RunBatch(runs=traces, n_iters=sum(tr.n_iters for tr in traces),
                     t=np.concatenate([tr.t for tr in traces]), s=inst.s)
 
 
@@ -351,13 +362,6 @@ def _check_weights(w: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:
     if w.shape != (m,):
         raise DimensionMismatchError(f"sample weights shape {w.shape} != ({m},)")
     return w
-
-
-def _scatter(v: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """v (len(rows), ...) placed at ``rows`` of a zero (n_rows, ...) array."""
-    out = np.zeros((n_rows,) + v.shape[1:], v.dtype)
-    out[rows] = v
-    return out
 
 
 def _run_weights(w: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:

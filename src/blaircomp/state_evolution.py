@@ -36,16 +36,14 @@ class PerturbationSeries:
     phi is uniquely determined by the beta recursions.  The alpha recursions
     carry two unknowns per scalar equation, so the full deviation is reported
     as delta (measured alpha minus the population prediction) and psi is the
-    residual solve under the convention rho == 0.  Entries where an inversion
-    denominator vanishes are NaN.
+    residual solve under the convention rho == 0, so rho is not reported.
+    Entries where an inversion denominator vanishes are NaN.
     """
 
     psi_h: np.ndarray   # (T-1, s)
     psi_x: np.ndarray
     phi_h: np.ndarray
     phi_x: np.ndarray
-    rho_h: np.ndarray
-    rho_x: np.ndarray
     delta_h: np.ndarray
     delta_x: np.ndarray
 
@@ -115,7 +113,6 @@ def extract_perturbations(trace, q: np.ndarray, eta: float) -> PerturbationSerie
     b_x = np.asarray(trace.beta_x)
     den_h = a_h ** 2 + b_h ** 2     # multiplies the x-update terms
     den_x = a_x ** 2 + b_x ** 2
-    n_steps = a_h.shape[0] - 1
 
     phi_h = _safe_div((b_h[1:] / _nan_zero(b_h[:-1]) - (1.0 - eta)) * den_x[:-1],
                       eta * q[None, :])
@@ -127,9 +124,7 @@ def extract_perturbations(trace, q: np.ndarray, eta: float) -> PerturbationSerie
                          + eta * q[None, :] * a_h[:-1] / den_h[:-1])
     psi_h = _safe_div(delta_h * den_x[:-1], eta * q[None, :] * _nan_zero(a_h[:-1]))
     psi_x = _safe_div(delta_x * den_h[:-1], eta * q[None, :] * _nan_zero(a_x[:-1]))
-    rho = np.zeros((n_steps, q.size))
     return PerturbationSeries(psi_h=psi_h, psi_x=psi_x, phi_h=phi_h, phi_x=phi_x,
-                              rho_h=rho, rho_x=rho.copy(),
                               delta_h=delta_h, delta_x=delta_x)
 
 

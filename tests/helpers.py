@@ -116,10 +116,10 @@ def noise_sweep_rows_loop(trace, truth, sigma_w_grid, rng, trial):
     target = np.sum(truth.x, axis=0)
     denom = np.linalg.norm(target)
     rows = []
-    for ti, z in enumerate(trace.iterates):
+    for ti, x in enumerate(trace.x):
         for sigma_w in sigma_w_grid:
             w_hat = np.atleast_1d(bc.perturb_alignment(trace.omega[ti], sigma_w, rng))
-            err = np.linalg.norm(np.einsum("i,in->n", w_hat, z.x) - target) / denom
+            err = np.linalg.norm(np.einsum("i,in->n", w_hat, x) - target) / denom
             rows.append([trial, int(trace.t[ti]), sigma_w, float(err)])
     return rows
 
@@ -156,11 +156,9 @@ def trace_from_population(hist, q, m, eta):
                      q=q, m=m, eta=eta)
 
 
-def run_desk_scale(seed, s=2, K=8, N=8, m=400, eta=0.1, max_iters=500, tol=1e-6,
-                   keep_iterates=False):
+def run_desk_scale(seed, s=2, K=8, N=8, m=400, eta=0.1, max_iters=500, tol=1e-6):
     """The standard small convergence configuration used across tests."""
     inst = bc.make_instance(s, K, N, m, seed=[1000, seed])
     z0 = bc.random_init(s, K, N, np.random.default_rng([2000, seed]))
-    settings = bc.SolverSettings(eta=eta, max_iters=max_iters, tol=tol,
-                                 keep_iterates=keep_iterates)
+    settings = bc.SolverSettings(eta=eta, max_iters=max_iters, tol=tol)
     return inst, z0, bc.run_wf(inst, z0, settings)

@@ -142,7 +142,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("s", [1, 3])
     def test_noise_sweep_rows_match_per_row_loop(self, s):
-        inst, _, trace = run_desk_scale(3, s=s, max_iters=40, keep_iterates=True)
+        inst, _, trace = run_desk_scale(3, s=s, max_iters=40)
         grid = [1.0, 10.0, 1e3, 1e5]
         rows = _noise_sweep_rows(trace, inst.truth, grid, np.random.default_rng(8), 2)
         ref = noise_sweep_rows_loop(trace, inst.truth, grid,
@@ -238,8 +238,13 @@ class TestMainEntry:
         (["--preset", "diagnostics", "--loo-samples", "-1"], None),
         (["--preset", "noise-sweep"], "two"),
         (["--preset", "fig1-convergence", "--K", "4", "--seed", "-1"], None),
+        (["--preset", "noise-sweep", "--jobs", "-3"], None),
+        (["--preset", "noise-sweep", "--jobs", "0"], None),
+        (["--preset", "noise-sweep"], "0"),
+        (["--preset", "noise-sweep"], "-2"),
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
-            "max_iters", "loo_samples", "jobs_env", "seed"])
+            "max_iters", "loo_samples", "jobs_env", "seed", "jobs_negative",
+            "jobs_zero", "jobs_env_zero", "jobs_env_negative"])
     def test_bad_input_rejected_at_boundary(self, flags, env, tmp_path, capsys,
                                             monkeypatch):
         if env is not None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
+from blaircomp.diagnostics import _loo_weights
 from blaircomp.errors import ParameterError
 
 from helpers import brute_force_loss, explicit_sign_flip
@@ -87,15 +88,16 @@ class TestLeaveOneOut:
     def test_single_sample_dropped_freezes_run(self):
         inst = bc.make_instance(1, 1, 3, 1, seed=5)
         z0 = bc.random_init(1, 1, 3, np.random.default_rng(6))
-        run = bc.leave_one_out_run(inst, 0, z0, bc.SolverSettings(max_iters=5))
-        assert run.trace.loss[-1] == 0.0
-        assert np.array_equal(run.trace.final.h, z0.h)
-        assert np.array_equal(run.trace.final.x, z0.x)
+        trace = bc.run_wf(inst, z0, bc.SolverSettings(max_iters=5),
+                          sample_weights=_loo_weights(inst.m, [0])[1])
+        assert trace.loss[-1] == 0.0
+        assert np.array_equal(trace.final.h, z0.h)
+        assert np.array_equal(trace.final.x, z0.x)
 
-    def test_invalid_index_rejected(self, small_instance, small_iterate):
-        with pytest.raises(IndexError):
-            bc.leave_one_out_run(small_instance, 10, small_iterate,
-                                 bc.SolverSettings(max_iters=2))
+    def test_invalid_index_rejected(self, small_instance):
+        for index in (small_instance.m, -1):
+            with pytest.raises(IndexError):
+                _loo_weights(small_instance.m, [index])
 
     def test_gradient_additivity(self):
         inst = bc.make_instance(2, 4, 4, 30, seed=7)
@@ -113,10 +115,11 @@ class TestLeaveOneOut:
     def test_shared_initialization(self):
         inst = bc.make_instance(1, 4, 4, 20, seed=9)
         z0 = bc.random_init(1, 4, 4, np.random.default_rng(10))
-        settings = bc.SolverSettings(max_iters=3, tol=np.inf, keep_iterates=True)
-        run = bc.leave_one_out_run(inst, 4, z0, settings)
-        assert np.array_equal(run.trace.iterates[0].h, z0.h)
-        assert np.array_equal(run.trace.iterates[0].x, z0.x)
+        settings = bc.SolverSettings(max_iters=3, tol=np.inf)
+        trace = bc.run_wf(inst, z0, settings,
+                          sample_weights=_loo_weights(inst.m, [4])[1])
+        assert np.array_equal(trace.h[0], z0.h)
+        assert np.array_equal(trace.x[0], z0.x)
 
     def test_vacuous_drop_reproduces_base(self):
         inst = bc.make_instance(1, 4, 4, 20, seed=11)
@@ -125,17 +128,17 @@ class TestLeaveOneOut:
         w0 = np.ones(20)
         w0[7] = 0.0
         base = bc.run_wf(inst, z0, settings, sample_weights=w0)
-        run = bc.leave_one_out_run(inst, 7, z0, settings, base_weights=w0)
-        assert np.array_equal(base.loss, run.trace.loss)
-        assert np.array_equal(base.final.h, run.trace.final.h)
+        trace = bc.run_wf(inst, z0, settings,
+                          sample_weights=_loo_weights(inst.m, [7], base_weights=w0)[1])
+        assert np.array_equal(base.loss, trace.loss)
+        assert np.array_equal(base.final.h, trace.final.h)
 
 
 @pytest.fixture(scope="module")
 def small_suite():
     inst = bc.canonicalize_instance(bc.make_instance(2, 6, 6, 120, seed=[700, 0]))
     z0 = bc.random_init(2, 6, 6, np.random.default_rng([701, 0]))
-    settings = bc.SolverSettings(eta=0.1, max_iters=25, tol=np.inf,
-                                 keep_iterates=True)
+    settings = bc.SolverSettings(eta=0.1, max_iters=25, tol=np.inf)
     rng = np.random.default_rng(702)
     loo = bc.select_loo_indices(inst.m, 3, rng)
     base, aux, xi = bc.run_diagnostics_suite(inst, z0, settings, loo, rng)
@@ -173,8 +176,7 @@ class TestMeasureHypotheses:
             inst = bc.canonicalize_instance(
                 bc.make_instance(2, 8, 8, 400, seed=[1000, seed]))
             z0 = bc.random_init(2, 8, 8, np.random.default_rng([2000, seed]))
-            settings = bc.SolverSettings(eta=0.1, max_iters=60, tol=np.inf,
-                                         keep_iterates=True)
+            settings = bc.SolverSettings(eta=0.1, max_iters=60, tol=np.inf)
             rng = np.random.default_rng([702, seed])
             loo = bc.select_loo_indices(inst.m, 4, rng)
             base, aux, _ = bc.run_diagnostics_suite(inst, z0, settings, loo, rng)
@@ -206,18 +208,19 @@ class TestMeasureHypotheses:
         sign = next(r for r in aux if r.kind == "sign")
         sign_loo = {r.index: r for r in aux if r.kind == "sign_loo"}
 
-        def aligned(z, i, h_ref, x_ref):
-            res = bc.align_pair(z.h[i], z.x[i], h_ref, x_ref)
-            return z.h[i] / np.conj(res.omega), res.omega * z.x[i], res.cost
+        def aligned(trace, ti, i, h_ref, x_ref):
+            h, x = trace.h[ti, i], trace.x[ti, i]
+            res = bc.align_pair(h, x, h_ref, x_ref)
+            return h / np.conj(res.omega), res.omega * x, res.cost
 
         for ti in (1, len(report.t) // 2, len(report.t) - 1):
             for i in range(truth.s):
-                h_t, x_t, _ = aligned(base.iterates[ti], i, truth.h[i], truth.x[i])
-                h_chk, x_chk, _ = aligned(sign.trace.iterates[ti], i, h_t, x_t)
+                h_t, x_t, _ = aligned(base, ti, i, truth.h[i], truth.x[i])
+                h_chk, x_chk, _ = aligned(sign.trace, ti, i, h_t, x_t)
                 dists, signals, double_diffs = [], [], []
                 for run in loo:
-                    h_hat, x_hat, cost = aligned(run.trace.iterates[ti], i, h_t, x_t)
-                    h_sl, _, _ = aligned(sign_loo[run.index].trace.iterates[ti], i,
+                    h_hat, x_hat, cost = aligned(run.trace, ti, i, h_t, x_t)
+                    h_sl, _, _ = aligned(sign_loo[run.index].trace, ti, i,
                                          h_chk, x_chk)
                     dists.append(np.sqrt(cost / (2.0 * truth.q[i] ** 2)))
                     signals.append(abs(np.vdot(truth.x[i], x_hat - x_t)) / truth.q[i])
@@ -228,13 +231,6 @@ class TestMeasureHypotheses:
                     np.linalg.norm(x_chk - x_t), rel=1e-9)
                 assert report.double_diff_h[ti, i] == pytest.approx(
                     max(double_diffs), rel=1e-9)
-
-    def test_requires_kept_iterates(self):
-        inst = bc.canonicalize_instance(bc.make_instance(1, 3, 3, 12, seed=3))
-        z0 = bc.random_init(1, 3, 3, np.random.default_rng(4))
-        with pytest.raises(ParameterError):
-            bc.run_diagnostics_suite(inst, z0, bc.SolverSettings(max_iters=2),
-                                     [0], np.random.default_rng(5))
 
 
 class TestConcentrationReport:

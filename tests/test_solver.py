@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
+from blaircomp import solver
 from blaircomp.errors import (DegenerateAlignmentError, DegenerateIterateError,
-                              DimensionMismatchError, DivergenceError,
-                              ParameterError)
+                              DimensionMismatchError, DivergenceError)
 from blaircomp.solver import gradient_inner, hessian_quadratic_form
 
 from helpers import (brute_force_gradient, brute_force_hessian_x_block,
@@ -228,22 +228,28 @@ class TestRunWf:
         assert np.array_equal(t1.final.x, t2.final.x)
 
     def test_logged_omega_is_truth_alignment(self, small_instance, small_iterate):
-        settings = bc.SolverSettings(eta=0.05, max_iters=12, tol=np.inf, cadence=4,
-                                     keep_iterates=True)
+        settings = bc.SolverSettings(eta=0.05, max_iters=12, tol=np.inf, cadence=4)
         trace = bc.run_wf(small_instance, small_iterate, settings)
         truth = small_instance.truth
         assert trace.omega.shape == (len(trace.t), small_instance.s)
-        for ti, z in enumerate(trace.iterates):
-            res = bc.align_pair(z.h, z.x, truth.h, truth.x)
+        assert trace.h.shape == (len(trace.t), small_instance.s, small_instance.K)
+        assert trace.x.shape == (len(trace.t), small_instance.s, small_instance.N)
+        for ti in range(len(trace.t)):
+            res = bc.align_pair(trace.h[ti], trace.x[ti], truth.h, truth.x)
             np.testing.assert_allclose(trace.omega[ti], res.omega, rtol=1e-14, atol=0)
 
-    def test_observer_cadence(self, small_instance, small_iterate):
-        seen = []
+    def test_log_cadence(self, small_instance, small_iterate):
         settings = bc.SolverSettings(eta=0.01, max_iters=10, tol=np.inf, cadence=3)
-        bc.run_wf(small_instance, small_iterate, settings,
-                  observers=[lambda t, z, lv: seen.append((t, lv))])
-        assert [t for t, _ in seen] == [0, 3, 6, 9, 10]
-        assert all(np.isfinite(lv) for _, lv in seen)
+        trace = bc.run_wf(small_instance, small_iterate, settings)
+        assert trace.t.tolist() == [0, 3, 6, 9, 10]
+        assert np.all(np.isfinite(trace.loss))
+        # Every run ends at a log point, so the final iterate is the last one
+        # stored, and the first is the start.
+        assert np.array_equal(trace.h[0], small_iterate.h)
+        assert np.array_equal(trace.x[0], small_iterate.x)
+        assert trace.final.t == trace.t[-1]
+        assert np.array_equal(trace.final.h, trace.h[-1])
+        assert np.array_equal(trace.final.x, trace.x[-1])
 
     def test_converges_single_node(self):
         converged = 0
@@ -281,13 +287,8 @@ def _assert_same_run(batched, single):
         (single.n_iters, single.stop_reason, single.converged)
     pairs = [(getattr(batched, name), getattr(single, name)) for name in (
         "loss", "relative_error", "dist", "omega", "alpha_h", "beta_h",
-        "alpha_x", "beta_x", "rmse_x")]
+        "alpha_x", "beta_x", "rmse_x", "h", "x")]
     pairs += [(batched.final.h, single.final.h), (batched.final.x, single.final.x)]
-    if single.iterates is not None:
-        assert len(batched.iterates) == len(single.iterates)
-        for zb, zs in zip(batched.iterates, single.iterates):
-            assert zb.t == zs.t
-            pairs += [(zb.h, zs.h), (zb.x, zs.x)]
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -302,8 +303,7 @@ class TestRunBatch:
         weights[1, 7] = 0.0
         weights[2] = rng.uniform(0.5, 1.5, inst.m)
         weights[3, [0, 39]] = 0.0
-        settings = bc.SolverSettings(eta=0.1, max_iters=25, tol=np.inf, cadence=3,
-                                     keep_iterates=True)
+        settings = bc.SolverSettings(eta=0.1, max_iters=25, tol=np.inf, cadence=3)
         batch = bc.run_wf(inst, z0, settings, sample_weights=weights)
         singles = _single_runs(inst, z0, settings, weights)
         assert isinstance(batch, bc.RunBatch) and len(batch.runs) == 4
@@ -349,10 +349,6 @@ class TestRunBatch:
             with pytest.raises(DimensionMismatchError):
                 bc.run_wf(small_instance, small_iterate, settings,
                           sample_weights=np.ones(shape))
-        with pytest.raises(ParameterError):
-            bc.run_wf(small_instance, small_iterate, settings,
-                      observers=[lambda t, z, lv: None],
-                      sample_weights=np.ones((2, small_instance.m)))
         stacked = bc.Iterate(h=np.stack([small_iterate.h] * 2),
                              x=np.stack([small_iterate.x] * 2))
         with pytest.raises(DimensionMismatchError):
@@ -372,6 +368,81 @@ class TestRunBatch:
         with pytest.raises(DegenerateAlignmentError):
             bc.run_wf(small_instance, z0, bc.SolverSettings(max_iters=3),
                       sample_weights=np.ones((3, small_instance.m)))
+
+
+_TRACE_COLUMNS = ("t", "loss", "relative_error", "dist", "alpha_h", "beta_h",
+                  "alpha_x", "beta_x", "rmse_x", "omega", "h", "x")
+
+
+def _assert_identical_traces(got, want):
+    """Every StateTrace column, the final iterate and the stop, bit for bit."""
+    assert (got.n_iters, got.stop_reason, got.converged) == \
+        (want.n_iters, want.stop_reason, want.converged)
+    for name in _TRACE_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.final.t == want.final.t
+    assert got.final.h.tobytes() == want.final.h.tobytes()
+    assert got.final.x.tobytes() == want.final.x.tobytes()
+
+
+def _tol_case():
+    """Three runs that stop at iterations 232 (tol), 470 (tol) and 600
+    (max_iters): halving the weights halves the step."""
+    inst = bc.make_instance(1, 4, 4, 80, seed=3)
+    z0 = bc.random_init(1, 4, 4, np.random.default_rng(4))
+    weights = np.array([1.0, 0.5, 0.25])[:, None] * np.ones(inst.m)
+    return inst, z0, weights
+
+
+class TestMetricBlocks:
+    """run_wf settles metrics per block of log points; any block size must
+    give the traces of settling every log point as it comes (size 1)."""
+
+    @pytest.mark.parametrize("cadence", [1, 3])
+    @pytest.mark.parametrize("block", [7, 32, "all"])
+    def test_block_size_is_invisible(self, monkeypatch, cadence, block):
+        inst, z0, weights = _tol_case()
+        settings = bc.SolverSettings(eta=0.1, max_iters=600, tol=1e-6,
+                                     cadence=cadence)
+        monkeypatch.setattr(solver, "_METRIC_BLOCK", 1)
+        want_single = bc.run_wf(inst, z0, settings)
+        want = bc.run_wf(inst, z0, settings, sample_weights=weights)
+        if block == "all":        # every log point in one block
+            block = (settings.max_iters + 1) * cadence
+        monkeypatch.setattr(solver, "_METRIC_BLOCK", block)
+        got_single = bc.run_wf(inst, z0, settings)
+        got = bc.run_wf(inst, z0, settings, sample_weights=weights)
+        _assert_identical_traces(got_single, want_single)
+        assert [run.stop_reason for run in want.runs] == ["tol", "tol", "max_iters"]
+        for run, ref in zip(got.runs, want.runs):
+            _assert_identical_traces(run, ref)
+        assert got.n_iters == want.n_iters
+        assert np.array_equal(got.t, want.t)
+
+    def test_tolerance_before_divergence_in_one_block(self):
+        # From the truth of a noisy instance the loss meets loss_tol at t = 0
+        # and, at this step size, diverges at iteration 1.  The tolerance
+        # comes first, so the run stops there and nothing is raised.
+        inst = bc.make_instance(1, 4, 4, 60, sigma2_e=1e-2, seed=3)
+        z0 = bc.Iterate(h=inst.truth.h.copy(), x=inst.truth.x.copy())
+        settings = bc.SolverSettings(eta=1e3, max_iters=50, tol=np.inf,
+                                     loss_tol=2.0 * bc.loss(z0, inst))
+        trace = bc.run_wf(inst, z0, settings)
+        assert trace.stop_reason == "tol" and trace.n_iters == 0
+        assert trace.t.tolist() == [0]
+        with pytest.raises(DivergenceError, match="iteration 1:"):
+            bc.run_wf(inst, z0, bc.SolverSettings(eta=1e3, max_iters=50,
+                                                  tol=np.inf))
+        # Beside a row that misses the tolerance and then diverges, the
+        # stopped row is not the one reported.
+        weights = np.array([1.0, 3.0])[:, None] * np.ones(inst.m)
+        with pytest.raises(DivergenceError) as sequential:
+            _single_runs(inst, z0, settings, weights)
+        with pytest.raises(DivergenceError) as batched:
+            bc.run_wf(inst, z0, settings, sample_weights=weights)
+        assert str(batched.value) == str(sequential.value)
 
 
 class TestHessianXBlock:

@@ -89,7 +89,6 @@ class TestExtractPerturbations:
                           q=np.array([q]), m=400, eta=eta)
         pert = bc.extract_perturbations(trace, trace.q, eta)
         np.testing.assert_allclose(pert.psi_h[:, 0], psi, atol=1e-12)
-        np.testing.assert_allclose(pert.rho_h, 0.0, atol=0)
 
     def test_zero_beta_marked_absent(self):
         trace = FakeTrace(alpha_h=np.ones((3, 1)), beta_h=np.zeros((3, 1)),
