@@ -22,7 +22,7 @@ from . import diagnostics as diag
 from . import state_evolution
 from .ensemble import make_instance
 from .errors import BlaircompError, ConfigError, DivergenceError
-from .solver import SolverSettings, random_init, run_wf
+from .solver import Iterate, SolverSettings, random_init, run_wf
 
 PRESET_NAMES = ("fig1-convergence", "components", "ratio-growth",
                 "noise-sweep", "diagnostics", "custom")
@@ -52,6 +52,10 @@ _PRESETS: Dict[str, Dict] = {
 }
 
 _NOISE_FIT_WINDOW = 10
+# Design-tensor bytes of the trials that share one lockstep solve.  Past it a
+# stacked block costs more per trial, not less, as it outgrows the cache; a
+# trial above it runs alone.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -118,10 +122,10 @@ class ExperimentConfig:
             raise ConfigError("jobs must be >= 1")
         if self.loo_samples < 0:
             raise ConfigError("loo_samples must be >= 0")
-        if not self.eta > 0:          # also rejects NaN
-            raise ConfigError("eta must be > 0")
-        if not self.sigma2_e >= 0:
-            raise ConfigError("sigma2_e must be >= 0")
+        if not 0 < self.eta < np.inf:           # also rejects NaN
+            raise ConfigError("eta must be finite and > 0")
+        if not 0 <= self.sigma2_e < np.inf:
+            raise ConfigError("sigma2_e must be finite and >= 0")
         if self.q is not None and len(self.q) != self.s:
             raise ConfigError(f"q must list {self.s} values")
         if self.q is not None and not all(0 < v <= 1 for v in self.q):
@@ -130,8 +134,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.preset == "noise-sweep" and not self.sigma_w_grid:
             raise ConfigError("noise-sweep needs a sigma_w_grid")
-        if self.sigma_w_grid is not None and not all(v > 0 for v in self.sigma_w_grid):
-            raise ConfigError("every sigma_w_grid value must be > 0")
+        if self.sigma_w_grid is not None and not all(0 < v < np.inf
+                                                     for v in self.sigma_w_grid):
+            raise ConfigError("every sigma_w_grid value must be finite and > 0")
         self.resolved_jobs()      # rejects a bad $BLAIRCOMP_JOBS
 
     def to_json_dict(self) -> Dict:
@@ -196,13 +201,15 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
     t_start = time.perf_counter()
 
     jobs = cfg.resolved_jobs()
-    if jobs > 1 and cfg.trials > 1:
+    blocks = _trial_blocks(cfg, jobs)
+    if jobs > 1 and len(blocks) > 1:
         # Imported here, so that importing the package does not load it.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, cfg.trials)) as pool:
-            results = list(pool.map(_run_trial, [cfg] * cfg.trials, range(cfg.trials)))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+            solved = list(pool.map(_run_trial, [cfg] * len(blocks), *zip(*blocks)))
     else:
-        results = [_run_trial(cfg, trial) for trial in range(cfg.trials)]
+        solved = [_run_trial(cfg, first, n) for first, n in blocks]
+    results = [r for block in solved for r in block]
 
     paths = {"trace": os.path.join(cfg.out, "trace.csv"),
              "stages": os.path.join(cfg.out, "stages.json"),
@@ -250,71 +257,111 @@ def read_trace_csv(path: str) -> Dict[str, np.ndarray]:
     return {name: data[:, idx] for idx, name in enumerate(header)}
 
 
-def _run_trial(cfg: ExperimentConfig, trial: int) -> Dict:
-    """One trial's summary and per-trial results.
+def _trial_blocks(cfg: ExperimentConfig, jobs: int) -> List[Tuple[int, int]]:
+    """(first trial, trial count) of each contiguous block of trials that
+    shares one lockstep solve.
 
-    A package error ends only its own trial: the summary records its type
-    and message, the trial logs no trace rows, and the other trials go on.
+    There are at least as many blocks as workers, and a block's stacked
+    design tensors take at most ``_BLOCK_BYTES`` unless one trial's alone is
+    larger.  A diagnostics trial, whose run axis holds its auxiliary runs,
+    is a block of its own.
     """
-    summary = {"trial": trial, "diverged": False, "error": None, "error_type": None}
-    try:
-        outcome, result = _solve_trial(cfg, trial)
-    except BlaircompError as exc:
-        summary.update(diverged=isinstance(exc, DivergenceError), error=str(exc),
-                       error_type=type(exc).__name__)
-        return {"summary": summary, "trace": []}
-    summary.update(outcome)
-    result["summary"] = summary
-    return result
+    trial_bytes = 16 * cfg.s * cfg.resolved_m() * cfg.N     # complex128 design
+    per_block = 1 if cfg.preset == "diagnostics" else max(1, _BLOCK_BYTES // trial_bytes)
+    n_blocks = max(min(jobs, cfg.trials), -(-cfg.trials // per_block))
+    return [(int(b[0]), len(b))
+            for b in np.array_split(np.arange(cfg.trials), n_blocks)]
 
 
-def _solve_trial(cfg: ExperimentConfig, trial: int) -> Tuple[Dict, Dict]:
-    """The trial's summary fields and its per-trial results."""
-    ss = np.random.SeedSequence([cfg.seed, trial])
-    inst_seed, init_seed, aux_seed = ss.spawn(3)
-    m = cfg.resolved_m()
-    inst = make_instance(cfg.s, cfg.K, cfg.N, m, q=cfg.q,
+def _run_trial(cfg: ExperimentConfig, first_trial: int, n_trials: int) -> List[Dict]:
+    """Summaries and per-trial results of trials first_trial, ...,
+    first_trial + n_trials - 1, solved in one lockstep ``run_wf`` call.
+
+    Each trial's instance, start and auxiliary stream come from
+    (seed, trial), so its numbers do not depend on its block.  A package
+    error ends only its own trial: the summary records its type and message,
+    the trial logs no trace rows, and the other trials go on.
+    """
+    trials = range(first_trial, first_trial + n_trials)
+    # trial -> its error, or its (trace, instance, aux rng, results)
+    solved: Dict[int, object] = {}
+    built = []
+    for trial in trials:
+        try:
+            built.append((trial, *_build_trial(cfg, trial)))
+        except BlaircompError as exc:
+            solved[trial] = exc
+    if built:
+        try:
+            solved.update(_solve_block(cfg, built))
+        except BlaircompError as exc:     # the call the block shares failed
+            solved.update((b[0], exc) for b in built)
+    return [_trial_result(cfg, trial, solved[trial]) for trial in trials]
+
+
+def _build_trial(cfg: ExperimentConfig, trial: int):
+    """The trial's instance, random start and auxiliary stream."""
+    inst_seed, init_seed, aux_seed = np.random.SeedSequence([cfg.seed, trial]).spawn(3)
+    inst = make_instance(cfg.s, cfg.K, cfg.N, cfg.resolved_m(), q=cfg.q,
                          sigma2_e=cfg.sigma2_e, seed=inst_seed)
     if cfg.preset == "diagnostics":
         inst = diag.canonicalize_instance(inst)
     z0 = random_init(cfg.s, cfg.K, cfg.N, np.random.default_rng(init_seed))
+    return inst, z0, np.random.default_rng(aux_seed)
+
+
+def _solve_block(cfg: ExperimentConfig, built: List[tuple]) -> Dict[int, object]:
+    """Each built trial's error, or its trace, instance, auxiliary stream and
+    per-trial results; all trials in one call, a diagnostics trial in its
+    suite."""
     settings = SolverSettings(eta=cfg.eta, max_iters=cfg.max_iters, tol=cfg.tol,
                               cadence=cfg.cadence)
-
-    result: Dict = {}
-    aux_rng = np.random.default_rng(aux_seed)
     if cfg.preset == "diagnostics":
-        loo = diag.select_loo_indices(m, cfg.loo_samples, aux_rng)
+        (trial, inst, z0, aux_rng), = built
+        loo = diag.select_loo_indices(inst.m, cfg.loo_samples, aux_rng)
         trace, aux_runs, _ = diag.run_diagnostics_suite(inst, z0, settings,
                                                         loo, aux_rng)
-        result["hypotheses"] = diag.measure_hypotheses(trace, aux_runs,
-                                                       inst.truth, inst)
-        result["concentration"] = diag.concentration_report(inst).to_json_dict()
-    else:
-        trace = run_wf(inst, z0, settings)
+        result = {"hypotheses": diag.measure_hypotheses(trace, aux_runs,
+                                                        inst.truth, inst),
+                  "concentration": diag.concentration_report(inst).to_json_dict()}
+        return {trial: (trace, inst, aux_rng, result)}
+    trials, insts, z0s, aux_rngs = zip(*built)
+    batch = run_wf(insts, Iterate(h=np.stack([z.h for z in z0s]),
+                                  x=np.stack([z.x for z in z0s])), settings)
+    return {trial: exc if exc is not None else (trace, inst, aux_rng, {})
+            for trial, inst, aux_rng, trace, exc
+            in zip(trials, insts, aux_rngs, batch.runs, batch.errors)}
+
+
+def _trial_result(cfg: ExperimentConfig, trial: int, solved) -> Dict:
+    """The trial's summary, trace rows and per-preset results."""
+    summary = {"trial": trial, "diverged": False, "error": None, "error_type": None}
+    if isinstance(solved, BlaircompError):
+        summary.update(diverged=isinstance(solved, DivergenceError), error=str(solved),
+                       error_type=type(solved).__name__)
+        return {"summary": summary, "trace": []}
+    trace, inst, aux_rng, result = solved
     if cfg.preset == "noise-sweep":
-        result["noise_rows"] = _noise_sweep_rows(trace, inst.truth,
-                                                 cfg.sigma_w_grid, aux_rng, trial)
-    stages = state_evolution.detect_stages(trace)
-    outcome = {
-        "converged": trace.converged,
-        "n_iters": trace.n_iters,
-        "final_relative_error": float(trace.relative_error[-1]),
-        "final_loss": float(trace.loss[-1]),
-        "stages": stages.to_json_dict(),
-    }
-    result["trace"] = _trace_columns(trace, trial)
-    return outcome, result
+        result["noise_rows"] = _noise_sweep_rows(trace, inst.truth, cfg.sigma_w_grid,
+                                                 aux_rng, trial)
+    summary.update(converged=trace.converged, n_iters=trace.n_iters,
+                   final_relative_error=float(trace.relative_error[-1]),
+                   final_loss=float(trace.loss[-1]),
+                   stages=state_evolution.detect_stages(trace).to_json_dict())
+    result.update(summary=summary, trace=_trace_columns(trace, trial))
+    return result
 
 
 def _noise_sweep_rows(trace, truth, sigma_w_grid: Sequence[float],
-                      rng: np.random.Generator, trial: int) -> List[List[float]]:
+                      rng: np.random.Generator, trial: int) -> np.ndarray:
     """Noisy relative error per logged iteration and sigma_w: the run's logged
     alignment parameters are perturbed and applied to the recovered sum.
 
-    The noise is the stream that one ``metrics.perturb_alignment`` call per
-    row would draw (iteration-major, then sigma_w, real before imaginary),
-    taken in a single draw.
+    Rows (trial, t, sigma_w, error), iteration-major.  The noise is the
+    stream that one ``perturb_alignment`` call per row would draw
+    (iteration-major, then sigma_w, real before imaginary; the per-row loop
+    is ``noise_sweep_rows_loop`` in the tests' helpers), taken in a single
+    draw.
     """
     target = np.sum(truth.x, axis=0)
     denom = np.linalg.norm(target)
@@ -323,8 +370,12 @@ def _noise_sweep_rows(trace, truth, sigma_w_grid: Sequence[float],
              * np.sqrt(0.5 / grid)[:, None, None])
     w_hat = trace.omega[:, None, :] + (noise[:, :, 0] + 1j * noise[:, :, 1])
     err = np.linalg.norm(w_hat @ trace.x - target, axis=-1) / denom   # (T, grid)
-    return [[trial, int(t), sigma_w, float(e)]
-            for t, row in zip(trace.t, err) for sigma_w, e in zip(sigma_w_grid, row)]
+    rows = np.empty(err.shape + (4,))
+    rows[..., 0] = trial
+    rows[..., 1] = trace.t[:, None]
+    rows[..., 2] = grid
+    rows[..., 3] = err
+    return rows.reshape(-1, 4)
 
 
 def fit_noise_slope(noise_rows: Sequence[Sequence[float]]) -> Dict:
@@ -363,25 +414,25 @@ def _build_report(cfg: ExperimentConfig, results: List[Dict]) -> Dict:
     if cfg.preset == "ratio-growth":
         report["growth_rates"] = [s["stages"] for s in ok]
     if cfg.preset == "noise-sweep":
-        all_rows = [row for r in results for row in r.get("noise_rows", [])]
-        if all_rows:
-            report["noise_sweep"] = fit_noise_slope(all_rows)
+        tables = [r["noise_rows"] for r in results if "noise_rows" in r]
+        if tables:
+            report["noise_sweep"] = fit_noise_slope(np.concatenate(tables))
     if cfg.preset == "diagnostics":
         report["concentration"] = [r.get("concentration") for r in results]
     return report
 
 
-def _trace_columns(trace, trial: int) -> List[List[float]]:
-    rows = []
-    for ti in range(len(trace.t)):
-        row = [float(trial), float(trace.t[ti]), float(trace.loss[ti]),
-               float(trace.relative_error[ti]), float(trace.dist[ti])]
-        for i in range(trace.s):
-            row.extend([abs(trace.alpha_h[ti, i]), float(trace.beta_h[ti, i]),
-                        abs(trace.alpha_x[ti, i]), float(trace.beta_x[ti, i]),
-                        float(trace.rmse_x[ti, i])])
-        rows.append(row)
-    return rows
+def _trace_columns(trace, trial: int) -> np.ndarray:
+    """The trial's trace.csv rows, (T, 5 + 5s).  |alpha| is hypot(re, im),
+    the value of a scalar abs(); np.abs on a complex array can differ from
+    it in the last bit."""
+    per_node = np.stack([np.hypot(trace.alpha_h.real, trace.alpha_h.imag),
+                         trace.beta_h,
+                         np.hypot(trace.alpha_x.real, trace.alpha_x.imag),
+                         trace.beta_x, trace.rmse_x], axis=-1)     # (T, s, 5)
+    return np.column_stack([np.full(len(trace.t), float(trial)), trace.t, trace.loss,
+                            trace.relative_error, trace.dist,
+                            per_node.reshape(len(trace.t), -1)])
 
 
 def trace_header(s: int) -> List[str]:
@@ -393,21 +444,22 @@ def trace_header(s: int) -> List[str]:
 
 
 def _write_trace_csv(path: str, s: int, results: List[Dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_header(s))
-        for r in results:          # results arrive in trial order
-            for row in r["trace"]:
-                writer.writerow([_fmt(v) for v in row])
+    _write_csv(path, trace_header(s), (r["trace"] for r in results))   # trial order
 
 
 def _write_noise_csv(path: str, results: List[Dict]) -> None:
+    _write_csv(path, ["trial", "t", "sigma_w", "noisy_relative_error"],
+               (r.get("noise_rows", []) for r in results))
+
+
+def _write_csv(path: str, header: List[str], tables) -> None:
+    """The header, then every row of ``tables`` at 17 significant digits,
+    laid out as ``csv.writer`` lays out numbers."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "t", "sigma_w", "noisy_relative_error"])
-        for r in results:
-            for row in r.get("noise_rows", []):
-                writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for rows in tables:
+            fh.writelines(line % tuple(row) for row in np.asarray(rows).tolist())
 
 
 def _write_plot_stub(path: str, cfg: ExperimentConfig) -> None:
@@ -454,10 +506,6 @@ def _coerce(key: str, value):
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return value
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

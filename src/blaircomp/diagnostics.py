@@ -150,12 +150,13 @@ def run_diagnostics_suite(inst: ProblemInstance, z0: Iterate,
 
     Two lockstep ``run_wf`` calls, on ``inst`` and on its sign-flipped
     ensemble, each with 1+L weight rows: all ones, then one row per dropped
-    sample of ``loo_indices``.
+    sample of ``loo_indices``.  The first failed row, in row order, raises
+    its error.
     """
     weights = _loo_weights(inst.m, loo_indices)
-    plain = run_wf(inst, z0, settings, sample_weights=weights).runs
+    plain = run_wf(inst, z0, settings, sample_weights=weights).traces()
     inst_sgn, xi = sign_flip_ensemble(inst, rng)
-    flipped = run_wf(inst_sgn, z0, settings, sample_weights=weights).runs
+    flipped = run_wf(inst_sgn, z0, settings, sample_weights=weights).traces()
     aux = [AuxiliaryRun(kind="loo", index=l, trace=tr)
            for l, tr in zip(loo_indices, plain[1:])]
     aux.append(AuxiliaryRun(kind="sign", index=None, trace=flipped[0]))

@@ -13,7 +13,7 @@ from typing import Union
 import numpy as np
 
 from .ensemble import GroundTruth
-from .errors import DegenerateAlignmentError, ParameterError, UndefinedMetricError
+from .errors import DegenerateAlignmentError, UndefinedMetricError
 
 _SUBDIAGONAL = np.eye(6, k=-1)     # the ones of a sextic's companion matrix
 
@@ -144,7 +144,9 @@ def snapshot_metrics(z, truth: GroundTruth) -> MetricSnapshot:
     """relative_error, dist, and the component split from one alignment pass.
 
     The iterate may stack runs, h (..., s, K) and x (..., s, N); errors then
-    have the batch shape and the decomposition's arrays (..., s).
+    have the batch shape and the decomposition's arrays (..., s).  The truth
+    may stack per-run truths, h (..., s, K), x (..., s, N) and q (..., s),
+    that broadcast against the iterate.
     """
     res = align_pair(z.h, z.x, truth.h, truth.x)
     return MetricSnapshot(relative_error=_relative_error(res.omega, z, truth),
@@ -161,22 +163,12 @@ def incoherence(truth: GroundTruth, b_rows: np.ndarray) -> float:
     return float(np.sqrt(b_rows.shape[0]) * corr.max())
 
 
-def perturb_alignment(omega: Union[complex, np.ndarray], sigma_w: float,
-                      rng: np.random.Generator):
-    """omega plus circularly symmetric noise with E|noise|^2 = 1/sigma_w."""
-    if sigma_w <= 0.0:
-        raise ParameterError("sigma_w must be > 0")
-    omega = np.asarray(omega, dtype=complex)
-    scale = np.sqrt(0.5 / sigma_w)
-    noise = rng.normal(0.0, scale, omega.shape) + 1j * rng.normal(0.0, scale, omega.shape)
-    out = omega + noise
-    return complex(out) if out.ndim == 0 else out
-
-
 def _relative_error(omega: np.ndarray, z, truth: GroundTruth):
-    target = np.sum(truth.x, axis=0)
-    denom = np.linalg.norm(target)
-    if denom == 0.0:
+    target = truth.x.sum(axis=-2)
+    # One 1-D norm per target: norm(axis=-1) rounds differently.
+    denom = np.array([np.linalg.norm(v) for v in target.reshape(-1, target.shape[-1])]
+                     ).reshape(target.shape[:-1])
+    if not denom.all():
         raise UndefinedMetricError("target vector sums to zero")
     recovered = (omega[..., None, :] @ z.x)[..., 0, :]
     return _scalar(np.linalg.norm(recovered - target, axis=-1) / denom)

@@ -9,14 +9,16 @@ block's squared norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import metrics
 from .ensemble import GroundTruth, ProblemInstance
-from .errors import DegenerateIterateError, DimensionMismatchError, DivergenceError
+from .errors import (BlaircompError, DegenerateAlignmentError, DegenerateIterateError,
+                     DimensionMismatchError, DivergenceError)
 
 _DIVERGENCE_FACTOR = 1e6
 # Iterations whose log points share one snapshot_metrics call (at least one
@@ -96,12 +98,46 @@ class StateTrace:
 
 @dataclass
 class RunBatch:
-    """The runs of one multi-run ``run_wf`` call."""
+    """The runs of one multi-run ``run_wf`` call, in row order.
 
-    runs: List[StateTrace]        # one per weight row, in row order
-    n_iters: int                  # iterations summed over the runs
-    t: np.ndarray                 # every run's logged iterations, concatenated
+    A failed row has no trace: its ``runs`` entry is None and its ``errors``
+    entry is the package error that ended it.
+    """
+
+    runs: List[Optional[StateTrace]]
+    errors: List[Optional[BlaircompError]]
+    n_iters: int                  # iterations summed over the finished runs
+    t: np.ndarray                 # their logged iterations, concatenated
     s: int
+
+    def traces(self) -> List[StateTrace]:
+        """Every run's trace; raises the first failed row's error, in row
+        order, as running the rows one by one would."""
+        for exc in self.errors:
+            if exc is not None:
+                raise exc
+        return self.runs
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The instance arrays of ``run_wf``'s active runs, each with a leading
+    run axis of one entry per run, or of one entry that every run shares."""
+
+    a: np.ndarray           # (R or 1, s, m, N)
+    y: np.ndarray           # (R or 1, m)
+    truth: GroundTruth      # h (R or 1, s, K), x (R or 1, s, N), q (R or 1, s)
+    b_rows: np.ndarray      # (m, K), the same for every run
+    s: int
+    K: int
+    N: int
+    m: int
+
+    def take(self, keep: np.ndarray) -> "_Rows":
+        tr = self.truth
+        return replace(self, a=_take(self.a, keep), y=_take(self.y, keep),
+                       truth=GroundTruth(h=_take(tr.h, keep), x=_take(tr.x, keep),
+                                         q=_take(tr.q, keep)))
 
 
 def random_init(s: int, K: int, N: int, rng: np.random.Generator) -> Iterate:
@@ -157,8 +193,8 @@ def wf_step(z: Iterate, g: GradientBlocks, eta: float) -> Iterate:
     return Iterate(h=h, x=x, t=z.t + 1)
 
 
-def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
-           sample_weights: Optional[np.ndarray] = None
+def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
+           settings: SolverSettings, sample_weights: Optional[np.ndarray] = None
            ) -> Union[StateTrace, RunBatch]:
     """Iterate Wirtinger flow, recording the iterate and its metrics at the
     configured cadence.
@@ -173,29 +209,42 @@ def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
     an earlier tolerance stop wins, as testing every log point as it comes
     would have it.
 
-    ``sample_weights`` of shape (m,) weights the loss of the one run.  Shape
-    (R, m) runs R runs in lockstep from z0, one per weight row, and returns
-    a RunBatch: iterates are stacked (R, s, K/N), so each iteration takes one
-    forward/gradient pass and one ``wf_step`` for all active runs.  A run
-    that meets a tolerance or diverges is masked out and logs nothing more;
-    after the loop the DivergenceError of the first diverging run in row
-    order is raised, as running the rows one by one would.
+    A run axis comes from any of: a sequence of R instances (same
+    dimensions and access rows), z0 stacked (R, s, K/N), or
+    ``sample_weights`` of shape (R, m); an input without one, or with one of
+    length 1, is shared by every run.  The R runs go in lockstep: iterates
+    are stacked (R, s, K/N), so each iteration takes one forward/gradient
+    pass and one ``wf_step`` for all active runs, and the call returns a
+    RunBatch.  A run that meets a tolerance or fails is masked out and logs
+    nothing more; a failure (divergence, a zero block in the step or in the
+    truth alignment) ends only its own run and is returned as that row's
+    error.  A call without a run axis returns the StateTrace or raises.
     """
-    if z0.h.ndim != 2 or z0.x.ndim != 2:
-        raise DimensionMismatchError("z0 must be one iterate, h (s, K) and x (s, N)")
-    w = _run_weights(sample_weights, inst.m)
-    n_runs = 1 if w is None else w.shape[0]
+    rows = _stack_instances(inst)
+    if z0.h.ndim not in (2, 3) or z0.x.ndim != z0.h.ndim:
+        raise DimensionMismatchError(
+            "z0 must be one iterate, h (s, K) and x (s, N), or a stack (R, s, K/N)")
+    w = _run_weights(sample_weights, rows.m)
+    lengths = {len(rows.a), 1 if w is None else len(w)}
+    if z0.h.ndim == 3:
+        lengths |= {len(z0.h), len(z0.x)}
+    n_runs = max(lengths)
+    if not lengths <= {1, n_runs}:
+        raise DimensionMismatchError(f"run axes of lengths {sorted(lengths)} differ")
+    batched = (not isinstance(inst, ProblemInstance) or z0.h.ndim == 3
+               or np.ndim(sample_weights) == 2)
+    q_rows = np.broadcast_to(rows.truth.q, (n_runs, rows.s))
     block_len = max(1, _METRIC_BLOCK // settings.cadence)   # in log points
     pending: List[tuple] = []        # (t, loss, h, x) of unsettled log points
     blocks: List[tuple] = []         # (t (B,), active rows, columns (B, A, ...))
     n_logged = np.zeros(n_runs, dtype=int)
     converged = np.zeros(n_runs, dtype=bool)
-    runs = np.arange(n_runs)         # weight row of each active run, ascending
-    failure = None                   # (row, t, loss) of the first divergence
+    errors: List[Optional[BlaircompError]] = [None] * n_runs
+    runs = np.arange(n_runs)         # row of each active run, ascending
 
-    z = Iterate(h=np.repeat(z0.h[None], n_runs, axis=0),
-                x=np.repeat(z0.x[None], n_runs, axis=0), t=0)
-    g, loss_t = _gradient_and_loss(z, inst, w)
+    z = Iterate(h=np.broadcast_to(z0.h, (n_runs,) + z0.h.shape[-2:]).copy(),
+                x=np.broadcast_to(z0.x, (n_runs,) + z0.x.shape[-2:]).copy(), t=0)
+    g, loss_t = _gradient_and_loss(z, rows, w)
     # Capped at the largest float, so a non-finite loss never passes
     # loss <= limit; fmin ignores a NaN initial loss, as loss > NaN would.
     limit = np.fmin(_DIVERGENCE_FACTOR * np.maximum(loss_t, 1e-300),
@@ -205,12 +254,18 @@ def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
                      for v in (settings.tol, settings.loss_tol))
 
     def retire(keep: np.ndarray) -> None:
-        nonlocal z, g, loss_t, limit, runs, w
+        nonlocal z, g, loss_t, limit, runs, rows, w
         z = Iterate(h=z.h[keep], x=z.x[keep], t=z.t)
         g = GradientBlocks(h=g.h[keep], x=g.x[keep])
         loss_t, limit, runs = loss_t[keep], limit[keep], runs[keep]
-        if w is not None:
-            w = w[keep]
+        rows, w = rows.take(keep), _take(w, keep)
+
+    def fail(bad: np.ndarray, error) -> None:
+        """End the active runs where ``bad`` holds; ``error(k)`` is the
+        exception of active run k."""
+        for k in np.flatnonzero(bad):
+            errors[runs[k]] = error(k)
+        retire(~bad)
 
     def settle() -> None:
         """Metrics of the pending log points in one call; every run that
@@ -219,7 +274,15 @@ def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
             return
         t_b, loss_b, h_b, x_b = map(np.asarray, zip(*pending))
         pending.clear()
-        snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), inst.truth)
+        try:
+            snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), rows.truth)
+        except DegenerateAlignmentError as exc:
+            bad = _zero_block(h_b, x_b).any(axis=0)
+            fail(bad, lambda k: exc)
+            if not len(runs):
+                return
+            loss_b, h_b, x_b = loss_b[:, ~bad], h_b[:, ~bad], x_b[:, ~bad]
+            snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), rows.truth)
         # The decomposition's fields are StateTrace columns by name.
         blocks.append((t_b, runs, dict(vars(snap.decomposition), loss=loss_b,
                                        relative_error=snap.relative_error,
@@ -234,23 +297,17 @@ def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
         if t > 0:
             try:
                 z = wf_step(z, g, settings.eta)
-            except DegenerateIterateError:
-                if not pending:
-                    raise
+            except DegenerateIterateError as exc:
                 settle()         # a pending metric error or tolerance stop wins
+                fail(_zero_block(z.h, z.x), lambda k: exc)
                 if not len(runs):
                     break
                 z = wf_step(z, g, settings.eta)
-            g, loss_t = _gradient_and_loss(z, inst, w)
+            g, loss_t = _gradient_and_loss(z, rows, w)
             if not (loss_t <= limit).all():
                 settle()         # an earlier tolerance stop wins
-                ok = loss_t <= limit
-                if not ok.all():
-                    # Only rows before the first diverging one can change
-                    # the error raised; the rest are dropped.
-                    k = int(np.argmin(ok))
-                    failure = (runs[k], t, float(loss_t[k]))
-                    retire(np.arange(len(runs)) < k)
+                fail(~(loss_t <= limit), lambda k: DivergenceError(
+                    f"loss diverged at iteration {t}: {float(loss_t[k])!r}"))
                 if not len(runs):
                     break
         if t % settings.cadence == 0 or t == settings.max_iters:
@@ -259,37 +316,42 @@ def run_wf(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
                 settle()
                 if not len(runs):
                     break
-    if failure is not None:
-        raise DivergenceError(f"loss diverged at iteration {failure[1]}: "
-                              f"{failure[2]!r}")
+    if not batched and errors[0] is not None:
+        raise errors[0]
 
     # Blocks are (B, A, ...) over their active rows; placed at those rows of
     # (T, R, ...) columns, each run's points are a prefix of its column.
-    t_all = np.concatenate([t_b for t_b, _, _ in blocks])
-    cols = {}
-    for name, like in blocks[0][2].items():
-        col = np.zeros((len(t_all), n_runs) + like.shape[2:], like.dtype)
-        start = 0
-        for t_b, rows, values in blocks:
-            col[start:start + len(t_b), rows] = values[name]
-            start += len(t_b)
-        cols[name] = col
-    traces = []
+    traces: List[Optional[StateTrace]] = [None] * n_runs
+    if blocks:
+        t_all = np.concatenate([t_b for t_b, _, _ in blocks])
+        cols = {}
+        for name, like in blocks[0][2].items():
+            col = np.zeros((len(t_all), n_runs) + like.shape[2:], like.dtype)
+            start = 0
+            for t_b, active, values in blocks:
+                col[start:start + len(t_b), active] = values[name]
+                start += len(t_b)
+            cols[name] = col
     for r in range(n_runs):
+        if errors[r] is not None:
+            continue
         n = n_logged[r]
         run = {name: col[:n, r] for name, col in cols.items()}
         n_iters = int(t_all[n - 1])      # every run ends at a log point
-        traces.append(StateTrace(
+        traces[r] = StateTrace(
             t=t_all[:n], **run,
             final=Iterate(h=run["h"][-1], x=run["x"][-1], t=n_iters),
-            s=inst.s, K=inst.K, N=inst.N, m=inst.m,
-            q=inst.truth.q.copy(), eta=settings.eta, n_iters=n_iters,
+            s=rows.s, K=rows.K, N=rows.N, m=rows.m,
+            q=q_rows[r].copy(), eta=settings.eta, n_iters=n_iters,
             converged=bool(converged[r]),
-            stop_reason="tol" if converged[r] else "max_iters"))
-    if sample_weights is None or np.ndim(sample_weights) == 1:
+            stop_reason="tol" if converged[r] else "max_iters")
+    if not batched:
         return traces[0]
-    return RunBatch(runs=traces, n_iters=sum(tr.n_iters for tr in traces),
-                    t=np.concatenate([tr.t for tr in traces]), s=inst.s)
+    done = [tr for tr in traces if tr is not None]
+    return RunBatch(runs=traces, errors=errors,
+                    n_iters=sum(tr.n_iters for tr in done),
+                    t=np.concatenate([tr.t for tr in done] or [np.zeros(0, int)]),
+                    s=rows.s)
 
 
 def wirtinger_hessian_x_block(z: Iterate, inst: ProblemInstance, i: int,
@@ -326,9 +388,10 @@ def gradient_inner(g: GradientBlocks, dh: np.ndarray, dx: np.ndarray) -> complex
     return complex(np.vdot(dh, g.h) + np.vdot(dx, g.x))
 
 
-def _forward(z: Iterate, inst: ProblemInstance):
+def _forward(z: Iterate, inst: Union[ProblemInstance, _Rows]):
     """Residual (..., m) and the factors b_j^H h_i, x_i^H a_ij (..., s, m) of
-    an iterate with optional leading run axes."""
+    an iterate with optional leading run axes, against one instance or the
+    per-run arrays of ``_Rows``."""
     if z.h.shape[-2:] != (inst.s, inst.K) or z.x.shape[-2:] != (inst.s, inst.N):
         raise DimensionMismatchError(
             f"iterate shapes {z.h.shape}/{z.x.shape} do not match instance dims")
@@ -338,7 +401,8 @@ def _forward(z: Iterate, inst: ProblemInstance):
     return r, bh, xa
 
 
-def _gradient_and_loss(z: Iterate, inst: ProblemInstance, w: Optional[np.ndarray]
+def _gradient_and_loss(z: Iterate, inst: Union[ProblemInstance, _Rows],
+                       w: Optional[np.ndarray]
                        ) -> Tuple[GradientBlocks, np.ndarray]:
     """Gradient blocks and the loss, per run for stacked iterates; ``w``
     broadcasts against the residual (..., m)."""
@@ -374,3 +438,36 @@ def _run_weights(w: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:
             f"sample weights shape {w.shape} is neither ({m},) nor (R, {m})")
     return w.reshape(-1, m)
 
+
+def _stack_instances(inst: Union[ProblemInstance, Sequence[ProblemInstance]]) -> _Rows:
+    """One instance, or several with the same dimensions and access rows,
+    as per-run arrays; one instance is shared, not copied."""
+    insts = [inst] if isinstance(inst, ProblemInstance) else list(inst)
+    if not insts:
+        raise DimensionMismatchError("no instance to run on")
+    first = insts[0]
+    dims = (first.s, first.K, first.N, first.m)
+    if any((o.s, o.K, o.N, o.m) != dims or not np.array_equal(o.b_rows, first.b_rows)
+           for o in insts[1:]):
+        raise DimensionMismatchError(
+            "stacked instances must share s, K, N, m and the access rows")
+
+    def stack(name: str) -> np.ndarray:
+        get = attrgetter(name)
+        return get(first)[None] if len(insts) == 1 else np.stack([get(o) for o in insts])
+
+    truth = GroundTruth(h=stack("truth.h"), x=stack("truth.x"), q=stack("truth.q"))
+    return _Rows(a=stack("a"), y=stack("y"), truth=truth, b_rows=first.b_rows,
+                 s=first.s, K=first.K, N=first.N, m=first.m)
+
+
+def _take(v: Optional[np.ndarray], keep: np.ndarray) -> Optional[np.ndarray]:
+    """Rows ``keep`` of per-run values; a single shared row stays as it is."""
+    return v if v is None or len(v) == 1 else v[keep]
+
+
+def _zero_block(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether the iterate (..., s, K/N) has a block of zero norm, the one
+    ``wf_step`` cannot scale by and ``align_pair`` cannot align."""
+    return ~((np.abs(h) ** 2).sum(axis=-1).all(axis=-1)
+             & (np.abs(x) ** 2).sum(axis=-1).all(axis=-1))

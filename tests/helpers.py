@@ -110,6 +110,17 @@ def grid_search_cost(h_a, x_a, h_b, x_b, n_total=1_000_000):
     return float(best)
 
 
+def perturb_alignment(omega, sigma_w, rng):
+    """omega plus circularly symmetric noise with E|noise|^2 = 1/sigma_w."""
+    if sigma_w <= 0.0:
+        raise bc.ParameterError("sigma_w must be > 0")
+    omega = np.asarray(omega, dtype=complex)
+    scale = np.sqrt(0.5 / sigma_w)
+    noise = rng.normal(0.0, scale, omega.shape) + 1j * rng.normal(0.0, scale, omega.shape)
+    out = omega + noise
+    return complex(out) if out.ndim == 0 else out
+
+
 def noise_sweep_rows_loop(trace, truth, sigma_w_grid, rng, trial):
     """Per-row noise sweep: one perturb_alignment draw and one recovered sum
     per (logged iteration, sigma_w), from the run's logged omega."""
@@ -118,7 +129,7 @@ def noise_sweep_rows_loop(trace, truth, sigma_w_grid, rng, trial):
     rows = []
     for ti, x in enumerate(trace.x):
         for sigma_w in sigma_w_grid:
-            w_hat = np.atleast_1d(bc.perturb_alignment(trace.omega[ti], sigma_w, rng))
+            w_hat = np.atleast_1d(perturb_alignment(trace.omega[ti], sigma_w, rng))
             err = np.linalg.norm(np.einsum("i,in->n", w_hat, x) - target) / denom
             rows.append([trial, int(trace.t[ti]), sigma_w, float(err)])
     return rows

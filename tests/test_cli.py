@@ -147,9 +147,10 @@ class TestRunExperiment:
         rows = _noise_sweep_rows(trace, inst.truth, grid, np.random.default_rng(8), 2)
         ref = noise_sweep_rows_loop(trace, inst.truth, grid,
                                     np.random.default_rng(8), 2)
-        assert [r[:3] for r in rows] == [r[:3] for r in ref]
-        np.testing.assert_allclose([r[3] for r in rows], [r[3] for r in ref],
-                                   rtol=1e-14, atol=0)
+        ref = np.asarray(ref)
+        assert rows.shape == ref.shape
+        np.testing.assert_array_equal(rows[:, :3], ref[:, :3])
+        np.testing.assert_allclose(rows[:, 3], ref[:, 3], rtol=1e-14, atol=0)
 
     def test_diagnostics_preset_emits_hypotheses(self, tmp_path):
         cfg = bc.parse_config(overrides=dict(
@@ -159,6 +160,114 @@ class TestRunExperiment:
         assert result["ok"]
         assert result["report"]["concentration"][0]["incoherence"] > 0
         assert os.path.exists(os.path.join(cfg.out, "hypotheses_0.csv"))
+
+
+_BLOCK_CASES = {
+    "noise-sweep": dict(preset="noise-sweep", max_iters=400),
+    "components": dict(preset="components", K=6, max_iters=400),        # s = 4
+    "fig1-convergence": dict(preset="fig1-convergence", K=4, m=120, max_iters=300),
+}
+_BLOCK_ARTIFACTS = ("trace.csv", "stages.json", "report.json", "noise_sweep.csv")
+
+
+def _artifact_bytes(out):
+    return {name: (out / name).read_bytes() for name in _BLOCK_ARTIFACTS
+            if (out / name).exists()}
+
+
+def _run_with_block_bytes(monkeypatch, out, block_bytes, **overrides):
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    cfg = bc.parse_config(overrides=dict(dict(seed=3, jobs=1, out=str(out)),
+                                         **overrides))
+    return bc.run_experiment(cfg)
+
+
+class TestTrialBlocks:
+    """Trials solved together in one lockstep call write the bytes of
+    trials solved one per call."""
+
+    @pytest.mark.parametrize("cadence", [1, 7])
+    @pytest.mark.parametrize("preset", sorted(_BLOCK_CASES))
+    def test_block_size_is_invisible(self, tmp_path, monkeypatch, preset, cadence):
+        case = dict(_BLOCK_CASES[preset], trials=3, cadence=cadence)
+        alone = _run_with_block_bytes(monkeypatch, tmp_path / "alone", 1, **case)
+        cfg = bc.parse_config(overrides=dict(case, out="unused"))
+        assert cli._trial_blocks(cfg, 1) == [(0, 1), (1, 1), (2, 1)]
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 1 << 40)
+        assert cli._trial_blocks(cfg, 1) == [(0, 3)]
+        together = _run_with_block_bytes(monkeypatch, tmp_path / "together",
+                                         1 << 40, **case)
+        assert together["ok"] and alone["ok"]
+        if preset != "fig1-convergence":       # the others stop on tol
+            assert all(t["converged"] for t in together["trials"])
+        want = _artifact_bytes(tmp_path / "alone")
+        assert len(want) == 3 + (preset == "noise-sweep")
+        assert _artifact_bytes(tmp_path / "together") == want
+
+    def test_block_layout(self):
+        def blocks(jobs, **overrides):
+            cfg = bc.parse_config(overrides=dict(overrides, out="unused"))
+            return cli._trial_blocks(cfg, jobs)
+
+        # 16 KB of design tensor per trial: one block, or one per worker.
+        assert blocks(1, preset="noise-sweep", trials=16) == [(0, 16)]
+        assert blocks(2, preset="noise-sweep", trials=16) == [(0, 8), (8, 8)]
+        assert blocks(4, preset="noise-sweep", trials=2) == [(0, 1), (1, 1)]
+        # 3.2 MB per fig1 trial, above the cap: each trial alone.
+        assert blocks(1, preset="fig1-convergence", trials=4) == \
+            [(0, 1), (1, 1), (2, 1), (3, 1)]
+        # 320 KB per components trial: at most three to a block.
+        assert blocks(1, preset="components", trials=7) == [(0, 3), (3, 2), (5, 2)]
+        # A diagnostics trial's run axis holds its auxiliary runs.
+        assert blocks(1, preset="diagnostics", trials=2) == [(0, 1), (1, 1)]
+
+    def test_diverging_trial_ends_only_itself(self, tmp_path, monkeypatch):
+        # Trial 1's measurements and design are scaled up, so it diverges at
+        # the preset step size; trials 0 and 2 share its block.
+        real = cli.make_instance
+
+        def make_instance(*args, seed, **kwargs):
+            inst = real(*args, seed=seed, **kwargs)
+            if seed.entropy[1] != 1:
+                return inst
+            return bc.ProblemInstance(s=inst.s, K=inst.K, N=inst.N, m=inst.m,
+                                      b_rows=inst.b_rows, a=inst.a * 30.0,
+                                      truth=inst.truth, y=inst.y * 30.0)
+
+        case = dict(preset="noise-sweep", trials=3, max_iters=400)
+        ref = _run_with_block_bytes(monkeypatch, tmp_path / "ref", 1 << 40, **case)
+        monkeypatch.setattr(cli, "make_instance", make_instance)
+        together = _run_with_block_bytes(monkeypatch, tmp_path / "together",
+                                         1 << 40, **case)
+        alone = _run_with_block_bytes(monkeypatch, tmp_path / "alone", 1, **case)
+        failed = together["trials"][1]
+        assert failed["diverged"] and failed["error_type"] == "DivergenceError"
+        assert failed == alone["trials"][1]
+        assert together["trials"][::2] == ref["trials"][::2]
+        assert _artifact_bytes(tmp_path / "together") == \
+            _artifact_bytes(tmp_path / "alone")
+        cols = bc.read_trace_csv(together["paths"]["trace"])
+        ref_cols = bc.read_trace_csv(ref["paths"]["trace"])
+        keep = ref_cols["trial"] != 1.0
+        for name in ("loss", "relative_error", "abs_alpha_x_0"):
+            np.testing.assert_array_equal(cols[name], ref_cols[name][keep])
+
+    def test_zero_block_trial_ends_only_itself(self, tmp_path, monkeypatch):
+        real = cli.random_init
+
+        def random_init(s, K, N, rng):
+            z0 = real(s, K, N, rng)
+            if rng.bit_generator.seed_seq.entropy[1] == 1:
+                z0.x[0] = 0.0
+            return z0
+
+        case = dict(preset="noise-sweep", trials=3, max_iters=400)
+        ref = _run_with_block_bytes(monkeypatch, tmp_path / "ref", 1 << 40, **case)
+        monkeypatch.setattr(cli, "random_init", random_init)
+        result = _run_with_block_bytes(monkeypatch, tmp_path / "z", 1 << 40, **case)
+        assert result["trials"][1]["error_type"] == "DegenerateAlignmentError"
+        assert not result["trials"][1]["diverged"]
+        assert result["trials"][::2] == ref["trials"][::2]
 
 
 def _fail_trial_1(monkeypatch):
@@ -182,7 +291,10 @@ class TestTrialFailure:
                                                       jobs):
         ref = bc.run_experiment(_tiny_cfg(tmp_path / "ok", trials=3))
         _fail_trial_1(monkeypatch)
-        result = bc.run_experiment(_tiny_cfg(tmp_path / "f", trials=3, jobs=jobs))
+        cfg = _tiny_cfg(tmp_path / "f", trials=3, jobs=jobs)
+        # trial 1 shares its block with trial 0 (and trial 2 at jobs=1)
+        assert cli._trial_blocks(cfg, jobs)[0] == (0, {1: 3, 2: 2}[jobs])
+        result = bc.run_experiment(cfg)
         assert not result["ok"]
         failed = result["trials"][1]
         assert failed["error_type"] == "DegenerateAlignmentError"
@@ -234,6 +346,9 @@ class TestMainEntry:
         (["--preset", "noise-sweep", "--sigma2-e", "-1"], None),
         (["--preset", "noise-sweep", "--q", "1.5"], None),
         (["--preset", "noise-sweep", "--eta", "nan"], None),
+        (["--preset", "noise-sweep", "--eta", "inf"], None),
+        (["--preset", "noise-sweep", "--sigma2-e", "inf"], None),
+        (["--preset", "noise-sweep", "--sigma-w-grid", "1,inf"], None),
         (["--preset", "noise-sweep", "--max-iters", "0"], None),
         (["--preset", "diagnostics", "--loo-samples", "-1"], None),
         (["--preset", "noise-sweep"], "two"),
@@ -243,8 +358,9 @@ class TestMainEntry:
         (["--preset", "noise-sweep"], "0"),
         (["--preset", "noise-sweep"], "-2"),
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
-            "max_iters", "loo_samples", "jobs_env", "seed", "jobs_negative",
-            "jobs_zero", "jobs_env_zero", "jobs_env_negative"])
+            "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "max_iters",
+            "loo_samples", "jobs_env", "seed", "jobs_negative", "jobs_zero",
+            "jobs_env_zero", "jobs_env_negative"])
     def test_bad_input_rejected_at_boundary(self, flags, env, tmp_path, capsys,
                                             monkeypatch):
         if env is not None:

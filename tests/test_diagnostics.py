@@ -133,6 +133,19 @@ class TestLeaveOneOut:
         assert np.array_equal(base.loss, trace.loss)
         assert np.array_equal(base.final.h, trace.final.h)
 
+    def test_suite_raises_the_base_run_failure(self):
+        # Every row diverges; the suite raises the base row's error, the one
+        # the base run alone raises.
+        inst = bc.canonicalize_instance(bc.make_instance(1, 4, 4, 40, seed=11))
+        z0 = bc.random_init(1, 4, 4, np.random.default_rng(12))
+        settings = bc.SolverSettings(eta=1e6, max_iters=10, tol=np.inf)
+        with pytest.raises(bc.DivergenceError) as alone:
+            bc.run_wf(inst, z0, settings)
+        with pytest.raises(bc.DivergenceError) as suite:
+            bc.run_diagnostics_suite(inst, z0, settings, [3, 7],
+                                     np.random.default_rng(0))
+        assert str(suite.value) == str(alone.value)
+
 
 @pytest.fixture(scope="module")
 def small_suite():

@@ -5,7 +5,7 @@ import blaircomp as bc
 from blaircomp.errors import (DegenerateAlignmentError, ParameterError,
                               UndefinedMetricError)
 
-from helpers import grid_search_cost
+from helpers import grid_search_cost, perturb_alignment
 
 
 @pytest.fixture
@@ -241,19 +241,19 @@ class TestIncoherence:
 
 class TestPerturbAlignment:
     def test_vanishing_noise_limit(self):
-        w = bc.perturb_alignment(1.0 + 1.0j, 1e12, np.random.default_rng(0))
+        w = perturb_alignment(1.0 + 1.0j, 1e12, np.random.default_rng(0))
         assert abs(w - (1.0 + 1.0j)) < 1e-5
 
     def test_noise_variance(self):
         omega = np.full(100_000, 1.0 + 0.5j)
-        w = bc.perturb_alignment(omega, 4.0, np.random.default_rng(1))
+        w = perturb_alignment(omega, 4.0, np.random.default_rng(1))
         assert abs(np.mean(np.abs(w - omega) ** 2) * 4.0 - 1.0) < 0.03
 
     def test_deterministic_with_seed(self):
-        w1 = bc.perturb_alignment(2.0 + 0j, 10.0, np.random.default_rng(5))
-        w2 = bc.perturb_alignment(2.0 + 0j, 10.0, np.random.default_rng(5))
+        w1 = perturb_alignment(2.0 + 0j, 10.0, np.random.default_rng(5))
+        w2 = perturb_alignment(2.0 + 0j, 10.0, np.random.default_rng(5))
         assert w1 == w2
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ParameterError):
-            bc.perturb_alignment(1.0 + 0j, 0.0, np.random.default_rng(0))
+            perturb_alignment(1.0 + 0j, 0.0, np.random.default_rng(0))

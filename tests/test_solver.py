@@ -330,7 +330,8 @@ class TestRunBatch:
 
     def test_first_diverging_row_is_reported(self):
         # Row 1 diverges at iteration 5 and row 2 already at iteration 1; the
-        # rows run one by one raise row 1's error, and so must the batch.
+        # rows run one by one raise row 1's error, and so does the batch's
+        # traces().  Each row records its own error, and row 0 runs on.
         inst = bc.make_instance(1, 4, 4, 80, seed=3)
         z0 = bc.random_init(1, 4, 4, np.random.default_rng(4))
         settings = bc.SolverSettings(eta=0.1, max_iters=60, tol=np.inf)
@@ -338,9 +339,18 @@ class TestRunBatch:
         with pytest.raises(DivergenceError) as sequential:
             _single_runs(inst, z0, settings, weights)
         assert "iteration 5:" in str(sequential.value)
+        batch = bc.run_wf(inst, z0, settings, sample_weights=weights)
         with pytest.raises(DivergenceError) as batched:
-            bc.run_wf(inst, z0, settings, sample_weights=weights)
+            batch.traces()
         assert str(batched.value) == str(sequential.value)
+        assert batch.runs[1:] == [None, None] and batch.errors[0] is None
+        for row, exc in zip(weights[1:], batch.errors[1:]):
+            with pytest.raises(DivergenceError) as alone:
+                bc.run_wf(inst, z0, settings, sample_weights=row)
+            assert type(exc) is DivergenceError and str(exc) == str(alone.value)
+        _assert_identical_traces(batch.runs[0], bc.run_wf(inst, z0, settings))
+        assert batch.n_iters == batch.runs[0].n_iters
+        assert np.array_equal(batch.t, batch.runs[0].t)
 
     def test_bad_input_rejected(self, small_instance, small_iterate):
         settings = bc.SolverSettings(eta=0.05, max_iters=3, tol=np.inf)
@@ -351,8 +361,16 @@ class TestRunBatch:
                           sample_weights=np.ones(shape))
         stacked = bc.Iterate(h=np.stack([small_iterate.h] * 2),
                              x=np.stack([small_iterate.x] * 2))
+        with pytest.raises(DimensionMismatchError):      # 2 runs against 3
+            bc.run_wf(small_instance, stacked, settings,
+                      sample_weights=np.ones((3, small_instance.m)))
         with pytest.raises(DimensionMismatchError):
-            bc.run_wf(small_instance, stacked, settings)
+            bc.run_wf([small_instance] * 3, stacked, settings)
+        with pytest.raises(DimensionMismatchError):
+            bc.run_wf([small_instance, bc.make_instance(2, 3, 3, 12, seed=1)],
+                      small_iterate, settings)
+        with pytest.raises(DimensionMismatchError):
+            bc.run_wf([], small_iterate, settings)
         with pytest.raises(DimensionMismatchError):
             bc.loss(stacked, small_instance)
 
@@ -363,11 +381,114 @@ class TestRunBatch:
         g = bc.GradientBlocks(h=np.ones_like(z.h), x=np.ones_like(z.x))
         with pytest.raises(DegenerateIterateError):
             bc.wf_step(z, g, 0.1)
-        # A zero start block fails the truth alignment of the first log point.
+        # A zero start block fails the truth alignment of the first log
+        # point, in every run that starts there.
         z0 = bc.Iterate(h=h[2], x=small_iterate.x)
-        with pytest.raises(DegenerateAlignmentError):
-            bc.run_wf(small_instance, z0, bc.SolverSettings(max_iters=3),
-                      sample_weights=np.ones((3, small_instance.m)))
+        settings = bc.SolverSettings(max_iters=3)
+        with pytest.raises(DegenerateAlignmentError, match="zero block"):
+            bc.run_wf(small_instance, z0, settings)
+        batch = bc.run_wf(small_instance, z0, settings,
+                          sample_weights=np.ones((3, small_instance.m)))
+        assert batch.runs == [None] * 3 and batch.n_iters == 0
+        assert all(isinstance(e, DegenerateAlignmentError) for e in batch.errors)
+        with pytest.raises(DegenerateAlignmentError, match="zero block"):
+            batch.traces()
+
+    def test_zero_block_row_retires_alone(self, small_instance, small_iterate):
+        # Per-row starts: row 1 has a zero block, rows 0 and 2 run as alone.
+        z_bad = bc.Iterate(h=small_iterate.h.copy(), x=small_iterate.x.copy())
+        z_bad.h[1] = 0.0
+        z_other = bc.random_init(2, 3, 3, np.random.default_rng(9))
+        z0s = [small_iterate, z_bad, z_other]
+        z0 = bc.Iterate(h=np.stack([z.h for z in z0s]),
+                        x=np.stack([z.x for z in z0s]))
+        settings = bc.SolverSettings(eta=0.05, max_iters=40, cadence=3)
+        batch = bc.run_wf(small_instance, z0, settings)
+        assert batch.runs[1] is None
+        assert isinstance(batch.errors[1], DegenerateAlignmentError)
+        for k in (0, 2):
+            assert batch.errors[k] is None
+            _assert_identical_traces(batch.runs[k],
+                                     bc.run_wf(small_instance, z0s[k], settings))
+
+    def test_zero_block_in_the_step_retires_alone(self, monkeypatch, small_instance,
+                                                  small_iterate):
+        # Logging every 5th iteration, row 1 reaches a zero x block at
+        # iteration 2, off the log points: only the step can see it.
+        real = solver._gradient_and_loss
+
+        def zero_row_1(z, inst, w):
+            if len(z.h) == 3 and z.t == 2:
+                z.x[1, 0] = 0.0
+            return real(z, inst, w)
+
+        monkeypatch.setattr(solver, "_gradient_and_loss", zero_row_1)
+        settings = bc.SolverSettings(eta=0.05, max_iters=20, cadence=5)
+        batch = bc.run_wf(small_instance, small_iterate, settings,
+                          sample_weights=np.ones((3, small_instance.m)))
+        assert batch.runs[1] is None
+        assert isinstance(batch.errors[1], DegenerateIterateError)
+        monkeypatch.setattr(solver, "_gradient_and_loss", real)
+        want = bc.run_wf(small_instance, small_iterate, settings)
+        for k in (0, 2):
+            _assert_identical_traces(batch.runs[k], want)
+
+
+class TestStackedInstances:
+    """Runs on per-row instances and starts give the traces of one call per
+    row, bit for bit; a row's failure ends only that row."""
+
+    def test_rows_match_separate_calls(self):
+        insts = [bc.make_instance(3, 4, 4, 300, seed=k) for k in range(4)]
+        z0s = [bc.random_init(3, 4, 4, np.random.default_rng(10 + k))
+               for k in range(4)]
+        z0 = bc.Iterate(h=np.stack([z.h for z in z0s]),
+                        x=np.stack([z.x for z in z0s]))
+        settings = bc.SolverSettings(eta=0.1, max_iters=400, tol=1e-6, cadence=1)
+        batch = bc.run_wf(insts, z0, settings)
+        singles = [bc.run_wf(i, z, settings) for i, z in zip(insts, z0s)]
+        assert {tr.stop_reason for tr in singles} == {"tol"}
+        assert len({tr.n_iters for tr in singles}) > 1
+        for run, single in zip(batch.runs, singles):
+            _assert_identical_traces(run, single)
+            assert np.array_equal(run.q, single.q)
+        assert batch.n_iters == sum(tr.n_iters for tr in singles)
+
+    def test_relative_error_divides_by_the_1d_target_norm(self):
+        # The noise-sweep shape, where norm(axis=-1) of the target differs
+        # from its 1-D norm in the last bit; trace.csv prints 17 digits.
+        insts = [bc.make_instance(1, 10, 10, 100, seed=k) for k in range(6)]
+        z0 = bc.random_init(1, 10, 10, np.random.default_rng(3))
+        batch = bc.run_wf(insts, z0, bc.SolverSettings(max_iters=40))
+        for inst, run in zip(insts, batch.runs):
+            target = inst.truth.x.sum(axis=0)
+            recovered = (run.omega[:, None, :] @ run.x)[:, 0]
+            want = np.linalg.norm(recovered - target, axis=-1) / np.linalg.norm(target)
+            assert run.relative_error.tobytes() == want.tobytes()
+
+    def test_one_instance_in_a_list_is_a_batch_of_one(self, small_instance,
+                                                      small_iterate):
+        settings = bc.SolverSettings(eta=0.05, max_iters=30, cadence=4)
+        batch = bc.run_wf([small_instance], small_iterate, settings)
+        assert isinstance(batch, bc.RunBatch) and len(batch.runs) == 1
+        _assert_identical_traces(batch.runs[0],
+                                 bc.run_wf(small_instance, small_iterate, settings))
+
+    def test_diverging_instance_ends_only_its_row(self):
+        # Row 1's measurements are scaled up, so at this step size it
+        # diverges; rows 0 and 2 match their separate calls.
+        insts = [bc.make_instance(1, 4, 4, 80, seed=k) for k in range(3)]
+        big = insts[1]
+        insts[1] = bc.ProblemInstance(s=1, K=4, N=4, m=80, b_rows=big.b_rows,
+                                      a=big.a * 30.0, truth=big.truth, y=big.y * 30.0)
+        z0 = bc.random_init(1, 4, 4, np.random.default_rng(4))
+        settings = bc.SolverSettings(eta=0.1, max_iters=300, tol=1e-6)
+        batch = bc.run_wf(insts, z0, settings)
+        with pytest.raises(DivergenceError) as alone:
+            bc.run_wf(insts[1], z0, settings)
+        assert batch.runs[1] is None and str(batch.errors[1]) == str(alone.value)
+        for k in (0, 2):
+            _assert_identical_traces(batch.runs[k], bc.run_wf(insts[k], z0, settings))
 
 
 _TRACE_COLUMNS = ("t", "loss", "relative_error", "dist", "alpha_h", "beta_h",
@@ -440,9 +561,9 @@ class TestMetricBlocks:
         weights = np.array([1.0, 3.0])[:, None] * np.ones(inst.m)
         with pytest.raises(DivergenceError) as sequential:
             _single_runs(inst, z0, settings, weights)
-        with pytest.raises(DivergenceError) as batched:
-            bc.run_wf(inst, z0, settings, sample_weights=weights)
-        assert str(batched.value) == str(sequential.value)
+        batch = bc.run_wf(inst, z0, settings, sample_weights=weights)
+        assert batch.runs[0].stop_reason == "tol" and batch.runs[1] is None
+        assert str(batch.errors[1]) == str(sequential.value)
 
 
 class TestHessianXBlock:
