@@ -16,11 +16,11 @@ from .solver import (GradientBlocks, Iterate, RunBatch, SolverSettings, StateTra
 from .state_evolution import (PerturbationSeries, SEState, StageReport,
                               detect_stages, extract_perturbations,
                               population_se_step, run_population_se)
-from .diagnostics import (AuxiliaryRun, ConcentrationReport, HypothesisReport,
-                          apply_sign_flips, canonicalize_instance,
-                          concentration_report, measure_hypotheses,
-                          run_diagnostics_suite, sample_sign_flips,
-                          select_loo_indices, sign_flip_ensemble)
+from .diagnostics import (ConcentrationReport, HypothesisReport, apply_sign_flips,
+                          canonicalize_instance, concentration_report,
+                          measure_hypotheses, run_diagnostics_suite,
+                          sample_sign_flips, select_loo_indices,
+                          sign_flip_ensemble)
 from .cli import ExperimentConfig, parse_config, read_trace_csv, run_experiment
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ from .ensemble import make_instance
 from .errors import BlaircompError, ConfigError, DivergenceError
 from .solver import Iterate, SolverSettings, random_init, run_wf
 
-PRESET_NAMES = ("fig1-convergence", "components", "ratio-growth",
-                "noise-sweep", "diagnostics", "custom")
+PRESET_NAMES = ("fig1-convergence", "components", "noise-sweep", "diagnostics",
+                "custom")
 
 _INT_KEYS = {"s", "K", "N", "m", "m_factor", "max_iters", "trials", "seed",
              "cadence", "loo_samples", "jobs"}
@@ -41,8 +41,6 @@ _PRESETS: Dict[str, Dict] = {
                          "max_iters": 500, "tol": 1e-6},
     "components": {"s": 4, "K": 10, "N": "K", "m_factor": 50, "eta": 0.1,
                    "max_iters": 500, "tol": 1e-6},
-    "ratio-growth": {"s": 4, "K": 10, "N": "K", "m_factor": 50, "eta": 0.1,
-                     "max_iters": 500, "tol": 1e-6},
     "noise-sweep": {"s": 1, "K": 10, "N": "K", "m": 100, "eta": 0.1,
                     "max_iters": 500, "tol": 1e-6,
                     "sigma_w_grid": [1.0, 1e1, 1e2, 1e3, 1e4, 1e5]},
@@ -201,7 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
     t_start = time.perf_counter()
 
     jobs = cfg.resolved_jobs()
-    blocks = _trial_blocks(cfg, jobs)
+    blocks = _trial_blocks(cfg)
     if jobs > 1 and len(blocks) > 1:
         # Imported here, so that importing the package does not load it.
         from concurrent.futures import ProcessPoolExecutor
@@ -257,18 +255,17 @@ def read_trace_csv(path: str) -> Dict[str, np.ndarray]:
     return {name: data[:, idx] for idx, name in enumerate(header)}
 
 
-def _trial_blocks(cfg: ExperimentConfig, jobs: int) -> List[Tuple[int, int]]:
+def _trial_blocks(cfg: ExperimentConfig) -> List[Tuple[int, int]]:
     """(first trial, trial count) of each contiguous block of trials that
     shares one lockstep solve.
 
-    There are at least as many blocks as workers, and a block's stacked
-    design tensors take at most ``_BLOCK_BYTES`` unless one trial's alone is
-    larger.  A diagnostics trial, whose run axis holds its auxiliary runs,
-    is a block of its own.
+    A block's stacked design tensors take at most ``_BLOCK_BYTES`` unless one
+    trial's alone is larger; the pool size plays no part.  A diagnostics
+    trial, whose run axis holds its auxiliary runs, is a block of its own.
     """
     trial_bytes = 16 * cfg.s * cfg.resolved_m() * cfg.N     # complex128 design
     per_block = 1 if cfg.preset == "diagnostics" else max(1, _BLOCK_BYTES // trial_bytes)
-    n_blocks = max(min(jobs, cfg.trials), -(-cfg.trials // per_block))
+    n_blocks = -(-cfg.trials // per_block)
     return [(int(b[0]), len(b))
             for b in np.array_split(np.arange(cfg.trials), n_blocks)]
 
@@ -319,12 +316,10 @@ def _solve_block(cfg: ExperimentConfig, built: List[tuple]) -> Dict[int, object]
     if cfg.preset == "diagnostics":
         (trial, inst, z0, aux_rng), = built
         loo = diag.select_loo_indices(inst.m, cfg.loo_samples, aux_rng)
-        trace, aux_runs, _ = diag.run_diagnostics_suite(inst, z0, settings,
-                                                        loo, aux_rng)
-        result = {"hypotheses": diag.measure_hypotheses(trace, aux_runs,
-                                                        inst.truth, inst),
+        plain, flipped = diag.run_diagnostics_suite(inst, z0, settings, loo, aux_rng)
+        result = {"hypotheses": diag.measure_hypotheses(plain, flipped, inst),
                   "concentration": diag.concentration_report(inst).to_json_dict()}
-        return {trial: (trace, inst, aux_rng, result)}
+        return {trial: (plain[0], inst, aux_rng, result)}
     trials, insts, z0s, aux_rngs = zip(*built)
     batch = run_wf(insts, Iterate(h=np.stack([z.h for z in z0s]),
                                   x=np.stack([z.x for z in z0s])), settings)
@@ -411,8 +406,6 @@ def _build_report(cfg: ExperimentConfig, results: List[Dict]) -> Dict:
         "n_converged": sum(bool(s.get("converged")) for s in ok),
         "final_relative_errors": [s.get("final_relative_error") for s in ok],
     }
-    if cfg.preset == "ratio-growth":
-        report["growth_rates"] = [s["stages"] for s in ok]
     if cfg.preset == "noise-sweep":
         tables = [r["noise_rows"] for r in results if "noise_rows" in r]
         if tables:
@@ -454,7 +447,7 @@ def _write_noise_csv(path: str, results: List[Dict]) -> None:
 
 def _write_csv(path: str, header: List[str], tables) -> None:
     """The header, then every row of ``tables`` at 17 significant digits,
-    laid out as ``csv.writer`` lays out numbers."""
+    comma separated with CRLF line ends."""
     line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

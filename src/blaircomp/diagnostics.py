@@ -9,23 +9,15 @@ signals are rotated onto the first basis vector.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import metrics
 from .ensemble import GroundTruth, ProblemInstance
-from .errors import ParameterError
+from .errors import DimensionMismatchError, ParameterError
 from .solver import Iterate, SolverSettings, StateTrace, run_wf
-
-
-@dataclass(frozen=True)
-class AuxiliaryRun:
-    kind: str                 # "loo" | "sign" | "sign_loo"
-    index: Optional[int]      # dropped sample for loo kinds, else None
-    trace: StateTrace
 
 
 @dataclass(frozen=True)
@@ -67,24 +59,23 @@ class HypothesisReport:
     incoh_h_scale: float           # (mu/sqrt(m)) log^2 m
 
     def write_csv(self, path: str) -> None:
-        """Long format: one row per iteration per quantity (node -1 = scalar)."""
+        """Long format: one row per iteration per quantity (node -1 = scalar),
+        numbers at 17 significant digits."""
         per_node = ["loo_dist", "loo_signal_h", "loo_signal_x", "sign_dist_h",
                     "sign_dist_x", "double_diff_h", "double_diff_x",
                     "norm_ratio_h", "norm_ratio_x"]
-        scalars = [("norm_min", None), ("norm_max", None),
-                   ("incoh_x", self.incoh_x_scale), ("incoh_h", self.incoh_h_scale)]
+        scalars = [("norm_min", ""), ("norm_max", ""),
+                   ("incoh_x", "%.17g" % self.incoh_x_scale),
+                   ("incoh_h", "%.17g" % self.incoh_h_scale)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "quantity", "node", "value", "scale"])
-            for ti, t in enumerate(self.t):
+            fh.write("t,quantity,node,value,scale\r\n")
+            for ti, t in enumerate(self.t.tolist()):
                 for name in per_node:
-                    arr = getattr(self, name)
-                    for i in range(arr.shape[1]):
-                        writer.writerow([int(t), name, i, _fmt(arr[ti, i]), ""])
+                    fh.writelines("%d,%s,%d,%.17g,\r\n" % (t, name, i, v) for i, v
+                                  in enumerate(getattr(self, name)[ti].tolist()))
                 for name, scale in scalars:
-                    writer.writerow([int(t), name, -1,
-                                     _fmt(getattr(self, name)[ti]),
-                                     "" if scale is None else _fmt(scale)])
+                    fh.write("%d,%s,-1,%.17g,%s\r\n"
+                             % (t, name, getattr(self, name)[ti], scale))
 
 
 def canonicalize_instance(inst: ProblemInstance) -> ProblemInstance:
@@ -145,24 +136,20 @@ def sign_flip_ensemble(inst: ProblemInstance, rng: np.random.Generator
 def run_diagnostics_suite(inst: ProblemInstance, z0: Iterate,
                           settings: SolverSettings, loo_indices: Sequence[int],
                           rng: np.random.Generator
-                          ) -> Tuple[StateTrace, List[AuxiliaryRun], np.ndarray]:
+                          ) -> Tuple[List[StateTrace], List[StateTrace]]:
     """Base run plus the three auxiliary families, all from the same z0.
 
     Two lockstep ``run_wf`` calls, on ``inst`` and on its sign-flipped
     ensemble, each with 1+L weight rows: all ones, then one row per dropped
-    sample of ``loo_indices``.  The first failed row, in row order, raises
-    its error.
+    sample of ``loo_indices``.  Returns both calls' traces in row order,
+    (base, loo_1..L) and (sign, sign_loo_1..L); row k of both dropped the
+    same sample.  The first failed row, in row order, raises its error.
     """
     weights = _loo_weights(inst.m, loo_indices)
     plain = run_wf(inst, z0, settings, sample_weights=weights).traces()
-    inst_sgn, xi = sign_flip_ensemble(inst, rng)
+    inst_sgn, _ = sign_flip_ensemble(inst, rng)
     flipped = run_wf(inst_sgn, z0, settings, sample_weights=weights).traces()
-    aux = [AuxiliaryRun(kind="loo", index=l, trace=tr)
-           for l, tr in zip(loo_indices, plain[1:])]
-    aux.append(AuxiliaryRun(kind="sign", index=None, trace=flipped[0]))
-    aux += [AuxiliaryRun(kind="sign_loo", index=l, trace=tr)
-            for l, tr in zip(loo_indices, flipped[1:])]
-    return plain[0], aux, xi
+    return plain, flipped
 
 
 def select_loo_indices(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,21 +159,24 @@ def select_loo_indices(m: int, count: int, rng: np.random.Generator) -> np.ndarr
     return np.sort(rng.choice(m, size=count, replace=False))
 
 
-def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
-                       truth: GroundTruth, inst: ProblemInstance) -> HypothesisReport:
+def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace],
+                       inst: ProblemInstance) -> HypothesisReport:
     """Evaluate the distance/norm/incoherence quantities the induction
     hypotheses bound, for every iteration logged in all runs.
 
-    Base iterates are aligned to ``truth`` with the omega the base run logged,
-    so ``truth`` must be the ground truth of the base run.  Each auxiliary
+    ``plain`` and ``flipped`` are the two trace lists of
+    ``run_diagnostics_suite``, paired by position.  Base iterates are aligned
+    to ``inst.truth`` with the omega the base run logged.  Each auxiliary
     family is aligned to the aligned base iterates in one batched call over
     its runs and iterations, and per-run quantities take the max over the
-    family's runs.  An entry is NaN only when there are no runs of its kind.
+    family's runs.  With no dropped samples the leave-one-out entries are NaN.
     """
-    loo = [r for r in aux if r.kind == "loo"]
-    sign = [r for r in aux if r.kind == "sign"]
-    sign_loo = {r.index: r for r in aux if r.kind == "sign_loo"}
-    n_t = min([len(base.t)] + [len(r.trace.t) for r in aux])
+    if not plain or len(plain) != len(flipped):
+        raise DimensionMismatchError(
+            f"need two equal, non-empty trace lists, got {len(plain)} and {len(flipped)}")
+    base, sign = plain[0], flipped[0]
+    truth = inst.truth
+    n_t = min(len(tr.t) for tr in (*plain, *flipped))
     q = truth.q
     mu = metrics.incoherence(truth, inst.b_rows)
     m = inst.m
@@ -194,8 +184,7 @@ def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
     log5m_sqrt = np.sqrt(log_m ** 5)
 
     out = {name: np.full((n_t, truth.s), np.nan) for name in
-           ("loo_dist", "loo_signal_h", "loo_signal_x", "sign_dist_h",
-            "sign_dist_x", "double_diff_h", "double_diff_x")}
+           ("loo_dist", "loo_signal_h", "loo_signal_x", "double_diff_h", "double_diff_x")}
     h, x = base.h[:n_t], base.x[:n_t]            # (T, s, K), (T, s, N)
     omega = base.omega[:n_t, :, None]
     h_t, x_t = h / np.conj(omega), omega * x     # truth-aligned
@@ -209,30 +198,25 @@ def measure_hypotheses(base: StateTrace, aux: Sequence[AuxiliaryRun],
     incoh_h = np.abs(h_t @ inst.b_rows.T
                      / np.linalg.norm(h_t, axis=2)[..., None]).max(axis=(1, 2))
 
-    if loo:
-        h_hat, x_hat, cost = _mutual_align(np.stack([r.trace.h[:n_t] for r in loo]),
-                                           np.stack([r.trace.x[:n_t] for r in loo]),
+    h_chk, x_chk, _ = _mutual_align(sign.h[:n_t], sign.x[:n_t], h_t, x_t)
+    out["sign_dist_h"] = np.linalg.norm(h_chk - h_t, axis=-1)
+    out["sign_dist_x"] = np.linalg.norm(x_chk - x_t, axis=-1)
+    if len(plain) > 1:
+        h_hat, x_hat, cost = _mutual_align(np.stack([tr.h[:n_t] for tr in plain[1:]]),
+                                           np.stack([tr.x[:n_t] for tr in plain[1:]]),
                                            h_t, x_t)
         out["loo_dist"] = np.sqrt(cost / (2.0 * q ** 2)).max(axis=0)
         out["loo_signal_h"] = np.abs(np.sum(truth.h.conj() * (h_hat - h_t), axis=-1)
                                      ).max(axis=0) / q
         out["loo_signal_x"] = np.abs(np.sum(truth.x.conj() * (x_hat - x_t), axis=-1)
                                      ).max(axis=0) / q
-    if sign:
-        h_chk, x_chk, _ = _mutual_align(sign[0].trace.h[:n_t],
-                                        sign[0].trace.x[:n_t], h_t, x_t)
-        out["sign_dist_h"] = np.linalg.norm(h_chk - h_t, axis=-1)
-        out["sign_dist_x"] = np.linalg.norm(x_chk - x_t, axis=-1)
-        paired = [k for k, run in enumerate(loo) if run.index in sign_loo]
-        if paired:
-            runs = [sign_loo[loo[k].index].trace for k in paired]
-            h_sl, x_sl, _ = _mutual_align(np.stack([tr.h[:n_t] for tr in runs]),
-                                          np.stack([tr.x[:n_t] for tr in runs]),
-                                          h_chk, x_chk)
-            out["double_diff_h"] = np.linalg.norm(
-                h_t - h_hat[paired] - h_chk + h_sl, axis=-1).max(axis=0)
-            out["double_diff_x"] = np.linalg.norm(
-                x_t - x_hat[paired] - x_chk + x_sl, axis=-1).max(axis=0)
+        h_sl, x_sl, _ = _mutual_align(np.stack([tr.h[:n_t] for tr in flipped[1:]]),
+                                      np.stack([tr.x[:n_t] for tr in flipped[1:]]),
+                                      h_chk, x_chk)
+        out["double_diff_h"] = np.linalg.norm(h_t - h_hat - h_chk + h_sl,
+                                              axis=-1).max(axis=0)
+        out["double_diff_x"] = np.linalg.norm(x_t - x_hat - x_chk + x_sl,
+                                              axis=-1).max(axis=0)
 
     return HypothesisReport(
         t=np.asarray(base.t[:n_t]),
@@ -259,12 +243,10 @@ def concentration_report(inst: ProblemInstance) -> ConcentrationReport:
         design_norm_ok=bool(max_norm <= bound_norm))
 
 
-def _loo_weights(m: int, indices: Sequence[int],
-                 base_weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """(1+L, m) sample weights: row 0 is ``base_weights`` (all ones if None),
-    row k+1 also drops sample ``indices[k]``."""
-    base = np.ones(m) if base_weights is None else np.asarray(base_weights, float)
-    rows = np.tile(base, (1 + len(indices), 1))
+def _loo_weights(m: int, indices: Sequence[int]) -> np.ndarray:
+    """(1+L, m) sample weights: row 0 all ones, row k+1 drops sample
+    ``indices[k]``."""
+    rows = np.ones((1 + len(indices), m))
     for k, l in enumerate(indices):
         if not 0 <= l < m:
             raise IndexError(f"sample index {l} outside [0, {m})")
@@ -305,6 +287,3 @@ def _require_canonical(truth: GroundTruth, tol: float = 1e-9) -> None:
         raise ParameterError(
             "sign flips need ground-truth signals along e_1; canonicalize_instance first")
 
-
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"

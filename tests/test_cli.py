@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -110,8 +111,14 @@ class TestRunExperiment:
                 assert f1.read() == f2.read(), name
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        serial = bc.run_experiment(_tiny_cfg(tmp_path / "s", jobs=1))
-        pooled = bc.run_experiment(_tiny_cfg(tmp_path / "p", jobs=2))
+        # 614 KB of design tensor per trial: one block each, so jobs=2
+        # starts a pool.
+        case = dict(s=2, N=16, m=1200, max_iters=30, trials=3)
+        pooled_cfg = _tiny_cfg(tmp_path / "p", jobs=2, **case)
+        assert cli._trial_blocks(pooled_cfg) == [(0, 1), (1, 1), (2, 1)]
+        serial = bc.run_experiment(_tiny_cfg(tmp_path / "s", jobs=1, **case))
+        pooled = bc.run_experiment(pooled_cfg)
+        assert serial["ok"] and pooled["ok"]
         for name in ("trace", "stages", "report"):
             with open(serial["paths"][name], "rb") as f1, \
                     open(pooled["paths"][name], "rb") as f2:
@@ -192,9 +199,9 @@ class TestTrialBlocks:
         case = dict(_BLOCK_CASES[preset], trials=3, cadence=cadence)
         alone = _run_with_block_bytes(monkeypatch, tmp_path / "alone", 1, **case)
         cfg = bc.parse_config(overrides=dict(case, out="unused"))
-        assert cli._trial_blocks(cfg, 1) == [(0, 1), (1, 1), (2, 1)]
+        assert cli._trial_blocks(cfg) == [(0, 1), (1, 1), (2, 1)]
         monkeypatch.setattr(cli, "_BLOCK_BYTES", 1 << 40)
-        assert cli._trial_blocks(cfg, 1) == [(0, 3)]
+        assert cli._trial_blocks(cfg) == [(0, 3)]
         together = _run_with_block_bytes(monkeypatch, tmp_path / "together",
                                          1 << 40, **case)
         assert together["ok"] and alone["ok"]
@@ -205,21 +212,21 @@ class TestTrialBlocks:
         assert _artifact_bytes(tmp_path / "together") == want
 
     def test_block_layout(self):
-        def blocks(jobs, **overrides):
+        def blocks(**overrides):
             cfg = bc.parse_config(overrides=dict(overrides, out="unused"))
-            return cli._trial_blocks(cfg, jobs)
+            return cli._trial_blocks(cfg)
 
-        # 16 KB of design tensor per trial: one block, or one per worker.
-        assert blocks(1, preset="noise-sweep", trials=16) == [(0, 16)]
-        assert blocks(2, preset="noise-sweep", trials=16) == [(0, 8), (8, 8)]
-        assert blocks(4, preset="noise-sweep", trials=2) == [(0, 1), (1, 1)]
+        # 16 KB of design tensor per trial: one block, whatever the pool size.
+        assert blocks(preset="noise-sweep", trials=16, jobs=1) == [(0, 16)]
+        assert blocks(preset="noise-sweep", trials=16, jobs=2) == [(0, 16)]
+        assert blocks(preset="noise-sweep", trials=2, jobs=4) == [(0, 2)]
         # 3.2 MB per fig1 trial, above the cap: each trial alone.
-        assert blocks(1, preset="fig1-convergence", trials=4) == \
+        assert blocks(preset="fig1-convergence", trials=4) == \
             [(0, 1), (1, 1), (2, 1), (3, 1)]
         # 320 KB per components trial: at most three to a block.
-        assert blocks(1, preset="components", trials=7) == [(0, 3), (3, 2), (5, 2)]
+        assert blocks(preset="components", trials=7) == [(0, 3), (3, 2), (5, 2)]
         # A diagnostics trial's run axis holds its auxiliary runs.
-        assert blocks(1, preset="diagnostics", trials=2) == [(0, 1), (1, 1)]
+        assert blocks(preset="diagnostics", trials=2) == [(0, 1), (1, 1)]
 
     def test_diverging_trial_ends_only_itself(self, tmp_path, monkeypatch):
         # Trial 1's measurements and design are scaled up, so it diverges at
@@ -292,8 +299,11 @@ class TestTrialFailure:
         ref = bc.run_experiment(_tiny_cfg(tmp_path / "ok", trials=3))
         _fail_trial_1(monkeypatch)
         cfg = _tiny_cfg(tmp_path / "f", trials=3, jobs=jobs)
-        # trial 1 shares its block with trial 0 (and trial 2 at jobs=1)
-        assert cli._trial_blocks(cfg, jobs)[0] == (0, {1: 3, 2: 2}[jobs])
+        # trial 1 shares its block with trial 0 and trial 2; at jobs=2 a cap
+        # of two trials per block makes two blocks, so a pool starts
+        if jobs == 2:
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", 2 * 16 * 80 * 4)
+        assert cli._trial_blocks(cfg)[0] == (0, {1: 3, 2: 2}[jobs])
         result = bc.run_experiment(cfg)
         assert not result["ok"]
         failed = result["trials"][1]
@@ -385,6 +395,23 @@ class TestMainEntry:
                      "--out", str(tmp_path / "d")])
         assert code == 0
         assert os.path.exists(tmp_path / "d" / "hypotheses_0.csv")
+
+    def test_diagnostics_without_dropped_samples(self, tmp_path):
+        code = main(["diagnostics", "--K", "4", "--m", "40", "--max-iters", "8",
+                     "--loo-samples", "0", "--seed", "1", "--jobs", "1",
+                     "--out", str(tmp_path / "d")])
+        assert code == 0
+        with open(tmp_path / "d" / "hypotheses_0.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            loo = row["quantity"].startswith(("loo_", "double_diff_"))
+            assert (row["value"] == "nan") == loo, row
+
+    def test_removed_preset_name_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "ratio-growth", "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         code = main(["run", "--preset", "custom", "--s", "1", "--K", "4",

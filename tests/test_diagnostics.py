@@ -122,16 +122,34 @@ class TestLeaveOneOut:
         assert np.array_equal(trace.x[0], z0.x)
 
     def test_vacuous_drop_reproduces_base(self):
+        # Row 1 drops sample 7 from a base row that already gives it weight 0.
         inst = bc.make_instance(1, 4, 4, 20, seed=11)
         z0 = bc.random_init(1, 4, 4, np.random.default_rng(12))
         settings = bc.SolverSettings(max_iters=10, tol=np.inf)
         w0 = np.ones(20)
         w0[7] = 0.0
         base = bc.run_wf(inst, z0, settings, sample_weights=w0)
-        trace = bc.run_wf(inst, z0, settings,
-                          sample_weights=_loo_weights(inst.m, [7], base_weights=w0)[1])
-        assert np.array_equal(base.loss, trace.loss)
-        assert np.array_equal(base.final.h, trace.final.h)
+        rows = np.stack([w0, w0 * _loo_weights(inst.m, [7])[1]])
+        for trace in bc.run_wf(inst, z0, settings, sample_weights=rows).traces():
+            assert np.array_equal(base.loss, trace.loss)
+            assert np.array_equal(base.final.h, trace.final.h)
+
+    def test_dropped_sample_data_is_ignored(self):
+        # The leave-one-out run never reads the dropped sample's design
+        # vectors or measurement.
+        inst = bc.make_instance(2, 4, 4, 30, seed=13)
+        a, y = inst.a.copy(), inst.y.copy()
+        a[:, 5] *= 7.0
+        y[5] += 3.0 - 2.0j
+        changed = bc.ProblemInstance(s=2, K=4, N=4, m=30, b_rows=inst.b_rows,
+                                     a=a, truth=inst.truth, y=y)
+        z0 = bc.random_init(2, 4, 4, np.random.default_rng(14))
+        settings = bc.SolverSettings(max_iters=20, tol=np.inf)
+        w = _loo_weights(inst.m, [5])[1]
+        ref = bc.run_wf(inst, z0, settings, sample_weights=w)
+        trace = bc.run_wf(changed, z0, settings, sample_weights=w)
+        assert np.array_equal(ref.loss, trace.loss)
+        assert np.array_equal(ref.h, trace.h) and np.array_equal(ref.x, trace.x)
 
     def test_suite_raises_the_base_run_failure(self):
         # Every row diverges; the suite raises the base row's error, the one
@@ -154,9 +172,9 @@ def small_suite():
     settings = bc.SolverSettings(eta=0.1, max_iters=25, tol=np.inf)
     rng = np.random.default_rng(702)
     loo = bc.select_loo_indices(inst.m, 3, rng)
-    base, aux, xi = bc.run_diagnostics_suite(inst, z0, settings, loo, rng)
-    report = bc.measure_hypotheses(base, aux, inst.truth, inst)
-    return inst, base, aux, report
+    plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, loo, rng)
+    report = bc.measure_hypotheses(plain, flipped, inst)
+    return inst, plain, flipped, report
 
 
 class TestMeasureHypotheses:
@@ -192,8 +210,9 @@ class TestMeasureHypotheses:
             settings = bc.SolverSettings(eta=0.1, max_iters=60, tol=np.inf)
             rng = np.random.default_rng([702, seed])
             loo = bc.select_loo_indices(inst.m, 4, rng)
-            base, aux, _ = bc.run_diagnostics_suite(inst, z0, settings, loo, rng)
-            report = bc.measure_hypotheses(base, aux, inst.truth, inst)
+            plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, loo, rng)
+            report = bc.measure_hypotheses(plain, flipped, inst)
+            base = plain[0]
             stage = bc.detect_stages(base)
             t_gamma = stage.T_gamma if stage.T_gamma is not None else base.t[-1]
             sel = report.t <= t_gamma
@@ -214,12 +233,34 @@ class TestMeasureHypotheses:
                    if r["quantity"] == "loo_dist" and r["t"] == "0"]
         assert max(t0_vals) < 1e-7
 
+    @pytest.mark.parametrize("rows", [4, 1])
+    def test_csv_bytes_match_csv_writer(self, small_suite, tmp_path, rows):
+        # one row fewer than the suite's four leaves every loo column NaN
+        inst, plain, flipped, _ = small_suite
+        report = bc.measure_hypotheses(plain[:rows], flipped[:rows], inst)
+        report.write_csv(str(tmp_path / "fast.csv"))
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "quantity", "node", "value", "scale"])
+            for ti, t in enumerate(report.t):
+                for name in ("loo_dist", "loo_signal_h", "loo_signal_x",
+                             "sign_dist_h", "sign_dist_x", "double_diff_h",
+                             "double_diff_x", "norm_ratio_h", "norm_ratio_x"):
+                    for i, v in enumerate(getattr(report, name)[ti]):
+                        writer.writerow([int(t), name, i, f"{v:.17g}", ""])
+                for name, scale in (("norm_min", None), ("norm_max", None),
+                                    ("incoh_x", report.incoh_x_scale),
+                                    ("incoh_h", report.incoh_h_scale)):
+                    writer.writerow([int(t), name, -1, f"{getattr(report, name)[ti]:.17g}",
+                                     "" if scale is None else f"{scale:.17g}"])
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "ref.csv").read_bytes()
+        assert (b",nan," in fast) == (rows == 1)
+
     def test_matches_per_pair_alignment(self, small_suite):
-        inst, base, aux, report = small_suite
+        inst, plain, flipped, report = small_suite
         truth = inst.truth
-        loo = [r for r in aux if r.kind == "loo"]
-        sign = next(r for r in aux if r.kind == "sign")
-        sign_loo = {r.index: r for r in aux if r.kind == "sign_loo"}
+        base, sign = plain[0], flipped[0]
 
         def aligned(trace, ti, i, h_ref, x_ref):
             h, x = trace.h[ti, i], trace.x[ti, i]
@@ -229,12 +270,12 @@ class TestMeasureHypotheses:
         for ti in (1, len(report.t) // 2, len(report.t) - 1):
             for i in range(truth.s):
                 h_t, x_t, _ = aligned(base, ti, i, truth.h[i], truth.x[i])
-                h_chk, x_chk, _ = aligned(sign.trace, ti, i, h_t, x_t)
+                h_chk, x_chk, _ = aligned(sign, ti, i, h_t, x_t)
                 dists, signals, double_diffs = [], [], []
-                for run in loo:
-                    h_hat, x_hat, cost = aligned(run.trace, ti, i, h_t, x_t)
-                    h_sl, _, _ = aligned(sign_loo[run.index].trace, ti, i,
-                                         h_chk, x_chk)
+                # row k of both lists dropped the same sample
+                for loo, sign_loo in zip(plain[1:], flipped[1:]):
+                    h_hat, x_hat, cost = aligned(loo, ti, i, h_t, x_t)
+                    h_sl, _, _ = aligned(sign_loo, ti, i, h_chk, x_chk)
                     dists.append(np.sqrt(cost / (2.0 * truth.q[i] ** 2)))
                     signals.append(abs(np.vdot(truth.x[i], x_hat - x_t)) / truth.q[i])
                     double_diffs.append(np.linalg.norm(h_t - h_hat - h_chk + h_sl))
@@ -244,6 +285,23 @@ class TestMeasureHypotheses:
                     np.linalg.norm(x_chk - x_t), rel=1e-9)
                 assert report.double_diff_h[ti, i] == pytest.approx(
                     max(double_diffs), rel=1e-9)
+
+    def test_without_dropped_samples(self, small_suite):
+        inst, plain, flipped, report = small_suite
+        alone = bc.measure_hypotheses(plain[:1], flipped[:1], inst)
+        for name in ("sign_dist_h", "sign_dist_x", "norm_ratio_h", "norm_ratio_x",
+                     "norm_min", "norm_max", "incoh_x", "incoh_h"):
+            assert np.all(np.isfinite(getattr(alone, name))), name
+            np.testing.assert_array_equal(getattr(alone, name), getattr(report, name))
+        for name in ("loo_dist", "loo_signal_h", "loo_signal_x", "double_diff_h",
+                     "double_diff_x"):
+            assert np.all(np.isnan(getattr(alone, name))), name
+
+    @pytest.mark.parametrize("cut", [(0, 0), (4, 3), (2, 4)])
+    def test_unpaired_trace_lists_rejected(self, small_suite, cut):
+        inst, plain, flipped, _ = small_suite
+        with pytest.raises(bc.DimensionMismatchError):
+            bc.measure_hypotheses(plain[:cut[0]], flipped[:cut[1]], inst)
 
 
 class TestConcentrationReport:
