@@ -163,15 +163,21 @@ def incoherence(truth: GroundTruth, b_rows: np.ndarray) -> float:
     return float(np.sqrt(b_rows.shape[0]) * corr.max())
 
 
-def _relative_error(omega: np.ndarray, z, truth: GroundTruth):
+def target_norm(truth: GroundTruth) -> np.ndarray:
+    """||sum_i x_bar_i||, the relative error's normalizer, one per stacked
+    truth; zero makes the relative error undefined."""
     target = truth.x.sum(axis=-2)
     # One 1-D norm per target: norm(axis=-1) rounds differently.
-    denom = np.array([np.linalg.norm(v) for v in target.reshape(-1, target.shape[-1])]
-                     ).reshape(target.shape[:-1])
+    return np.array([np.linalg.norm(v) for v in target.reshape(-1, target.shape[-1])]
+                    ).reshape(target.shape[:-1])
+
+
+def _relative_error(omega: np.ndarray, z, truth: GroundTruth):
+    denom = target_norm(truth)
     if not denom.all():
         raise UndefinedMetricError("target vector sums to zero")
     recovered = (omega[..., None, :] @ z.x)[..., 0, :]
-    return _scalar(np.linalg.norm(recovered - target, axis=-1) / denom)
+    return _scalar(np.linalg.norm(recovered - truth.x.sum(axis=-2), axis=-1) / denom)
 
 
 def _dist(cost: np.ndarray, truth: GroundTruth):

@@ -9,16 +9,16 @@ block's squared norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import metrics
 from .ensemble import GroundTruth, ProblemInstance
 from .errors import (BlaircompError, DegenerateAlignmentError, DegenerateIterateError,
-                     DimensionMismatchError, DivergenceError)
+                     DimensionMismatchError, DivergenceError, UndefinedMetricError)
 
 _DIVERGENCE_FACTOR = 1e6
 # Iterations whose log points share one snapshot_metrics call (at least one
@@ -68,32 +68,54 @@ class SolverSettings:
             raise ValueError("cadence must be >= 1")
 
 
+def _metric(name: str) -> property:
+    return property(lambda self: self._metric_columns()[name])
+
+
 @dataclass
 class StateTrace:
-    """Per-logged-iteration history of a solver run plus run metadata."""
+    """Per-logged-iteration history of a solver run plus run metadata.
+
+    The truth metrics are read-only columns.  ``run_wf`` computes them in its
+    loop only when a tolerance needs them; otherwise the first read fills
+    them all, with one ``snapshot_metrics`` call over every log point.
+    """
 
     t: np.ndarray                 # (T,) logged iteration indices
     loss: np.ndarray              # (T,)
-    relative_error: np.ndarray    # (T,)
-    dist: np.ndarray              # (T,)
-    alpha_h: np.ndarray           # (T, s) complex
-    beta_h: np.ndarray            # (T, s)
-    alpha_x: np.ndarray           # (T, s) complex
-    beta_x: np.ndarray            # (T, s)
-    rmse_x: np.ndarray            # (T, s)
-    omega: np.ndarray             # (T, s) complex truth alignment of each node
     h: np.ndarray                 # (T, s, K) logged iterates
     x: np.ndarray                 # (T, s, N)
     final: Iterate                # the last logged iterate
+    truth: GroundTruth            # the run's truth, h (s, K), x (s, N), q (s,)
     s: int
     K: int
     N: int
     m: int
-    q: np.ndarray
     eta: float
     n_iters: int
     converged: bool
     stop_reason: str
+    _metrics: Optional[Dict[str, np.ndarray]] = field(default=None, repr=False,
+                                                      compare=False)
+
+    relative_error = _metric("relative_error")    # (T,)
+    dist = _metric("dist")                        # (T,)
+    alpha_h = _metric("alpha_h")                  # (T, s) complex
+    beta_h = _metric("beta_h")                    # (T, s)
+    alpha_x = _metric("alpha_x")                  # (T, s) complex
+    beta_x = _metric("beta_x")                    # (T, s)
+    rmse_x = _metric("rmse_x")                    # (T, s)
+    omega = _metric("omega")      # (T, s) complex truth alignment of each node
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.truth.q
+
+    def _metric_columns(self) -> Dict[str, np.ndarray]:
+        if self._metrics is None:
+            self._metrics = _snapshot_columns(
+                metrics.snapshot_metrics(Iterate(h=self.h, x=self.x), self.truth))
+        return self._metrics
 
 
 @dataclass
@@ -196,18 +218,19 @@ def wf_step(z: Iterate, g: GradientBlocks, eta: float) -> Iterate:
 def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
            settings: SolverSettings, sample_weights: Optional[np.ndarray] = None
            ) -> Union[StateTrace, RunBatch]:
-    """Iterate Wirtinger flow, recording the iterate and its metrics at the
+    """Iterate Wirtinger flow, recording the iterate and its loss at the
     configured cadence.
 
     Stops at max_iters, at the relative-error or loss tolerance, or with a
     DivergenceError naming the offending iteration if the loss becomes
     non-finite or grows a millionfold.  Divergence is checked at every step;
-    the metrics and the tolerance test run on blocks of log points, one
-    ``snapshot_metrics`` call per block, and a run that meets a tolerance
-    ends at the first log point that meets it, its later steps discarded.
-    A divergence or a degenerate step settles the pending block first, so
-    an earlier tolerance stop wins, as testing every log point as it comes
-    would have it.
+    the tolerance test runs on blocks of log points, and a run that meets a
+    tolerance ends at the first log point that meets it, its later steps
+    discarded.  With a tolerance set, each block's truth metrics come from
+    one ``snapshot_metrics`` call, kept in the trace; with none set, the
+    trace computes them on first read.  A divergence or a degenerate step
+    settles the pending block first, so an earlier tolerance stop wins, as
+    testing every log point as it comes would have it.
 
     A run axis comes from any of: a sequence of R instances (same
     dimensions and access rows), z0 stacked (R, s, K/N), or
@@ -216,9 +239,12 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     are stacked (R, s, K/N), so each iteration takes one forward/gradient
     pass and one ``wf_step`` for all active runs, and the call returns a
     RunBatch.  A run that meets a tolerance or fails is masked out and logs
-    nothing more; a failure (divergence, a zero block in the step or in the
-    truth alignment) ends only its own run and is returned as that row's
-    error.  A call without a run axis returns the StateTrace or raises.
+    nothing more; a failure (divergence, a zero block in the step or at a
+    log point, where the truth alignment would fail, or a zero target sum,
+    which leaves the relative error undefined and is checked before the
+    first step) ends only its own run and is returned as that row's error,
+    so no metric read can raise.  A call without a run axis returns the
+    StateTrace or raises.
     """
     rows = _stack_instances(inst)
     if z0.h.ndim not in (2, 3) or z0.x.ndim != z0.h.ndim:
@@ -233,7 +259,7 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
         raise DimensionMismatchError(f"run axes of lengths {sorted(lengths)} differ")
     batched = (not isinstance(inst, ProblemInstance) or z0.h.ndim == 3
                or np.ndim(sample_weights) == 2)
-    q_rows = np.broadcast_to(rows.truth.q, (n_runs, rows.s))
+    truths = rows.truth              # every run's; ``rows`` drops runs that retire
     block_len = max(1, _METRIC_BLOCK // settings.cadence)   # in log points
     pending: List[tuple] = []        # (t, loss, h, x) of unsettled log points
     blocks: List[tuple] = []         # (t (B,), active rows, columns (B, A, ...))
@@ -249,6 +275,8 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     # loss <= limit; fmin ignores a NaN initial loss, as loss > NaN would.
     limit = np.fmin(_DIVERGENCE_FACTOR * np.maximum(loss_t, 1e-300),
                     np.finfo(float).max)
+    # Only a tolerance test needs the metrics in the loop.
+    metrics_in_loop = np.isfinite(settings.tol) or np.isfinite(settings.loss_tol)
     # A disabled (non-finite) tolerance becomes -inf, which nothing meets.
     tol, loss_tol = (v if np.isfinite(v) else -np.inf
                      for v in (settings.tol, settings.loss_tol))
@@ -268,32 +296,36 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
         retire(~bad)
 
     def settle() -> None:
-        """Metrics of the pending log points in one call; every run that
-        meets a tolerance at one of them ends at the first such point."""
+        """Log the pending points, with their metrics in one call when a
+        tolerance is set; every run that meets a tolerance at one of them
+        ends at the first such point.  A zero block ends its run, as the
+        truth alignment of that point would fail."""
         if not pending:
             return
         t_b, loss_b, h_b, x_b = map(np.asarray, zip(*pending))
         pending.clear()
-        try:
-            snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), rows.truth)
-        except DegenerateAlignmentError as exc:
-            bad = _zero_block(h_b, x_b).any(axis=0)
-            fail(bad, lambda k: exc)
+        bad = _zero_block(h_b, x_b).any(axis=0)
+        if bad.any():
+            fail(bad, lambda k: DegenerateAlignmentError("cannot align a zero block"))
             if not len(runs):
                 return
             loss_b, h_b, x_b = loss_b[:, ~bad], h_b[:, ~bad], x_b[:, ~bad]
+        values = dict(loss=loss_b, h=h_b, x=x_b)
+        stop = loss_b <= loss_tol                                     # (B, A)
+        if metrics_in_loop:
             snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), rows.truth)
-        # The decomposition's fields are StateTrace columns by name.
-        blocks.append((t_b, runs, dict(vars(snap.decomposition), loss=loss_b,
-                                       relative_error=snap.relative_error,
-                                       dist=snap.dist, h=h_b, x=x_b)))
-        stop = (snap.relative_error <= tol) | (loss_b <= loss_tol)   # (B, A)
+            values.update(_snapshot_columns(snap))
+            stop |= snap.relative_error <= tol
+        blocks.append((t_b, runs, values))
         met, first = stop.any(axis=0), stop.argmax(axis=0)
         n_logged[runs] += np.where(met, first + 1, len(t_b))
         converged[runs[met]] = True
         retire(~met)
 
-    for t in range(settings.max_iters + 1):
+    undefined = np.broadcast_to(metrics.target_norm(rows.truth) == 0.0, (n_runs,))
+    if undefined.any():
+        fail(undefined, lambda k: UndefinedMetricError("target vector sums to zero"))
+    for t in range(settings.max_iters + 1 if len(runs) else 0):
         if t > 0:
             try:
                 z = wf_step(z, g, settings.eta)
@@ -337,14 +369,18 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
             continue
         n = n_logged[r]
         run = {name: col[:n, r] for name, col in cols.items()}
+        loss_r, h, x = run.pop("loss"), run.pop("h"), run.pop("x")
         n_iters = int(t_all[n - 1])      # every run ends at a log point
+        k = r if len(truths.q) > 1 else 0
         traces[r] = StateTrace(
-            t=t_all[:n], **run,
-            final=Iterate(h=run["h"][-1], x=run["x"][-1], t=n_iters),
-            s=rows.s, K=rows.K, N=rows.N, m=rows.m,
-            q=q_rows[r].copy(), eta=settings.eta, n_iters=n_iters,
-            converged=bool(converged[r]),
-            stop_reason="tol" if converged[r] else "max_iters")
+            t=t_all[:n], loss=loss_r, h=h, x=x,
+            final=Iterate(h=h[-1], x=x[-1], t=n_iters),
+            truth=GroundTruth(h=truths.h[k].copy(), x=truths.x[k].copy(),
+                              q=truths.q[k].copy()),
+            s=rows.s, K=rows.K, N=rows.N, m=rows.m, eta=settings.eta,
+            n_iters=n_iters, converged=bool(converged[r]),
+            stop_reason="tol" if converged[r] else "max_iters",
+            _metrics=run or None)
     if not batched:
         return traces[0]
     done = [tr for tr in traces if tr is not None]
@@ -464,6 +500,13 @@ def _stack_instances(inst: Union[ProblemInstance, Sequence[ProblemInstance]]) ->
 def _take(v: Optional[np.ndarray], keep: np.ndarray) -> Optional[np.ndarray]:
     """Rows ``keep`` of per-run values; a single shared row stays as it is."""
     return v if v is None or len(v) == 1 else v[keep]
+
+
+def _snapshot_columns(snap: metrics.MetricSnapshot) -> Dict[str, np.ndarray]:
+    """A snapshot's values under their StateTrace column names (the
+    decomposition's fields are columns by name)."""
+    return dict(vars(snap.decomposition), relative_error=snap.relative_error,
+                dist=snap.dist)
 
 
 def _zero_block(h: np.ndarray, x: np.ndarray) -> np.ndarray:

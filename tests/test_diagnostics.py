@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
+from blaircomp import metrics
 from blaircomp.diagnostics import _loo_weights
 from blaircomp.errors import ParameterError
 
@@ -163,6 +164,49 @@ class TestLeaveOneOut:
             bc.run_diagnostics_suite(inst, z0, settings, [3, 7],
                                      np.random.default_rng(0))
         assert str(suite.value) == str(alone.value)
+
+    def test_suite_aligns_only_the_rows_it_reads(self, monkeypatch):
+        # With no tolerance the runs align nothing to the truth; the first
+        # read of a metric aligns the base run's log points, once.
+        inst = bc.canonicalize_instance(bc.make_instance(2, 4, 4, 60, seed=13))
+        z0 = bc.random_init(2, 4, 4, np.random.default_rng(14))
+        settings = bc.SolverSettings(eta=0.1, max_iters=20, tol=np.inf)
+        calls = {"align_pair": 0, "snapshot_metrics": 0}
+
+        def count(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(metrics, name, counted)
+
+        for name in calls:
+            count(name, getattr(metrics, name))
+        plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, [2, 5, 9],
+                                                  np.random.default_rng(15))
+        assert calls == {"align_pair": 0, "snapshot_metrics": 0}
+        plain[0].relative_error
+        plain[0].omega
+        assert calls == {"align_pair": 1, "snapshot_metrics": 1}
+
+    def test_all_dropped_samples_give_the_max_over_single_drops(self):
+        # loo_samples = m: each leave-one-out column is the max, over l, of
+        # the suites that drop sample l alone, bit for bit.  Equal-seeded
+        # streams draw the same sign flips.
+        inst = bc.canonicalize_instance(bc.make_instance(2, 3, 3, 12, seed=16))
+        z0 = bc.random_init(2, 3, 3, np.random.default_rng(17))
+        settings = bc.SolverSettings(eta=0.1, max_iters=20, tol=np.inf)
+
+        def report(indices):
+            plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, indices,
+                                                      np.random.default_rng(18))
+            return bc.measure_hypotheses(plain, flipped, inst)
+
+        every = report(bc.select_loo_indices(inst.m, inst.m, np.random.default_rng(0)))
+        singles = [report([l]) for l in range(inst.m)]
+        for name in ("loo_dist", "loo_signal_h", "loo_signal_x", "double_diff_h",
+                     "double_diff_x"):
+            want = np.max([getattr(r, name) for r in singles], axis=0)
+            assert getattr(every, name).tobytes() == want.tobytes(), name
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
-from blaircomp import solver
+from blaircomp import metrics, solver
 from blaircomp.errors import (DegenerateAlignmentError, DegenerateIterateError,
-                              DimensionMismatchError, DivergenceError)
+                              DimensionMismatchError, DivergenceError,
+                              UndefinedMetricError)
 from blaircomp.solver import gradient_inner, hessian_quadratic_form
 
 from helpers import (brute_force_gradient, brute_force_hessian_x_block,
@@ -490,6 +491,32 @@ class TestStackedInstances:
         for k in (0, 2):
             _assert_identical_traces(batch.runs[k], bc.run_wf(insts[k], z0, settings))
 
+    @pytest.mark.parametrize("tol", [np.inf, 1e-6])
+    def test_zero_target_ends_only_its_row(self, tol):
+        # Row 1's two signals cancel, so its relative error is undefined; it
+        # fails before the first step and the other rows run as alone.
+        insts = [bc.make_instance(2, 4, 4, 80, seed=k) for k in range(3)]
+        tr = insts[1].truth
+        x = tr.x.copy()
+        x[1] = -x[0]
+        insts[1] = bc.ProblemInstance(s=2, K=4, N=4, m=80, b_rows=insts[1].b_rows,
+                                      a=insts[1].a, y=insts[1].y,
+                                      truth=bc.GroundTruth(h=tr.h, x=x, q=tr.q))
+        z0 = bc.random_init(2, 4, 4, np.random.default_rng(4))
+        settings = bc.SolverSettings(eta=0.1, max_iters=30, tol=tol)
+        batch = bc.run_wf(insts, z0, settings)
+        assert batch.runs[1] is None
+        assert isinstance(batch.errors[1], UndefinedMetricError)
+        for k in (0, 2):
+            assert batch.errors[k] is None
+            _assert_identical_traces(batch.runs[k], bc.run_wf(insts[k], z0, settings))
+        with pytest.raises(UndefinedMetricError, match="sums to zero"):
+            bc.run_wf(insts[1], z0, settings)
+        shared = bc.run_wf(insts[1], z0, settings,
+                           sample_weights=np.ones((2, insts[1].m)))
+        assert shared.runs == [None, None] and shared.n_iters == 0
+        assert all(isinstance(e, UndefinedMetricError) for e in shared.errors)
+
 
 _TRACE_COLUMNS = ("t", "loss", "relative_error", "dist", "alpha_h", "beta_h",
                   "alpha_x", "beta_x", "rmse_x", "omega", "h", "x")
@@ -541,6 +568,33 @@ class TestMetricBlocks:
             _assert_identical_traces(run, ref)
         assert got.n_iters == want.n_iters
         assert np.array_equal(got.t, want.t)
+
+    @pytest.mark.parametrize("cadence", [1, 3])
+    @pytest.mark.parametrize("case", ["weights", "instances"])
+    def test_metrics_on_read_match_the_loop(self, monkeypatch, case, cadence):
+        # tol = 1e-300 is never met but computes the metrics in the loop;
+        # tol = inf leaves them to the first read, one call per trace.
+        inst, z0, weights = _tol_case()
+        if case == "instances":
+            inst = [bc.make_instance(2, 4, 4, 60, seed=k) for k in range(3)]
+            starts = [bc.random_init(2, 4, 4, np.random.default_rng(k)) for k in range(3)]
+            z0 = bc.Iterate(h=np.stack([z.h for z in starts]),
+                            x=np.stack([z.x for z in starts]))
+            weights = None
+        in_loop = bc.run_wf(inst, z0, bc.SolverSettings(max_iters=70, tol=1e-300,
+                                                        cadence=cadence),
+                            sample_weights=weights)
+        calls = []
+        real = metrics.snapshot_metrics
+        monkeypatch.setattr(metrics, "snapshot_metrics",
+                            lambda *args: calls.append(1) or real(*args))
+        on_read = bc.run_wf(inst, z0, bc.SolverSettings(max_iters=70, tol=np.inf,
+                                                        cadence=cadence),
+                            sample_weights=weights)
+        assert calls == []
+        for got, want in zip(on_read.runs, in_loop.runs):
+            _assert_identical_traces(got, want)
+        assert len(calls) == len(on_read.runs)
 
     def test_tolerance_before_divergence_in_one_block(self):
         # From the truth of a noisy instance the loss meets loss_tol at t = 0
