@@ -130,8 +130,11 @@ class ExperimentConfig:
             raise ConfigError("every q value must lie in (0, 1]")
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {self.preset!r}")
-        if self.preset == "noise-sweep" and not self.sigma_w_grid:
-            raise ConfigError("noise-sweep needs a sigma_w_grid")
+        # The noise sweep fits a line through one point per sigma_w value.
+        grid = self.sigma_w_grid or []
+        if self.preset == "noise-sweep" and len(set(grid)) < max(2, len(grid)):
+            raise ConfigError("noise-sweep needs at least two distinct sigma_w_grid "
+                              "values")
         if self.sigma_w_grid is not None and not all(0 < v < np.inf
                                                      for v in self.sigma_w_grid):
             raise ConfigError("every sigma_w_grid value must be finite and > 0")
@@ -221,8 +224,7 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
         "config": cfg.to_json_dict(),
         "trials": [r["summary"] for r in results],
     }
-    with open(paths["stages"], "w") as fh:
-        json.dump(stages_doc, fh, indent=2)
+    _write_json(paths["stages"], stages_doc)
 
     report = _build_report(cfg, results)
     if cfg.preset == "noise-sweep":
@@ -234,11 +236,9 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
                 name = f"hypotheses_{r['summary']['trial']}.csv"
                 r["hypotheses"].write_csv(os.path.join(cfg.out, name))
                 report.setdefault("hypotheses_csv", []).append(name)
-    with open(paths["report"], "w") as fh:
-        json.dump(report, fh, indent=2)
-    with open(paths["timings"], "w") as fh:
-        json.dump({"wall_clock_s": time.perf_counter() - t_start, "jobs": jobs},
-                  fh, indent=2)
+    _write_json(paths["report"], report)
+    _write_json(paths["timings"],
+                {"wall_clock_s": time.perf_counter() - t_start, "jobs": jobs})
 
     ok = all(r["summary"]["error"] is None for r in results)
     return {"ok": ok, "paths": paths, "report": report,
@@ -377,15 +377,17 @@ def fit_noise_slope(noise_rows: Sequence[Sequence[float]]) -> Dict:
     """Slope of error(dB) against sigma_w(dB), using the RMS noisy error over
     the last logged iterations of each trial (noise-dominated regime)."""
     rows = np.asarray(noise_rows, dtype=float)
-    sigma_values = np.unique(rows[:, 2])
+    # Sort to (sigma_w, trial, t) order and keep each (sigma_w, trial) group's
+    # last _NOISE_FIT_WINDOW rows: each sigma_w's errors stay in the (trial, t)
+    # order the mean sums them in.
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0], rows[:, 2]))]
+    pos = np.arange(len(rows))
+    ends = np.flatnonzero(np.r_[np.any(rows[1:, [2, 0]] != rows[:-1, [2, 0]], axis=1),
+                                True])
+    rows = rows[ends[np.searchsorted(ends, pos)] - pos < _NOISE_FIT_WINDOW]
+    sigma_values, first = np.unique(rows[:, 2], return_index=True)
     points = []
-    for sigma_w in sigma_values:
-        sel = rows[rows[:, 2] == sigma_w]
-        errs = []
-        for trial in np.unique(sel[:, 0]):
-            tr = sel[sel[:, 0] == trial]
-            tr = tr[np.argsort(tr[:, 1])]
-            errs.extend(tr[-_NOISE_FIT_WINDOW:, 3])
+    for sigma_w, errs in zip(sigma_values, np.split(rows[:, 3], first[1:])):
         rms = float(np.sqrt(np.mean(np.square(errs))))
         points.append({"sigma_w": float(sigma_w),
                        "sigma_w_db": 10.0 * np.log10(sigma_w),
@@ -448,11 +450,43 @@ def _write_noise_csv(path: str, results: List[Dict]) -> None:
 def _write_csv(path: str, header: List[str], tables) -> None:
     """The header, then every row of ``tables`` at 17 significant digits,
     comma separated with CRLF line ends."""
-    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for rows in tables:
-            fh.writelines(line % tuple(row) for row in np.asarray(rows).tolist())
+            rows = np.ascontiguousarray(rows, dtype=float)
+            if rows.size:
+                fh.write(_csv_lines(rows))
+
+
+def _csv_lines(rows: np.ndarray) -> str:
+    """The CSV lines of one (n, c) table, formatted with a single ``%``.
+
+    A column with at most n/2 distinct values has each one formatted once
+    and written into the row template as text; the other columns stay
+    ``%.17g`` fields.  Values are told apart by bit pattern, so -0.0 and 0.0
+    keep their own text.
+    """
+    n, c = rows.shape
+    bits = rows.view(np.int64).T                                   # (c, n)
+    ordered = np.sort(bits, axis=1)
+    step = ordered[:, 1:] != ordered[:, :-1]
+    repeated = 2 * (1 + np.count_nonzero(step, axis=1)) <= n
+    cells = np.empty((n, 2 * c), dtype=object)           # field, separator, ...
+    cells[:, 0::2] = "%.17g"
+    cells[:, 1::2] = [","] * (c - 1) + ["\r\n"]
+    for j in np.flatnonzero(repeated):
+        distinct = ordered[j, np.concatenate(([True], step[j]))]
+        text = np.array(["%.17g" % v for v in distinct.view(float).tolist()],
+                        dtype=object)
+        cells[:, 2 * j] = text[np.searchsorted(distinct, bits[j])]
+    template = "".join(cells.ravel().tolist())
+    return template % tuple(rows[:, ~repeated].ravel().tolist())
+
+
+def _write_json(path: str, doc) -> None:
+    """``json.dump(doc, fh, indent=2)``'s bytes in one write, not one per token."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2))
 
 
 def _write_plot_stub(path: str, cfg: ExperimentConfig) -> None:

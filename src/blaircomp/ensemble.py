@@ -211,7 +211,10 @@ def load_instance(path: str) -> ProblemInstance:
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     # Circularly symmetric: re/im each carry half the per-entry variance.
     scale = np.sqrt(variance / 2.0)
-    return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.normal(0.0, scale, shape)
+    out.imag = rng.normal(0.0, scale, shape)
+    return out
 
 
 def _seed_to_json(seed):

@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 import blaircomp as bc
+from blaircomp import cli
 
 
 def brute_force_loss(z, inst, sample_weights=None):
@@ -133,6 +134,37 @@ def noise_sweep_rows_loop(trace, truth, sigma_w_grid, rng, trial):
             err = np.linalg.norm(np.einsum("i,in->n", w_hat, x) - target) / denom
             rows.append([trial, int(trace.t[ti]), sigma_w, float(err)])
     return rows
+
+
+def fit_noise_slope_loop(noise_rows):
+    """``cli.fit_noise_slope`` with one mask per (sigma_w, trial): each
+    trial's last ``cli._NOISE_FIT_WINDOW`` rows by t, per sigma_w."""
+    rows = np.asarray(noise_rows, dtype=float)
+    points = []
+    for sigma_w in np.unique(rows[:, 2]):
+        sel = rows[rows[:, 2] == sigma_w]
+        errs = []
+        for trial in np.unique(sel[:, 0]):
+            tr = sel[sel[:, 0] == trial]
+            tr = tr[np.argsort(tr[:, 1])]
+            errs.extend(tr[-cli._NOISE_FIT_WINDOW:, 3])
+        rms = float(np.sqrt(np.mean(np.square(errs))))
+        points.append({"sigma_w": float(sigma_w),
+                       "sigma_w_db": 10.0 * np.log10(sigma_w),
+                       "rms_error_db": 20.0 * np.log10(rms)})
+    slope = float(np.polyfit([p["sigma_w_db"] for p in points],
+                             [p["rms_error_db"] for p in points], 1)[0])
+    return {"points": points, "slope_db_per_db": slope}
+
+
+def write_csv_rows(path, header, tables):
+    """``cli._write_csv`` one row at a time: every field of every row through
+    its own ``%.17g``."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for rows in tables:
+            fh.writelines(line % tuple(row) for row in np.asarray(rows).tolist())
 
 
 def draw_direction(rng, s, K, N, scale=0.1):

@@ -13,7 +13,8 @@ from blaircomp import cli
 from blaircomp.cli import _noise_sweep_rows, main, trace_header
 from blaircomp.errors import ConfigError, DegenerateAlignmentError
 
-from helpers import noise_sweep_rows_loop, run_desk_scale
+from helpers import (fit_noise_slope_loop, noise_sweep_rows_loop, run_desk_scale,
+                     write_csv_rows)
 
 
 class TestParseConfig:
@@ -189,6 +190,49 @@ def _run_with_block_bytes(monkeypatch, out, block_bytes, **overrides):
     return bc.run_experiment(cfg)
 
 
+# Values whose text a writer can get wrong: NaN (two payloads and a sign),
+# +-inf, -0.0 next to 0.0, subnormals, 1e16 and 1e-300.
+_SPECIAL = np.r_[np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64)
+                 .view(float),
+                 np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1e16, 1e-300, 1 / 3]
+
+
+class TestArtifactWriters:
+    @pytest.mark.parametrize("header, tables", [
+        (["a", "b", "c"], [np.zeros((0,))]),
+        (["a", "b", "c"], [[]]),
+        (["a", "b", "c"], [[[1.5, -2.0, 3e-5]]]),
+        (["v"], [[[1.0], [1.0], [2.0], [3.0]]]),
+        # column a: exactly half distinct; b: all unique; c: all equal
+        (["a", "b", "c"], [np.column_stack([[1, 2, 3, 1, 2, 3], np.arange(6) / 7,
+                                            np.full(6, 4.25)])]),
+        (["a", "b", "c"], [np.column_stack([np.repeat(_SPECIAL, 2),
+                                            np.r_[_SPECIAL, -_SPECIAL],
+                                            np.tile([-0.0, 0.0], len(_SPECIAL))])]),
+        (["z"], [[[-0.0], [0.0], [0.0], [-0.0]]]),
+        (["trial", "t"], [np.column_stack([np.zeros(5), np.arange(5)]), [],
+                          np.column_stack([np.ones(3), np.arange(3) * 2]),
+                          [[2.0, -0.0]]]),
+    ], ids=["empty", "empty_list", "one_row", "one_column", "half_distinct", "special",
+            "signed_zeros", "several_tables"])
+    def test_write_csv_matches_per_row_writer(self, tmp_path, header, tables):
+        cli._write_csv(str(tmp_path / "fast.csv"), header, tables)
+        write_csv_rows(str(tmp_path / "rows.csv"), header, tables)
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+
+    def test_fit_noise_slope_matches_masked_loop(self):
+        rng = np.random.default_rng(4)
+        grid = [1.0, 10.0, 1e3, 1e5]
+        # trial 1 logs fewer points than the fit window
+        lengths = {0: 25, 1: cli._NOISE_FIT_WINDOW - 3, 2: 13, 3: 30}
+        rows = np.array([[trial, 3 * t, sigma_w, rng.uniform(0.1, 2.0) / sigma_w]
+                         for trial, n in lengths.items() for t in range(n)
+                         for sigma_w in grid])
+        rows = rows[rng.permutation(len(rows))]
+        assert cli.fit_noise_slope(rows) == fit_noise_slope_loop(rows)
+
+
 class TestTrialBlocks:
     """Trials solved together in one lockstep call write the bytes of
     trials solved one per call."""
@@ -359,6 +403,8 @@ class TestMainEntry:
         (["--preset", "noise-sweep", "--eta", "inf"], None),
         (["--preset", "noise-sweep", "--sigma2-e", "inf"], None),
         (["--preset", "noise-sweep", "--sigma-w-grid", "1,inf"], None),
+        (["--preset", "noise-sweep", "--sigma-w-grid", "10"], None),
+        (["--preset", "noise-sweep", "--sigma-w-grid", "10,1e1"], None),
         (["--preset", "noise-sweep", "--max-iters", "0"], None),
         (["--preset", "diagnostics", "--loo-samples", "-1"], None),
         (["--preset", "noise-sweep"], "two"),
@@ -368,7 +414,8 @@ class TestMainEntry:
         (["--preset", "noise-sweep"], "0"),
         (["--preset", "noise-sweep"], "-2"),
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
-            "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "max_iters",
+            "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
+            "sigma_w_grid_repeated", "max_iters",
             "loo_samples", "jobs_env", "seed", "jobs_negative", "jobs_zero",
             "jobs_env_zero", "jobs_env_negative"])
     def test_bad_input_rejected_at_boundary(self, flags, env, tmp_path, capsys,

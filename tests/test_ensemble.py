@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
+from blaircomp.ensemble import _complex_gaussian
 from blaircomp.errors import DimensionMismatchError, ParameterError
 
 from helpers import brute_force_loss
@@ -59,6 +60,15 @@ class TestDesignTensor:
     def test_unit_variance(self):
         a = bc.sample_design_tensor(1, 100_000, 1, np.random.default_rng(3))
         assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.02
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 5, 3), (3, 40, 9)])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2024])
+    def test_complex_gaussian_matches_sum_of_draws(self, shape, seed):
+        fast = _complex_gaussian(np.random.default_rng(seed), shape, 0.3)
+        rng = np.random.default_rng(seed)
+        scale = np.sqrt(0.3 / 2.0)
+        ref = rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+        assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
 
     def test_seed_determinism(self):
         a1 = bc.sample_design_tensor(2, 5, 3, np.random.default_rng(9))
