@@ -8,8 +8,7 @@ from .errors import (BlaircompError, ConfigError, DegenerateAlignmentError,
                      DegenerateIterateError, DimensionMismatchError,
                      DivergenceError, ParameterError, UndefinedMetricError)
 from .metrics import (AlignmentResult, ComponentDecomposition, align_pair,
-                      decompose, dist, incoherence, relative_error,
-                      snapshot_metrics)
+                      incoherence, snapshot_metrics)
 from .solver import (GradientBlocks, Iterate, RunBatch, SolverSettings, StateTrace,
                      loss, population_gradient, random_init, run_wf, wf_step,
                      wirtinger_gradient, wirtinger_hessian_x_block)

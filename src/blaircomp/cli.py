@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import state_evolution
 from .ensemble import make_instance
-from .errors import BlaircompError, ConfigError, DivergenceError
+from .errors import BlaircompError, ConfigError, DivergenceError, ParameterError
 from .solver import Iterate, SolverSettings, random_init, run_wf
 
 PRESET_NAMES = ("fig1-convergence", "components", "noise-sweep", "diagnostics",
@@ -375,8 +375,9 @@ def _noise_sweep_rows(trace, truth, sigma_w_grid: Sequence[float],
 
 def fit_noise_slope(noise_rows: Sequence[Sequence[float]]) -> Dict:
     """Slope of error(dB) against sigma_w(dB), using the RMS noisy error over
-    the last logged iterations of each trial (noise-dominated regime)."""
-    rows = np.asarray(noise_rows, dtype=float)
+    the last logged iterations of each trial (noise-dominated regime).
+    Rows are (trial, t, sigma_w, error); a line needs two distinct sigma_w."""
+    rows = np.asarray(noise_rows, dtype=float).reshape(-1, 4)
     # Sort to (sigma_w, trial, t) order and keep each (sigma_w, trial) group's
     # last _NOISE_FIT_WINDOW rows: each sigma_w's errors stay in the (trial, t)
     # order the mean sums them in.
@@ -386,6 +387,8 @@ def fit_noise_slope(noise_rows: Sequence[Sequence[float]]) -> Dict:
                                 True])
     rows = rows[ends[np.searchsorted(ends, pos)] - pos < _NOISE_FIT_WINDOW]
     sigma_values, first = np.unique(rows[:, 2], return_index=True)
+    if len(sigma_values) < 2:
+        raise ParameterError("the noise slope needs at least two distinct sigma_w")
     points = []
     for sigma_w, errs in zip(sigma_values, np.split(rows[:, 3], first[1:])):
         rms = float(np.sqrt(np.mean(np.square(errs))))

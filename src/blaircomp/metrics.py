@@ -16,6 +16,7 @@ from .ensemble import GroundTruth
 from .errors import DegenerateAlignmentError, UndefinedMetricError
 
 _SUBDIAGONAL = np.eye(6, k=-1)     # the ones of a sextic's companion matrix
+_NEWTON_PASSES = 60                # cap on the certified pairs' Newton passes
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,23 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
     cost have the batch shape.  1-D blocks give a complex and a float.
 
     Writing w = r*exp(i*theta), the optimal phase for fixed r is
-    theta = -arg(c1/r + c2*r) with c1 = h_b^H h_a and c2 = x_b^H x_a, which
-    leaves g(u) = a2/u + b2*u - 2*sqrt(p/u + q*u + rc) in u = r^2.  Its
-    stationary points are positive roots of the sextic
-    (b2*u^2 - a2)^2 (q*u^2 + rc*u + p) - u*(q*u^2 - p)^2, found as
-    companion-matrix eigenvalues; the root with the lowest g, or
-    u = sqrt(a2/b2) if that is lower, gets two Newton steps on g', since a
+    theta = -arg(c1/r + c2*r) with c1 = h_b^H h_a and c2 = x_b^H x_a.  A
+    rescaling of r^2 leaves a scale search over w > 0: minimize
+        G(w) = w + 1/w - 2*sqrt(f(w)),   f(w) = lo/w + hi*w + rc,   hi >= lo,
+    whose second derivative is
+        G''(w) = (2/w^3)(1 - lo/sqrt(f)) + (hi - lo/w^2)^2 / (2*f^(3/2)).
+    By AM-GM f >= 2*sqrt(lo*hi) + rc, so where the per-pair certificate
+    hi > 0 and 2*sqrt(lo*hi) + rc >= lo^2 holds, sqrt(f) >= lo: G is convex
+    and its one stationary point is the global minimizer, which lies at
+    w >= 1 since G'(1) = -(hi - lo)/sqrt(f(1)) <= 0.  Those pairs get a
+    bracketed Newton solve on G' from w = 1.
+
+    The other pairs (hi = 0, non-finite coefficients, or a G that may have
+    two local minima), and any certified pair Newton does not finish within
+    its pass cap, take the stationary points as the positive roots of the
+    sextic (w^2 - 1)^2 (hi*w^2 + rc*w + lo) - w*(hi*w^2 - lo)^2, found as
+    companion-matrix eigenvalues, and keep the one, or w = 1, with the
+    lowest G.  Every pair then gets two Newton steps on G', since a
     near-double root keeps only half its digits in the eigenvalues.  The
     reported cost re-evaluates the objective at w.
     """
@@ -79,14 +91,75 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
     a2, b2, c1, c2 = a2.ravel(), b2.ravel(), c1.ravel(), c2.ravel()
     # u = sqrt(a2/b2)*v gives g = sqrt(a2*b2)*G(v) + const with
     # G(v) = v + 1/v - 2*sqrt(p/v + q*v + rc) in the rescaled p, q, rc below.
-    # Swapping p and q maps v to 1/v, so the sextic is solved in w = v or 1/v,
-    # whichever puts the larger of the two in the leading coefficient.
+    # Swapping p and q maps v to 1/v, so G is searched in w = v or 1/v,
+    # whichever puts the larger of the two on w.
     u_scale = np.sqrt(a2 / b2)
     ab = a2 * b2
     p = np.abs(c1) ** 2 / (u_scale * ab)
     q = np.abs(c2) ** 2 * u_scale / ab
     rc = 2.0 * (c1 * np.conj(c2)).real / ab
     hi, lo = np.maximum(p, q), np.minimum(p, q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        convex = ((hi > 0.0) & np.isfinite(hi + rc)
+                  & (2.0 * np.sqrt(lo * hi) + rc >= lo * lo))
+        w = np.ones_like(rc)
+        w[convex], converged = _newton_scale(lo[convex], hi[convex], rc[convex])
+        rest = ~convex
+        rest[convex] = ~converged      # Newton did not finish within its cap
+        if rest.any():
+            w[rest] = _companion_scale(lo[rest], hi[rest], rc[rest])
+        for _ in range(2):
+            g1, g2 = _scale_slopes(w, lo, hi, rc)
+            step = w - g1 / g2
+            w = np.where(np.isfinite(step) & (step > 0.0), step, w)
+    r = np.sqrt(u_scale * np.where(p > q, 1.0 / w, w))
+    omega = (r * np.exp(-1j * np.angle(c1 / r + c2 * r))).reshape(batch)
+    cost = ((np.abs(h_a / np.conj(omega)[..., None] - h_b) ** 2).sum(axis=-1)
+            + (np.abs(omega[..., None] * x_a - x_b) ** 2).sum(axis=-1))
+    if omega.ndim == 0:
+        return AlignmentResult(omega=complex(omega), cost=float(cost))
+    return AlignmentResult(omega=omega, cost=cost)
+
+
+def _scale_slopes(w, lo, hi, rc):
+    """G'(w) and G''(w) of align_pair's scale search."""
+    w2 = w * w
+    phi = np.sqrt(lo / w + hi * w + rc)
+    slope = hi - lo / w2
+    return (1.0 - 1.0 / w2 - slope / phi,
+            2.0 / (w2 * w) * (1.0 - lo / phi) + slope * slope / (2.0 * phi ** 3))
+
+
+def _newton_scale(lo, hi, rc):
+    """Minimizer of a certified-convex G and which pairs converged.
+
+    Newton on G' from w = 1 inside a bracket [left, right] of G's sign
+    change; a step that leaves it is replaced by sqrt(left*right), or by
+    2*left while right is still infinite.  A pair stops, frozen, once its
+    step is below 1e-12 relative, so its result does not depend on the batch.
+    """
+    w, left, right = np.ones_like(lo), np.ones_like(lo), np.full_like(lo, np.inf)
+    moving = np.ones(lo.shape, dtype=bool)
+    for _ in range(_NEWTON_PASSES):
+        if not moving.any():
+            break
+        g1, g2 = _scale_slopes(w, lo, hi, rc)
+        np.copyto(left, w, where=g1 < 0.0)
+        np.copyto(right, w, where=g1 > 0.0)
+        step = w - g1 / g2
+        outside = ~((step >= left) & (step <= right))
+        if outside.any():
+            np.copyto(step, np.where(right < np.inf, np.sqrt(left * right), 2.0 * left),
+                      where=outside)
+        # an overflowed G'' makes any step look small
+        done = np.isfinite(g2) & (np.abs(step - w) <= 1e-12 * w)
+        np.copyto(w, step, where=moving)
+        moving &= ~done
+    return w, ~moving
+
+
+def _companion_scale(lo, hi, rc):
+    """Minimizer of G among the sextic's positive roots and w = 1."""
     # (w^2 - 1)^2 (hi*w^2 + rc*w + lo) - w*(hi*w^2 - lo)^2, over its lead hi
     comp = np.empty(rc.shape + (6, 6))
     comp[...] = _SUBDIAGONAL
@@ -99,51 +172,18 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
     w = np.concatenate([np.linalg.eigvals(comp).real, np.ones(rc.shape + (1,))],
                        axis=-1)
     w = np.where(w > 0.0, w, 1.0)        # non-positive roots: the fallback
-    lo_, hi_, rc_ = lo[..., None], hi[..., None], rc[..., None]
-    big_g = w + 1.0 / w - 2.0 * np.sqrt(np.maximum(lo_ / w + hi_ * w + rc_, 0.0))
-    w = w[np.arange(len(w)), np.argmin(big_g, axis=-1)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(2):
-            phi = np.sqrt(lo / w + hi * w + rc)
-            slope = hi - lo / w ** 2
-            g1 = 1.0 - 1.0 / w ** 2 - slope / phi
-            g2 = 2.0 / w ** 3 * (1.0 - lo / phi) + slope ** 2 / (2.0 * phi ** 3)
-            step = w - g1 / g2
-            w = np.where(np.isfinite(step) & (step > 0.0), step, w)
-    r = np.sqrt(u_scale * np.where(p > q, 1.0 / w, w))
-    omega = (r * np.exp(-1j * np.angle(c1 / r + c2 * r))).reshape(batch)
-    cost = ((np.abs(h_a / np.conj(omega)[..., None] - h_b) ** 2).sum(axis=-1)
-            + (np.abs(omega[..., None] * x_a - x_b) ** 2).sum(axis=-1))
-    if omega.ndim == 0:
-        return AlignmentResult(omega=complex(omega), cost=float(cost))
-    return AlignmentResult(omega=omega, cost=cost)
-
-
-def dist(z, truth: GroundTruth) -> float:
-    """Aggregate gauge-invariant discrepancy between an iterate and the truth.
-
-    Square root of the sum over nodes of the minimal alignment cost divided
-    by d_i = ||h_bar_i||^2 + ||x_bar_i||^2.
-    """
-    return _dist(align_pair(z.h, z.x, truth.h, truth.x).cost, truth)
-
-
-def relative_error(z, truth: GroundTruth) -> float:
-    """Normalized error of the recovered target sum, with per-node alignment
-    parameters recomputed at call time."""
-    return _relative_error(align_pair(z.h, z.x, truth.h, truth.x).omega, z, truth)
-
-
-def decompose(z, truth: GroundTruth) -> ComponentDecomposition:
-    """Split each aligned block into its ground-truth-direction component
-    (alpha) and perpendicular remainder norm (beta)."""
-    return _decompose(z, truth, align_pair(z.h, z.x, truth.h, truth.x).omega)
+    lo, hi, rc = lo[..., None], hi[..., None], rc[..., None]
+    big_g = w + 1.0 / w - 2.0 * np.sqrt(np.maximum(lo / w + hi * w + rc, 0.0))
+    return w[np.arange(len(w)), np.argmin(big_g, axis=-1)]
 
 
 def snapshot_metrics(z, truth: GroundTruth) -> MetricSnapshot:
     """relative_error, dist, and the component split from one alignment pass.
 
-    The iterate may stack runs, h (..., s, K) and x (..., s, N); errors then
+    relative_error is the aligned iterates' error in the target sum over
+    ||sum_i x_bar_i||; dist is the square root of the sum over nodes of the
+    alignment cost over d_i = ||h_bar_i||^2 + ||x_bar_i||^2 = 2*q_i^2.  The
+    iterate may stack runs, h (..., s, K) and x (..., s, N); errors then
     have the batch shape and the decomposition's arrays (..., s).  The truth
     may stack per-run truths, h (..., s, K), x (..., s, N) and q (..., s),
     that broadcast against the iterate.

@@ -111,6 +111,75 @@ def grid_search_cost(h_a, x_a, h_b, x_b, n_total=1_000_000):
     return float(best)
 
 
+def align_pair_eigvals(h_a, x_a, h_b, x_b):
+    """``bc.align_pair`` with every pair through companion-matrix eigenvalues.
+
+    The scale search's stationary points are the positive roots of the
+    sextic (w^2 - 1)^2 (hi*w^2 + rc*w + lo) - w*(hi*w^2 - lo)^2; the root or
+    w = 1 with the lowest G(w) = w + 1/w - 2*sqrt(lo/w + hi*w + rc) gets two
+    Newton steps on G'.  Returns (omega, cost) with the batch shape.
+    """
+    a2 = (np.abs(h_a) ** 2).sum(axis=-1)
+    b2 = (np.abs(x_a) ** 2).sum(axis=-1)
+    c1 = (np.conj(h_b) * h_a).sum(axis=-1)
+    c2 = (np.conj(x_b) * x_a).sum(axis=-1)
+    batch = c1.shape
+    a2, b2 = np.broadcast_to(a2, batch).ravel(), np.broadcast_to(b2, batch).ravel()
+    c1, c2 = c1.ravel(), c2.ravel()
+    u_scale = np.sqrt(a2 / b2)
+    lo, hi, rc = scale_coefficients(h_a, x_a, h_b, x_b)
+    lo, hi, rc = lo.ravel(), hi.ravel(), rc.ravel()
+    comp = np.zeros(rc.shape + (6, 6))
+    comp[:, 1:, :-1] = np.eye(5)
+    for k, coef in enumerate((rc - hi * hi, lo - 2.0 * hi, 2.0 * (lo * hi - rc),
+                              hi - 2.0 * lo, rc - lo * lo, lo)):
+        comp[:, 0, k] = -coef / np.where(hi == 0.0, 1.0, hi)
+    w = np.concatenate([np.linalg.eigvals(comp).real, np.ones(rc.shape + (1,))],
+                       axis=-1)
+    w = np.where(w > 0.0, w, 1.0)
+    big_g = scale_objective(w, lo[:, None], hi[:, None], rc[:, None])
+    w = w[np.arange(len(w)), np.argmin(big_g, axis=-1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            phi = np.sqrt(lo / w + hi * w + rc)
+            slope = hi - lo / w ** 2
+            g1 = 1.0 - 1.0 / w ** 2 - slope / phi
+            g2 = 2.0 / w ** 3 * (1.0 - lo / phi) + slope ** 2 / (2.0 * phi ** 3)
+            step = w - g1 / g2
+            w = np.where(np.isfinite(step) & (step > 0.0), step, w)
+    ab = a2 * b2
+    p = np.abs(c1) ** 2 / (u_scale * ab)
+    q = np.abs(c2) ** 2 * u_scale / ab
+    r = np.sqrt(u_scale * np.where(p > q, 1.0 / w, w))
+    omega = (r * np.exp(-1j * np.angle(c1 / r + c2 * r))).reshape(batch)
+    cost = ((np.abs(h_a / np.conj(omega)[..., None] - h_b) ** 2).sum(axis=-1)
+            + (np.abs(omega[..., None] * x_a - x_b) ** 2).sum(axis=-1))
+    return omega, cost
+
+
+def scale_coefficients(h_a, x_a, h_b, x_b):
+    """(lo, hi, rc) of ``align_pair``'s rescaled scale search, batch-shaped."""
+    a2 = (np.abs(h_a) ** 2).sum(axis=-1)
+    b2 = (np.abs(x_a) ** 2).sum(axis=-1)
+    c1 = (np.conj(h_b) * h_a).sum(axis=-1)
+    c2 = (np.conj(x_b) * x_a).sum(axis=-1)
+    u_scale, ab = np.sqrt(a2 / b2), a2 * b2
+    p = np.abs(c1) ** 2 / (u_scale * ab)
+    q = np.abs(c2) ** 2 * u_scale / ab
+    rc = 2.0 * (c1 * np.conj(c2)).real / ab
+    return np.minimum(p, q), np.maximum(p, q), rc
+
+
+def scale_objective(w, lo, hi, rc):
+    """G(w) = w + 1/w - 2*sqrt(lo/w + hi*w + rc), clipped at f = 0."""
+    return w + 1.0 / w - 2.0 * np.sqrt(np.maximum(lo / w + hi * w + rc, 0.0))
+
+
+def convex_certificate(lo, hi, rc):
+    """hi > 0 and 2*sqrt(lo*hi) + rc >= lo^2: sqrt(f) >= lo, so G is convex."""
+    return (hi > 0.0) & (2.0 * np.sqrt(lo * hi) + rc >= lo * lo)
+
+
 def perturb_alignment(omega, sigma_w, rng):
     """omega plus circularly symmetric noise with E|noise|^2 = 1/sigma_w."""
     if sigma_w <= 0.0:

@@ -11,7 +11,7 @@ import pytest
 import blaircomp as bc
 from blaircomp import cli
 from blaircomp.cli import _noise_sweep_rows, main, trace_header
-from blaircomp.errors import ConfigError, DegenerateAlignmentError
+from blaircomp.errors import ConfigError, DegenerateAlignmentError, ParameterError
 
 from helpers import (fit_noise_slope_loop, noise_sweep_rows_loop, run_desk_scale,
                      write_csv_rows)
@@ -231,6 +231,12 @@ class TestArtifactWriters:
                          for sigma_w in grid])
         rows = rows[rng.permutation(len(rows))]
         assert cli.fit_noise_slope(rows) == fit_noise_slope_loop(rows)
+
+    @pytest.mark.parametrize("grid", [[10.0], []], ids=["one_sigma_w", "no_rows"])
+    def test_fit_noise_slope_needs_two_sigma_w(self, grid):
+        rows = [[0, t, sigma_w, 0.1 + 0.01 * t] for t in range(20) for sigma_w in grid]
+        with pytest.raises(ParameterError):
+            cli.fit_noise_slope(rows)
 
 
 class TestTrialBlocks:

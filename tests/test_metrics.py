@@ -5,7 +5,8 @@ import blaircomp as bc
 from blaircomp.errors import (DegenerateAlignmentError, ParameterError,
                               UndefinedMetricError)
 
-from helpers import grid_search_cost, perturb_alignment
+from helpers import (align_pair_eigvals, convex_certificate, grid_search_cost,
+                     perturb_alignment, scale_coefficients, scale_objective)
 
 
 @pytest.fixture
@@ -74,6 +75,9 @@ class TestAlignPair:
         h_b = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
         x_b = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
         h_a[0, 0], x_a[0, 0] = 2.0 * h_b[0], x_b[0] / 2.0    # exactly alignable
+        h_a[1, 2], x_a[1, 2] = h_b[2], -x_b[2]               # anti-phased
+        certified = convex_certificate(*scale_coefficients(h_a, x_a, h_b, x_b))
+        assert not certified[1, 2] and certified.sum() >= 2   # both paths run
         res = bc.align_pair(h_a, x_a, h_b, x_b)               # h_b broadcasts
         assert res.omega.shape == res.cost.shape == (3, 4)
         for i in range(3):
@@ -82,6 +86,91 @@ class TestAlignPair:
                 assert isinstance(one.omega, complex) and isinstance(one.cost, float)
                 assert abs(res.omega[i, j] - one.omega) <= 1e-14 * abs(one.omega)
                 assert abs(res.cost[i, j] - one.cost) <= 1e-14 * max(one.cost, 1.0)
+
+    def test_certified_pairs_match_eigvals_oracle(self, monkeypatch):
+        # near-aligned pairs over six decades of scale take the Newton path
+        # alone, and agree with the all-eigenvalue path it replaced
+        rng = np.random.default_rng(18)
+        shape = (40, 5)
+        h_b = rng.normal(size=shape + (6,)) + 1j * rng.normal(size=shape + (6,))
+        x_b = rng.normal(size=shape + (7,)) + 1j * rng.normal(size=shape + (7,))
+        gauge = 10.0 ** rng.uniform(-3, 3, shape + (1,)) * np.exp(
+            2j * np.pi * rng.uniform(size=shape + (1,)))
+        noise = 10.0 ** rng.uniform(-8, -0.5, shape + (1,))
+        h_a = (h_b + noise * rng.normal(size=h_b.shape)) * np.conj(gauge)
+        x_a = (x_b + noise * rng.normal(size=x_b.shape)) / gauge
+        assert convex_certificate(*scale_coefficients(h_a, x_a, h_b, x_b)).all()
+        omega, cost = align_pair_eigvals(h_a, x_a, h_b, x_b)
+
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("a certified pair reached the eigenvalue fallback")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        res = bc.align_pair(h_a, x_a, h_b, x_b)
+        scale = (np.abs(h_b) ** 2).sum(axis=-1) + (np.abs(x_b) ** 2).sum(axis=-1)
+        assert np.all(np.abs(res.omega - omega) <= 1e-14 * np.abs(omega))
+        assert np.all(res.cost - cost <= 1e-14 * scale)
+
+    def test_uncertified_pairs_match_grid_search(self):
+        # anti-phased pairs: the more opposed the phases, the likelier the
+        # certificate fails and the eigenvalue fallback takes the pair
+        rng = np.random.default_rng(19)
+        pairs = []
+        for k in range(12):
+            h_b = rng.normal(size=4) + 1j * rng.normal(size=4)
+            x_b = rng.normal(size=5) + 1j * rng.normal(size=5)
+            scale = 10.0 ** rng.uniform(-1, 1)
+            turn = np.exp(1j * np.pi * (1.0 - k / 12.0))
+            pairs.append((scale * h_b + 0.3 * rng.normal(size=4), turn * x_b / scale,
+                          h_b, x_b))
+        # exactly anti-phased: f(w) touches 0 where G has a cusp
+        h_b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        x_b = rng.normal(size=5) + 1j * rng.normal(size=5)
+        pairs.append((h_b, -x_b, h_b, x_b))
+        # hi = lo exactly: G(w) = G(1/w), so it has two global minima, one of
+        # them below w = 1, and w = 1, where G' = 0, is a local maximum
+        tie = np.array([5.0 + 0j]), np.array([-3.0 + 4j]), np.array([5.0 + 0j])
+        pairs.append((tie[0], tie[1], tie[0], tie[2]))
+        lo, hi, rc = np.array([scale_coefficients(*pair) for pair in pairs]).T
+        certified = convex_certificate(lo, hi, rc)
+        assert certified.any() and not certified.all()
+        w = np.geomspace(1e-4, 1e5, 9001)
+        g = scale_objective(w, lo[-1], hi[-1], rc[-1])
+        minima = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] <= g[2:])) + 1
+        assert len(minima) == 2 and w[minima[0]] < 1.0 < w[minima[1]]
+        assert g[minima[0]] == pytest.approx(g.min(), abs=1e-12)
+        assert hi[-1] == lo[-1] and not certified[-1]
+        for pair in pairs:
+            res = bc.align_pair(*pair)
+            assert abs(res.cost - grid_search_cost(*pair)) < 1e-6
+
+    def test_unfinished_newton_falls_back_to_eigvals(self):
+        # x_b = 1e20 x_a puts the minimizer near w = 1e40, beyond what
+        # Newton's roughly threefold steps from w = 1 reach within their cap
+        h = np.array([1.0 + 0j, 0.5j])
+        x = np.array([0.3 + 0.1j, 1.0])
+        assert convex_certificate(*scale_coefficients(h, x, h, 1e20 * x))
+        omega, cost = align_pair_eigvals(h, x, h, 1e20 * x)
+        res = bc.align_pair(h, x, h, 1e20 * x)
+        assert abs(res.omega - omega) <= 1e-14 * abs(omega)
+        assert res.cost == pytest.approx(float(cost), rel=1e-12)
+
+    def test_certificate_implies_one_minimum_at_or_above_one(self):
+        # sqrt(f) >= lo makes G convex; sample (lo, hi, rc) over the feasible
+        # |rc| <= 2*sqrt(lo*hi) and keep the certified ones
+        rng = np.random.default_rng(20)
+        hi = 10.0 ** rng.uniform(-3, 3, 6000)
+        lo = hi * rng.uniform(size=6000) ** rng.choice([0.5, 1.0, 4.0], 6000)
+        rc = 2.0 * np.sqrt(lo * hi) * rng.uniform(-1.0, 1.0, 6000)
+        keep = convex_certificate(lo, hi, rc)
+        lo, hi, rc = lo[keep][:2000], hi[keep][:2000], rc[keep][:2000]
+        assert len(lo) == 2000
+        w = np.geomspace(1e-4, 1e5, 9001)
+        for part in np.array_split(np.arange(2000), 20):
+            g = scale_objective(w, lo[part, None], hi[part, None], rc[part, None])
+            interior = (g[:, 1:-1] < g[:, :-2]) & (g[:, 1:-1] <= g[:, 2:])
+            assert np.all(interior.sum(axis=1) == 1)
+            assert np.all(w[interior.argmax(axis=1) + 1] >= w[w < 1.0][-1])
 
     @pytest.mark.parametrize("where", [(0, 0, "h"), (2, 3, "x")])
     def test_zero_block_anywhere_in_batch_rejected(self, where):
@@ -115,21 +204,23 @@ class TestDistAndRelativeError:
     def test_zero_at_truth(self):
         t = bc.sample_ground_truth(2, 4, 4, [1, 0.5], np.random.default_rng(1))
         z = bc.Iterate(h=t.h.copy(), x=t.x.copy())
-        assert bc.dist(z, t) < 1e-10
-        assert bc.relative_error(z, t) < 1e-10
+        snap = bc.snapshot_metrics(z, t)
+        assert snap.dist < 1e-10
+        assert snap.relative_error < 1e-10
 
     def test_gauge_invariance(self):
         t = bc.sample_ground_truth(3, 4, 4, [1, 1, 1], np.random.default_rng(2))
         rng = np.random.default_rng(3)
         omegas = rng.normal(size=3) + 1j * rng.normal(size=3)
         z = bc.Iterate(h=t.h / np.conj(omegas)[:, None], x=omegas[:, None] * t.x)
-        assert bc.dist(z, t) < 1e-10
-        assert bc.relative_error(z, t) < 1e-10
+        snap = bc.snapshot_metrics(z, t)
+        assert snap.dist < 1e-10
+        assert snap.relative_error < 1e-10
 
     def test_scale_absorbed(self):
         t = bc.sample_ground_truth(2, 4, 4, [1, 1], np.random.default_rng(4))
         z = bc.Iterate(h=t.h / 2, x=2 * t.x)
-        assert bc.relative_error(z, t) < 1e-10
+        assert bc.snapshot_metrics(z, t).relative_error < 1e-10
 
     def test_scalar_hand_case(self):
         # s = 1, K = N = 1, h = 2, x = 3 against truth (1, 1):
@@ -138,7 +229,7 @@ class TestDistAndRelativeError:
                            q=np.array([1.0]))
         z = bc.Iterate(h=np.array([[2.0 + 0j]]), x=np.array([[3.0 + 0j]]))
         expected = np.sqrt((14 - 4 * np.sqrt(6)) / 2)
-        assert bc.dist(z, t) == pytest.approx(expected, abs=1e-8)
+        assert bc.snapshot_metrics(z, t).dist == pytest.approx(expected, abs=1e-8)
 
     def test_metric_invariance_random_iterates(self):
         t = bc.sample_ground_truth(2, 5, 5, [1, 1], np.random.default_rng(5))
@@ -147,9 +238,9 @@ class TestDistAndRelativeError:
         omegas = rng.normal(size=2) + 1j * rng.normal(size=2)
         z_gauged = bc.Iterate(h=z.h / np.conj(omegas)[:, None],
                               x=omegas[:, None] * z.x)
-        assert bc.dist(z, t) == pytest.approx(bc.dist(z_gauged, t), abs=1e-10)
-        assert bc.relative_error(z, t) == pytest.approx(
-            bc.relative_error(z_gauged, t), abs=1e-10)
+        snap, gauged = bc.snapshot_metrics(z, t), bc.snapshot_metrics(z_gauged, t)
+        assert snap.dist == pytest.approx(gauged.dist, abs=1e-10)
+        assert snap.relative_error == pytest.approx(gauged.relative_error, abs=1e-10)
 
     def test_zero_target_rejected(self):
         t = bc.GroundTruth(h=np.ones((2, 2), dtype=complex),
@@ -157,13 +248,14 @@ class TestDistAndRelativeError:
                            q=np.ones(2))
         z = bc.Iterate(h=t.h.copy(), x=t.x.copy())
         with pytest.raises(UndefinedMetricError):
-            bc.relative_error(z, t)
+            bc.snapshot_metrics(z, t)
 
 
 class TestDecompose:
     def test_at_truth(self):
         t = bc.sample_ground_truth(2, 4, 4, [1.0, 0.5], np.random.default_rng(8))
-        dec = bc.decompose(bc.Iterate(h=t.h.copy(), x=t.x.copy()), t)
+        z = bc.Iterate(h=t.h.copy(), x=t.x.copy())
+        dec = bc.snapshot_metrics(z, t).decomposition
         np.testing.assert_allclose(dec.alpha_h, t.q, atol=1e-9)
         np.testing.assert_allclose(dec.alpha_x, t.q, atol=1e-9)
         np.testing.assert_allclose(dec.beta_h, 0, atol=1e-9)
@@ -176,7 +268,7 @@ class TestDecompose:
         h = rng.normal(size=4) + 1j * rng.normal(size=4)
         h -= truth.h[0] * np.vdot(truth.h[0], h)  # q = 1
         z = bc.Iterate(h=h[None, :], x=truth.x.copy())
-        dec = bc.decompose(z, truth)
+        dec = bc.snapshot_metrics(z, truth).decomposition
         assert abs(dec.alpha_h[0]) < 1e-10
         assert dec.beta_h[0] == pytest.approx(
             np.linalg.norm(h) / abs(dec.omega[0]), rel=1e-10)
@@ -184,7 +276,7 @@ class TestDecompose:
     def test_pythagorean_identity(self):
         t = bc.sample_ground_truth(2, 4, 4, [1, 1], np.random.default_rng(10))
         z = bc.random_init(2, 4, 4, np.random.default_rng(11))
-        dec = bc.decompose(z, t)
+        dec = bc.snapshot_metrics(z, t).decomposition
         for i in range(2):
             h_t = z.h[i] / np.conj(dec.omega[i])
             x_t = dec.omega[i] * z.x[i]
@@ -196,7 +288,7 @@ class TestDecompose:
     def test_rmse_normalizes_by_raw_norm(self):
         t = bc.sample_ground_truth(1, 4, 4, [1.0], np.random.default_rng(12))
         z = bc.random_init(1, 4, 4, np.random.default_rng(13))
-        dec = bc.decompose(z, t)
+        dec = bc.snapshot_metrics(z, t).decomposition
         assert dec.rmse_x[0] == pytest.approx(
             dec.beta_x[0] / np.linalg.norm(z.x[0]), rel=1e-12)
 
