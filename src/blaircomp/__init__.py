@@ -1,17 +1,15 @@
 """Blind over-the-air computation via randomly initialized Wirtinger flow."""
 
-from .ensemble import (GroundTruth, ProblemInstance, compute_nomographic_target,
-                       generate_partial_dft, load_instance, make_instance,
-                       mean_post, sample_design_tensor, sample_ground_truth,
-                       save_instance, synthesize_measurements)
+from .ensemble import (GroundTruth, ProblemInstance, generate_partial_dft,
+                       make_instance, sample_design_tensor, sample_ground_truth,
+                       synthesize_measurements)
 from .errors import (BlaircompError, ConfigError, DegenerateAlignmentError,
                      DegenerateIterateError, DimensionMismatchError,
                      DivergenceError, ParameterError, UndefinedMetricError)
 from .metrics import (AlignmentResult, ComponentDecomposition, align_pair,
                       incoherence, snapshot_metrics)
 from .solver import (GradientBlocks, Iterate, RunBatch, SolverSettings, StateTrace,
-                     loss, population_gradient, random_init, run_wf, wf_step,
-                     wirtinger_gradient, wirtinger_hessian_x_block)
+                     loss, random_init, run_wf, wf_step, wirtinger_gradient)
 from .state_evolution import (PerturbationSeries, SEState, StageReport,
                               detect_stages, extract_perturbations,
                               population_se_step, run_population_se)

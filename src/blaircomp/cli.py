@@ -24,9 +24,6 @@ from .ensemble import make_instance
 from .errors import BlaircompError, ConfigError, DivergenceError, ParameterError
 from .solver import Iterate, SolverSettings, random_init, run_wf
 
-PRESET_NAMES = ("fig1-convergence", "components", "noise-sweep", "diagnostics",
-                "custom")
-
 _INT_KEYS = {"s", "K", "N", "m", "m_factor", "max_iters", "trials", "seed",
              "cadence", "loo_samples", "jobs"}
 _FLOAT_KEYS = {"eta", "tol", "sigma2_e"}
@@ -48,6 +45,7 @@ _PRESETS: Dict[str, Dict] = {
                     "max_iters": 80, "tol": float("inf"), "loo_samples": 8},
     "custom": {},
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 _NOISE_FIT_WINDOW = 10
 # Design-tensor bytes of the trials that share one lockstep solve.  Past it a
@@ -96,6 +94,8 @@ class ExperimentConfig:
         return jobs
 
     def validate(self) -> None:
+        if self.preset not in PRESET_NAMES:
+            raise ConfigError(f"unknown preset {self.preset!r}")
         missing = [name for name in ("s", "K", "N", "eta", "max_iters")
                    if getattr(self, name) is None]
         if self.m is None and self.m_factor is None:
@@ -128,8 +128,6 @@ class ExperimentConfig:
             raise ConfigError(f"q must list {self.s} values")
         if self.q is not None and not all(0 < v <= 1 for v in self.q):
             raise ConfigError("every q value must lie in (0, 1]")
-        if self.preset not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset {self.preset!r}")
         # The noise sweep fits a line through one point per sigma_w value.
         grid = self.sigma_w_grid or []
         if self.preset == "noise-sweep" and len(set(grid)) < max(2, len(grid)):
@@ -173,10 +171,7 @@ def parse_config(path: Optional[str] = None,
         setattr(cfg, key, _coerce(key, value))
         explicit.add(key)
 
-    preset = _PRESETS.get(cfg.preset)
-    if preset is None:
-        raise ConfigError(f"unknown preset {cfg.preset!r}")
-    for key, value in preset.items():
+    for key, value in _PRESETS.get(cfg.preset, {}).items():
         if key in explicit:
             continue
         if key == "m_factor" and "m" in explicit:
@@ -217,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
              "report": os.path.join(cfg.out, "report.json"),
              "plot": os.path.join(cfg.out, "plot.gp"),
              "timings": os.path.join(cfg.out, "timings.json")}
-    _write_trace_csv(paths["trace"], cfg.s, results)
+    _write_csv(paths["trace"], trace_header(cfg.s), (r["trace"] for r in results))
     _write_plot_stub(paths["plot"], cfg)
 
     stages_doc = {
@@ -229,7 +224,8 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
     report = _build_report(cfg, results)
     if cfg.preset == "noise-sweep":
         paths["noise"] = os.path.join(cfg.out, "noise_sweep.csv")
-        _write_noise_csv(paths["noise"], results)
+        _write_csv(paths["noise"], ["trial", "t", "sigma_w", "noisy_relative_error"],
+                   (r.get("noise_rows", []) for r in results))
     if cfg.preset == "diagnostics":
         for r in results:
             if r.get("hypotheses") is not None:
@@ -318,7 +314,7 @@ def _solve_block(cfg: ExperimentConfig, built: List[tuple]) -> Dict[int, object]
         loo = diag.select_loo_indices(inst.m, cfg.loo_samples, aux_rng)
         plain, flipped = diag.run_diagnostics_suite(inst, z0, settings, loo, aux_rng)
         result = {"hypotheses": diag.measure_hypotheses(plain, flipped, inst),
-                  "concentration": diag.concentration_report(inst).to_json_dict()}
+                  "concentration": asdict(diag.concentration_report(inst))}
         return {trial: (plain[0], inst, aux_rng, result)}
     trials, insts, z0s, aux_rngs = zip(*built)
     batch = run_wf(insts, Iterate(h=np.stack([z.h for z in z0s]),
@@ -439,15 +435,6 @@ def trace_header(s: int) -> List[str]:
         header.extend([f"abs_alpha_h_{i}", f"beta_h_{i}",
                        f"abs_alpha_x_{i}", f"beta_x_{i}", f"rmse_x_{i}"])
     return header
-
-
-def _write_trace_csv(path: str, s: int, results: List[Dict]) -> None:
-    _write_csv(path, trace_header(s), (r["trace"] for r in results))   # trial order
-
-
-def _write_noise_csv(path: str, results: List[Dict]) -> None:
-    _write_csv(path, ["trial", "t", "sigma_w", "noisy_relative_error"],
-               (r.get("noise_rows", []) for r in results))
 
 
 def _write_csv(path: str, header: List[str], tables) -> None:

@@ -10,7 +10,7 @@ signals are rotated onto the first basis vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,11 +29,6 @@ class ConcentrationReport:
     incoherence: float
     first_entry_ok: bool
     design_norm_ok: bool
-
-    def to_json_dict(self) -> Dict:
-        return {k: getattr(self, k) for k in (
-            "max_abs_first_entry", "first_entry_bound", "max_design_norm",
-            "design_norm_bound", "incoherence", "first_entry_ok", "design_norm_ok")}
 
 
 @dataclass

@@ -7,15 +7,12 @@ bilinear measurements collected at the fusion center.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
-
-_MAGIC = b"BLCP1\n"
 
 
 @dataclass(frozen=True)
@@ -125,24 +122,6 @@ def synthesize_measurements(b_rows: np.ndarray, a: np.ndarray, truth: GroundTrut
     return y
 
 
-def compute_nomographic_target(truth: GroundTruth,
-                               pre: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                               post: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                               ) -> np.ndarray:
-    """Entrywise post(sum_i pre(x_i)); identity maps give the plain sum.
-
-    The arithmetic-mean variant is ``post=mean_post(truth.s)``.
-    """
-    x = truth.x if pre is None else pre(truth.x)
-    total = np.sum(x, axis=0)
-    return total if post is None else post(total)
-
-
-def mean_post(s: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Post-processing map for the arithmetic-mean target."""
-    return lambda v: v / s
-
-
 def make_instance(s: int, K: int, N: int, m: int,
                   q: Optional[Sequence[float]] = None,
                   sigma2_e: float = 0.0,
@@ -164,50 +143,6 @@ def make_instance(s: int, K: int, N: int, m: int,
                            y=y, sigma2_e=sigma2_e, seed=seed)
 
 
-def save_instance(inst: ProblemInstance, path: str) -> None:
-    """Dump an instance as a JSON header plus little-endian complex arrays.
-
-    Complex values are stored as interleaved re/im float64 pairs so other
-    implementations can read the format without numpy.
-    """
-    arrays = {"b_rows": inst.b_rows, "a": inst.a, "h": inst.truth.h,
-              "x": inst.truth.x, "y": inst.y}
-    header = {
-        "dims": {"s": inst.s, "K": inst.K, "N": inst.N, "m": inst.m},
-        "sigma2_e": inst.sigma2_e,
-        "q": inst.truth.q.tolist(),
-        "seed": _seed_to_json(inst.seed),
-        "arrays": {name: list(arr.shape) for name, arr in arrays.items()},
-    }
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for name in sorted(arrays):
-            fh.write(np.ascontiguousarray(arrays[name]).astype("<c16").tobytes())
-
-
-def load_instance(path: str) -> ProblemInstance:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise IOError(f"{path} is not an instance dump")
-        header = json.loads(fh.readline().decode("utf-8"))
-        arrays = {}
-        for name in sorted(header["arrays"]):
-            shape = tuple(header["arrays"][name])
-            count = int(np.prod(shape))
-            buf = fh.read(count * 16)
-            if len(buf) != count * 16:
-                raise IOError(f"{path} is truncated: array {name!r} has "
-                              f"{len(buf)} of {count * 16} bytes")
-            arrays[name] = np.frombuffer(buf, dtype="<c16").reshape(shape).copy()
-    dims = header["dims"]
-    truth = GroundTruth(h=arrays["h"], x=arrays["x"], q=np.asarray(header["q"]))
-    return ProblemInstance(s=dims["s"], K=dims["K"], N=dims["N"], m=dims["m"],
-                           b_rows=arrays["b_rows"], a=arrays["a"], truth=truth,
-                           y=arrays["y"], sigma2_e=header["sigma2_e"],
-                           seed=header["seed"])
-
-
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     # Circularly symmetric: re/im each carry half the per-entry variance.
     scale = np.sqrt(variance / 2.0)
@@ -216,10 +151,3 @@ def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.nd
     out.imag = rng.normal(0.0, scale, shape)
     return out
 
-
-def _seed_to_json(seed):
-    if seed is None or isinstance(seed, (int, str)):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return list(seed.entropy) if isinstance(seed.entropy, (list, tuple)) else seed.entropy
-    return list(seed)

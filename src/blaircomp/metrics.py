@@ -68,14 +68,15 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
     w >= 1 since G'(1) = -(hi - lo)/sqrt(f(1)) <= 0.  Those pairs get a
     bracketed Newton solve on G' from w = 1.
 
-    The other pairs (hi = 0, non-finite coefficients, or a G that may have
-    two local minima), and any certified pair Newton does not finish within
-    its pass cap, take the stationary points as the positive roots of the
-    sextic (w^2 - 1)^2 (hi*w^2 + rc*w + lo) - w*(hi*w^2 - lo)^2, found as
+    The other pairs (hi = 0, or a G that may have two local minima), and
+    any certified pair Newton does not finish within its pass cap, take the
+    stationary points as the positive roots of the sextic
+    (w^2 - 1)^2 (hi*w^2 + rc*w + lo) - w*(hi*w^2 - lo)^2, found as
     companion-matrix eigenvalues, and keep the one, or w = 1, with the
     lowest G.  Every pair then gets two Newton steps on G', since a
     near-double root keeps only half its digits in the eigenvalues.  The
-    reported cost re-evaluates the objective at w.
+    reported cost re-evaluates the objective at w.  Scale coefficients or
+    sextic coefficients that overflow raise DegenerateAlignmentError.
     """
     a2 = (np.abs(h_a) ** 2).sum(axis=-1)
     b2 = (np.abs(x_a) ** 2).sum(axis=-1)
@@ -93,15 +94,16 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
     # G(v) = v + 1/v - 2*sqrt(p/v + q*v + rc) in the rescaled p, q, rc below.
     # Swapping p and q maps v to 1/v, so G is searched in w = v or 1/v,
     # whichever puts the larger of the two on w.
-    u_scale = np.sqrt(a2 / b2)
-    ab = a2 * b2
-    p = np.abs(c1) ** 2 / (u_scale * ab)
-    q = np.abs(c2) ** 2 * u_scale / ab
-    rc = 2.0 * (c1 * np.conj(c2)).real / ab
-    hi, lo = np.maximum(p, q), np.minimum(p, q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        convex = ((hi > 0.0) & np.isfinite(hi + rc)
-                  & (2.0 * np.sqrt(lo * hi) + rc >= lo * lo))
+        u_scale = np.sqrt(a2 / b2)
+        ab = a2 * b2
+        p = np.abs(c1) ** 2 / (u_scale * ab)
+        q = np.abs(c2) ** 2 * u_scale / ab
+        rc = 2.0 * (c1 * np.conj(c2)).real / ab
+        if not (np.isfinite(p) & np.isfinite(q) & np.isfinite(rc)).all():
+            raise DegenerateAlignmentError("alignment coefficients overflow")
+        hi, lo = np.maximum(p, q), np.minimum(p, q)
+        convex = (hi > 0.0) & (2.0 * np.sqrt(lo * hi) + rc >= lo * lo)
         w = np.ones_like(rc)
         w[convex], converged = _newton_scale(lo[convex], hi[convex], rc[convex])
         rest = ~convex
@@ -169,6 +171,8 @@ def _companion_scale(lo, hi, rc):
     # hi = 0 means c1 = c2 = 0: every coefficient vanishes and only the
     # fallback w = 1 is left.
     comp[..., 0, :] /= -np.where(hi == 0.0, 1.0, hi)[..., None]
+    if not np.isfinite(comp).all():
+        raise DegenerateAlignmentError("alignment coefficients overflow")
     w = np.concatenate([np.linalg.eigvals(comp).real, np.ones(rc.shape + (1,))],
                        axis=-1)
     w = np.where(w > 0.0, w, 1.0)        # non-positive roots: the fallback

@@ -33,9 +33,6 @@ class Iterate:
     x: np.ndarray   # (s, N) complex
     t: int = 0
 
-    def copy(self) -> "Iterate":
-        return Iterate(h=self.h.copy(), x=self.x.copy(), t=self.t)
-
 
 @dataclass(frozen=True)
 class GradientBlocks:
@@ -188,17 +185,6 @@ def wirtinger_gradient(z: Iterate, inst: ProblemInstance,
     across nodes."""
     g, _ = _gradient_and_loss(z, inst, sample_weights)
     return g
-
-
-def population_gradient(z: Iterate, truth: GroundTruth) -> GradientBlocks:
-    """Expectation of the gradient over the design ensemble, in closed form."""
-    x_norm2 = np.sum(np.abs(z.x) ** 2, axis=1)          # (s,)
-    h_norm2 = np.sum(np.abs(z.h) ** 2, axis=1)
-    xbar_x = np.einsum("in,in->i", truth.x.conj(), z.x)  # x_bar_i^H x_i
-    hbar_h = np.einsum("ik,ik->i", truth.h.conj(), z.h)
-    grad_h = x_norm2[:, None] * z.h - xbar_x[:, None] * truth.h
-    grad_x = h_norm2[:, None] * z.x - hbar_h[:, None] * truth.x
-    return GradientBlocks(h=grad_h, x=grad_x)
 
 
 def wf_step(z: Iterate, g: GradientBlocks, eta: float) -> Iterate:
@@ -388,35 +374,6 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
                     n_iters=sum(tr.n_iters for tr in done),
                     t=np.concatenate([tr.t for tr in done] or [np.zeros(0, int)]),
                     s=rows.s)
-
-
-def wirtinger_hessian_x_block(z: Iterate, inst: ProblemInstance, i: int,
-                              sample_weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """2N x 2N Hessian of f with respect to (x_i, conj(x_i)), holding h fixed.
-
-    The diagonal blocks are D = sum_j |b_j^H h_i|^2 a_ij a_ij^H and its
-    conjugate.  The residual is linear in conj(x_i), so the pure
-    second-derivative off-diagonal block vanishes identically; it is kept in
-    the 2x2 layout so the quadratic form matches second differences of f.
-    """
-    w = _check_weights(sample_weights, inst.m)
-    bh = z.h[i] @ inst.b_rows.T                       # (m,) b_j^H h_i
-    weights = np.abs(bh) ** 2
-    if w is not None:
-        weights = weights * w
-    a_i = inst.a[i]                                   # (m, N)
-    d_block = (weights[:, None] * a_i).T @ a_i.conj()
-    n = inst.N
-    hess = np.zeros((2 * n, 2 * n), dtype=complex)
-    hess[:n, :n] = d_block
-    hess[n:, n:] = d_block.conj()
-    return hess
-
-
-def hessian_quadratic_form(hess: np.ndarray, delta: np.ndarray) -> float:
-    """[delta^H, delta^T] H [delta; conj(delta)] for a 2N x 2N Wirtinger block."""
-    stacked = np.concatenate([delta, delta.conj()])
-    return float(np.real(np.vdot(stacked, hess @ stacked)))
 
 
 def gradient_inner(g: GradientBlocks, dh: np.ndarray, dx: np.ndarray) -> complex:

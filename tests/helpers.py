@@ -60,6 +60,23 @@ def brute_force_hessian_x_block(z, inst, i, sample_weights=None):
     return hess
 
 
+def hessian_quadratic_form(hess, delta):
+    """[delta^H, delta^T] H [delta; conj(delta)] for a 2N x 2N Wirtinger block."""
+    stacked = np.concatenate([delta, delta.conj()])
+    return float(np.real(np.vdot(stacked, hess @ stacked)))
+
+
+def population_gradient(z, truth):
+    """Expectation of the gradient over the design ensemble, in closed form."""
+    x_norm2 = np.sum(np.abs(z.x) ** 2, axis=1)          # (s,)
+    h_norm2 = np.sum(np.abs(z.h) ** 2, axis=1)
+    xbar_x = np.einsum("in,in->i", truth.x.conj(), z.x)  # x_bar_i^H x_i
+    hbar_h = np.einsum("ik,ik->i", truth.h.conj(), z.h)
+    grad_h = x_norm2[:, None] * z.h - xbar_x[:, None] * truth.h
+    grad_x = h_norm2[:, None] * z.x - hbar_h[:, None] * truth.x
+    return bc.GradientBlocks(h=grad_h, x=grad_x)
+
+
 def b_row(inst, i, j):
     """Access row b_j^H as seen by node i: shared (m, K) rows of an instance,
     or the per-node (s, m, K) rows of ``explicit_sign_flip``."""

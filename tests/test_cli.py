@@ -466,6 +466,12 @@ class TestMainEntry:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_unknown_preset_in_config_file(self, tmp_path, capsys):
+        path = tmp_path / "bogus.cfg"
+        path.write_text("preset = bogus\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
+        assert "unknown preset" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         code = main(["run", "--preset", "custom", "--s", "1", "--K", "4",
                      "--N", "4", "--m", "60", "--eta", "1e6", "--max-iters",

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -366,6 +367,6 @@ class TestConcentrationReport:
 
     def test_json_fields(self):
         doc = bc.concentration_report(bc.make_instance(1, 2, 2, 10, seed=15))
-        keys = set(doc.to_json_dict())
+        keys = set(asdict(doc))
         assert {"max_abs_first_entry", "first_entry_bound", "incoherence",
                 "design_norm_bound"} <= keys

@@ -135,25 +135,6 @@ class TestMeasurements:
                                        t, -1.0)
 
 
-class TestNomographicTarget:
-    def test_sum_of_basis_vectors(self):
-        t = bc.GroundTruth(h=np.ones((2, 2), dtype=complex),
-                           x=np.eye(2, dtype=complex), q=np.ones(2))
-        np.testing.assert_allclose(bc.compute_nomographic_target(t), [1, 1])
-
-    def test_arithmetic_mean_preset(self):
-        t = bc.GroundTruth(h=np.ones((2, 2), dtype=complex),
-                           x=np.eye(2, dtype=complex), q=np.ones(2))
-        np.testing.assert_allclose(
-            bc.compute_nomographic_target(t, post=bc.mean_post(2)), [0.5, 0.5])
-
-    def test_matches_entrywise_summation(self):
-        t = bc.sample_ground_truth(3, 2, 6, [1, 1, 1], np.random.default_rng(5))
-        expected = t.x[0] + t.x[1] + t.x[2]
-        np.testing.assert_allclose(bc.compute_nomographic_target(t), expected,
-                                   atol=1e-15)
-
-
 class TestInstance:
     def test_seed_determinism_bitwise(self):
         i1 = bc.make_instance(2, 4, 4, 20, seed=42)
@@ -170,45 +151,3 @@ class TestInstance:
         with pytest.raises(DimensionMismatchError):     # per-node (s, m, K) rows
             bc.ProblemInstance(s=1, K=2, N=2, m=4, b_rows=inst.b_rows[None],
                                a=inst.a, truth=inst.truth, y=inst.y)
-
-    def test_serialization_round_trip(self, tmp_path):
-        inst = bc.make_instance(2, 3, 4, 10, q=[1.0, 0.5], sigma2_e=0.1, seed=7)
-        path = tmp_path / "instance.blcp"
-        bc.save_instance(inst, str(path))
-        loaded = bc.load_instance(str(path))
-        assert np.array_equal(loaded.a, inst.a)
-        assert np.array_equal(loaded.b_rows, inst.b_rows)
-        assert np.array_equal(loaded.y, inst.y)
-        assert np.array_equal(loaded.truth.h, inst.truth.h)
-        assert np.array_equal(loaded.truth.q, inst.truth.q)
-        assert loaded.sigma2_e == inst.sigma2_e
-        assert (loaded.s, loaded.K, loaded.N, loaded.m) == (2, 3, 4, 10)
-
-        inst_sgn, _ = bc.sign_flip_ensemble(bc.canonicalize_instance(inst),
-                                            np.random.default_rng(8))
-        bc.save_instance(inst_sgn, str(path))
-        loaded = bc.load_instance(str(path))
-        assert loaded.b_rows.shape == (10, 3)
-        for name in ("a", "b_rows", "y"):
-            assert np.array_equal(getattr(loaded, name), getattr(inst_sgn, name))
-        assert np.array_equal(loaded.truth.x, inst_sgn.truth.x)
-
-    def test_truncated_dump_names_file_and_array(self, tmp_path):
-        inst = bc.make_instance(2, 3, 4, 10, seed=7)
-        path = tmp_path / "instance.blcp"
-        bc.save_instance(inst, str(path))
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-24])     # arrays follow in name order; y is last
-        with pytest.raises(IOError, match=r"instance\.blcp.*'y'.*136 of 160"):
-            bc.load_instance(str(path))
-
-    def test_serialized_layout_is_interleaved_doubles(self, tmp_path):
-        inst = bc.make_instance(1, 1, 1, 1, seed=3)
-        path = tmp_path / "dump.blcp"
-        bc.save_instance(inst, str(path))
-        raw = path.read_bytes()
-        header_end = raw.index(b"\n", raw.index(b"\n") + 1) + 1
-        doubles = np.frombuffer(raw[header_end:], dtype="<f8")
-        # first stored array (sorted order: a) starts with re/im of a_000
-        assert doubles[0] == inst.a[0, 0, 0].real
-        assert doubles[1] == inst.a[0, 0, 0].imag

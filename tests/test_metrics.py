@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,17 @@ class TestAlignPair:
         with pytest.raises(DegenerateAlignmentError):
             bc.align_pair(np.zeros(4, dtype=complex), truth.x[0],
                           truth.h[0], truth.x[0])
+
+    @pytest.mark.parametrize("scaled", ["x", "h"])
+    def test_overflowing_coefficients_rejected(self, truth, scaled):
+        # x_b = 1e100 x_a gives hi ~ 1e200, whose square in the fallback's
+        # sextic overflows; h_b = 1e200 h_a overflows p = |c1|^2 / ... itself
+        h, x = truth.h[0], truth.x[0]
+        pair = (h, x, h, 1e100 * x) if scaled == "x" else (h, x, 1e200 * h, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateAlignmentError, match="overflow"):
+                bc.align_pair(*pair)
 
     def test_stacked_blocks_match_per_pair_calls(self):
         rng = np.random.default_rng(15)

