@@ -55,22 +55,31 @@ class HypothesisReport:
 
     def write_csv(self, path: str) -> None:
         """Long format: one row per iteration per quantity (node -1 = scalar),
-        numbers at 17 significant digits."""
+        numbers at 17 significant digits, formatted with a single ``%``.
+
+        Every iteration has the same rows, so one iteration's template, with
+        the quantity, node and scale written in as text, repeats over the
+        file and takes a (t, value) pair per row.
+        """
         per_node = ["loo_dist", "loo_signal_h", "loo_signal_x", "sign_dist_h",
                     "sign_dist_x", "double_diff_h", "double_diff_x",
                     "norm_ratio_h", "norm_ratio_x"]
         scalars = [("norm_min", ""), ("norm_max", ""),
                    ("incoh_x", "%.17g" % self.incoh_x_scale),
                    ("incoh_h", "%.17g" % self.incoh_h_scale)]
+        s = self.loo_dist.shape[1]
+        per_iter = "".join(["%%d,%s,%d,%%.17g,\r\n" % (name, i)
+                            for name in per_node for i in range(s)]
+                           + ["%%d,%s,-1,%%.17g,%s\r\n" % pair for pair in scalars])
+        values = np.concatenate([getattr(self, name) for name in per_node]
+                                + [getattr(self, name)[:, None] for name, _ in scalars],
+                                axis=1)                              # (T, rows)
+        pairs = np.empty(values.shape + (2,), dtype=object)
+        pairs[..., 0] = np.asarray(self.t)[:, None]
+        pairs[..., 1] = values
         with open(path, "w", newline="") as fh:
-            fh.write("t,quantity,node,value,scale\r\n")
-            for ti, t in enumerate(self.t.tolist()):
-                for name in per_node:
-                    fh.writelines("%d,%s,%d,%.17g,\r\n" % (t, name, i, v) for i, v
-                                  in enumerate(getattr(self, name)[ti].tolist()))
-                for name, scale in scalars:
-                    fh.write("%d,%s,-1,%.17g,%s\r\n"
-                             % (t, name, getattr(self, name)[ti], scale))
+            fh.write("t,quantity,node,value,scale\r\n"
+                     + (per_iter * len(values)) % tuple(pairs.ravel().tolist()))
 
 
 def canonicalize_instance(inst: ProblemInstance) -> ProblemInstance:

@@ -78,23 +78,24 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
     reported cost re-evaluates the objective at w.  Scale coefficients or
     sextic coefficients that overflow raise DegenerateAlignmentError.
     """
-    a2 = (np.abs(h_a) ** 2).sum(axis=-1)
-    b2 = (np.abs(x_a) ** 2).sum(axis=-1)
-    if not (a2.all() and b2.all()):
-        raise DegenerateAlignmentError("cannot align a zero block")
-    c1 = (np.conj(h_b) * h_a).sum(axis=-1)
-    c2 = (np.conj(x_b) * x_a).sum(axis=-1)
-    # The root finding runs on the flattened batch, since numpy's cost per
-    # call grows with the number of axes.
-    batch = c1.shape
-    if a2.shape != batch or b2.shape != batch:     # a broadcast reference
-        a2, b2 = np.broadcast_to(a2, batch), np.broadcast_to(b2, batch)
-    a2, b2, c1, c2 = a2.ravel(), b2.ravel(), c1.ravel(), c2.ravel()
-    # u = sqrt(a2/b2)*v gives g = sqrt(a2*b2)*G(v) + const with
-    # G(v) = v + 1/v - 2*sqrt(p/v + q*v + rc) in the rescaled p, q, rc below.
-    # Swapping p and q maps v to 1/v, so G is searched in w = v or 1/v,
-    # whichever puts the larger of the two on w.
+    # Sums that overflow surface below as non-finite coefficients.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a2 = (np.abs(h_a) ** 2).sum(axis=-1)
+        b2 = (np.abs(x_a) ** 2).sum(axis=-1)
+        if not (a2.all() and b2.all()):
+            raise DegenerateAlignmentError("cannot align a zero block")
+        c1 = (np.conj(h_b) * h_a).sum(axis=-1)
+        c2 = (np.conj(x_b) * x_a).sum(axis=-1)
+        # The root finding runs on the flattened batch, since numpy's cost
+        # per call grows with the number of axes.
+        batch = c1.shape
+        if a2.shape != batch or b2.shape != batch:     # a broadcast reference
+            a2, b2 = np.broadcast_to(a2, batch), np.broadcast_to(b2, batch)
+        a2, b2, c1, c2 = a2.ravel(), b2.ravel(), c1.ravel(), c2.ravel()
+        # u = sqrt(a2/b2)*v gives g = sqrt(a2*b2)*G(v) + const with
+        # G(v) = v + 1/v - 2*sqrt(p/v + q*v + rc) in the rescaled p, q, rc
+        # below.  Swapping p and q maps v to 1/v, so G is searched in w = v
+        # or 1/v, whichever puts the larger of the two on w.
         u_scale = np.sqrt(a2 / b2)
         ab = a2 * b2
         p = np.abs(c1) ** 2 / (u_scale * ab)

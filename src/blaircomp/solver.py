@@ -182,8 +182,8 @@ def loss(z: Iterate, inst: ProblemInstance,
 def wirtinger_gradient(z: Iterate, inst: ProblemInstance,
                        sample_weights: Optional[np.ndarray] = None) -> GradientBlocks:
     """Gradient blocks; the per-sample residual is computed once and shared
-    across nodes."""
-    g, _ = _gradient_and_loss(z, inst, sample_weights)
+    across nodes.  ``sample_weights`` has shape (m,), as for ``loss``."""
+    g, _ = _gradient_and_loss(z, inst, _check_weights(sample_weights, inst.m))
     return g
 
 
@@ -388,9 +388,10 @@ def _forward(z: Iterate, inst: Union[ProblemInstance, _Rows]):
     if z.h.shape[-2:] != (inst.s, inst.K) or z.x.shape[-2:] != (inst.s, inst.N):
         raise DimensionMismatchError(
             f"iterate shapes {z.h.shape}/{z.x.shape} do not match instance dims")
-    bh = z.h @ inst.b_rows.T
+    bh = _rows_product(z.h, inst.b_rows.T)
     xa = (inst.a @ z.x.conj()[..., None])[..., 0]
-    r = (bh * xa).sum(axis=-2) - inst.y
+    r = (bh * xa).sum(axis=-2)
+    r -= inst.y
     return r, bh, xa
 
 
@@ -398,18 +399,36 @@ def _gradient_and_loss(z: Iterate, inst: Union[ProblemInstance, _Rows],
                        w: Optional[np.ndarray]
                        ) -> Tuple[GradientBlocks, np.ndarray]:
     """Gradient blocks and the loss, per run for stacked iterates; ``w``
-    broadcasts against the residual (..., m)."""
+    broadcasts to the residual's shape (..., m).
+
+    The elementwise passes write into the arrays ``_forward`` allocated, and
+    each multiply keeps its operand order: numpy's complex multiply may fuse
+    a multiply-add, so swapping the operands can change the last bit.
+    """
     r, bh, xa = _forward(z, inst)
-    if w is None:
-        loss_val = (np.abs(r) ** 2).sum(axis=-1)
-        rc = r.conj()      # the adjoints conjugate r, not the design arrays
-    else:
-        loss_val = (w * np.abs(r) ** 2).sum(axis=-1)
-        rc = w * r.conj()
+    loss_val = np.abs(r)
+    np.square(loss_val, out=loss_val)
+    rc = np.conj(r, out=r)      # the adjoints conjugate r, not the design arrays
+    if w is not None:
+        np.multiply(w, loss_val, out=loss_val)
+        np.multiply(w, rc, out=rc)
+    loss_val = loss_val.sum(axis=-1)
     rc = rc[..., None, :]
-    grad_h = ((rc * xa) @ inst.b_rows).conj()
-    grad_x = ((rc * bh)[..., None, :] @ inst.a)[..., 0, :]
+    grad_h = _rows_product(np.multiply(rc, xa, out=xa), inst.b_rows)
+    np.conj(grad_h, out=grad_h)
+    grad_x = (np.multiply(rc, bh, out=bh)[..., None, :] @ inst.a)[..., 0, :]
     return GradientBlocks(h=grad_h, x=grad_x), loss_val
+
+
+def _rows_product(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u (..., s, k) @ b (k, n) as one GEMM over every run's rows.
+
+    With s = 1 each run's product is a vector-matrix ``gemv``, whose last
+    bits a GEMM would change, so those keep numpy's per-run product.
+    """
+    if u.shape[-2] == 1:
+        return u @ b
+    return (u.reshape(-1, u.shape[-1]) @ b).reshape(u.shape[:-1] + b.shape[-1:])
 
 
 def _check_weights(w: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:

@@ -77,6 +77,25 @@ def population_gradient(z, truth):
     return bc.GradientBlocks(h=grad_h, x=grad_x)
 
 
+def gradient_and_loss_reference(z, inst, w):
+    """``solver._gradient_and_loss`` with one product per run and fresh
+    arrays for every elementwise pass, the form the fast kernel must match
+    bit for bit."""
+    bh = z.h @ inst.b_rows.T
+    xa = (inst.a @ z.x.conj()[..., None])[..., 0]
+    r = (bh * xa).sum(axis=-2) - inst.y
+    if w is None:
+        loss_val = (np.abs(r) ** 2).sum(axis=-1)
+        rc = r.conj()
+    else:
+        loss_val = (w * np.abs(r) ** 2).sum(axis=-1)
+        rc = w * r.conj()
+    rc = rc[..., None, :]
+    grad_h = ((rc * xa) @ inst.b_rows).conj()
+    grad_x = ((rc * bh)[..., None, :] @ inst.a)[..., 0, :]
+    return bc.GradientBlocks(h=grad_h, x=grad_x), loss_val
+
+
 def b_row(inst, i, j):
     """Access row b_j^H as seen by node i: shared (m, K) rows of an instance,
     or the per-node (s, m, K) rows of ``explicit_sign_flip``."""
@@ -251,6 +270,26 @@ def write_csv_rows(path, header, tables):
         fh.write(",".join(header) + "\r\n")
         for rows in tables:
             fh.writelines(line % tuple(row) for row in np.asarray(rows).tolist())
+
+
+def write_hypotheses_rows(report, path):
+    """``HypothesisReport.write_csv`` one row at a time, each row through its
+    own ``%``."""
+    per_node = ["loo_dist", "loo_signal_h", "loo_signal_x", "sign_dist_h",
+                "sign_dist_x", "double_diff_h", "double_diff_x",
+                "norm_ratio_h", "norm_ratio_x"]
+    scalars = [("norm_min", ""), ("norm_max", ""),
+               ("incoh_x", "%.17g" % report.incoh_x_scale),
+               ("incoh_h", "%.17g" % report.incoh_h_scale)]
+    with open(path, "w", newline="") as fh:
+        fh.write("t,quantity,node,value,scale\r\n")
+        for ti, t in enumerate(report.t.tolist()):
+            for name in per_node:
+                fh.writelines("%d,%s,%d,%.17g,\r\n" % (t, name, i, v) for i, v
+                              in enumerate(getattr(report, name)[ti].tolist()))
+            for name, scale in scalars:
+                fh.write("%d,%s,-1,%.17g,%s\r\n"
+                         % (t, name, getattr(report, name)[ti], scale))
 
 
 def draw_direction(rng, s, K, N, scale=0.1):

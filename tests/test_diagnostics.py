@@ -1,5 +1,5 @@
 import csv
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from blaircomp import metrics
 from blaircomp.diagnostics import _loo_weights
 from blaircomp.errors import ParameterError
 
-from helpers import brute_force_loss, explicit_sign_flip
+from helpers import brute_force_loss, explicit_sign_flip, write_hypotheses_rows
 
 
 def _model_terms(inst):
@@ -135,6 +135,23 @@ class TestLeaveOneOut:
         for trace in bc.run_wf(inst, z0, settings, sample_weights=rows).traces():
             assert np.array_equal(base.loss, trace.loss)
             assert np.array_equal(base.final.h, trace.final.h)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_suite_base_row_is_the_single_run(self, s):
+        # The suite's 1 + L rows share one design, so the access-row products
+        # of every row go through one GEMM; the base row keeps the bits of
+        # the run on its own.
+        inst = bc.canonicalize_instance(bc.make_instance(s, 5, 4, 48, seed=[19, s]))
+        z0 = bc.random_init(s, 5, 4, np.random.default_rng([20, s]))
+        settings = bc.SolverSettings(eta=0.1, max_iters=30, tol=np.inf)
+        single = bc.run_wf(inst, z0, settings)
+        for n_drop in (0, 1, 8):
+            loo = bc.select_loo_indices(inst.m, n_drop, np.random.default_rng(21))
+            base = bc.run_diagnostics_suite(inst, z0, settings, loo,
+                                            np.random.default_rng(22))[0][0]
+            assert base.loss.tobytes() == single.loss.tobytes()
+            assert base.h.tobytes() == single.h.tobytes()
+            assert base.x.tobytes() == single.x.tobytes()
 
     def test_dropped_sample_data_is_ignored(self):
         # The leave-one-out run never reads the dropped sample's design
@@ -301,6 +318,28 @@ class TestMeasureHypotheses:
         fast = (tmp_path / "fast.csv").read_bytes()
         assert fast == (tmp_path / "ref.csv").read_bytes()
         assert (b",nan," in fast) == (rows == 1)
+
+    @pytest.mark.parametrize("s, n_drop, n_t", [(2, 8, None), (2, 0, None),
+                                                (1, 3, None), (2, 2, 1)],
+                             ids=["loo_8", "loo_0", "one_node", "one_iteration"])
+    def test_csv_bytes_match_per_row_writer(self, tmp_path, s, n_drop, n_t):
+        inst = bc.canonicalize_instance(bc.make_instance(s, 5, 4, 60, seed=[703, s]))
+        z0 = bc.random_init(s, 5, 4, np.random.default_rng(704))
+        settings = bc.SolverSettings(eta=0.1, max_iters=12, tol=np.inf)
+        rng = np.random.default_rng(705)
+        loo = bc.select_loo_indices(inst.m, n_drop, rng)
+        report = bc.measure_hypotheses(*bc.run_diagnostics_suite(inst, z0, settings,
+                                                                 loo, rng), inst)
+        if n_t is not None:
+            report = replace(report, **{f.name: getattr(report, f.name)[:n_t]
+                                        for f in fields(report)
+                                        if not f.name.endswith("_scale")})
+        report.write_csv(str(tmp_path / "fast.csv"))
+        write_hypotheses_rows(report, str(tmp_path / "ref.csv"))
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "ref.csv").read_bytes()
+        assert fast.count(b"\r\n") == 1 + len(report.t) * (9 * s + 4)
+        assert (b",nan," in fast) == (n_drop == 0)
 
     def test_matches_per_pair_alignment(self, small_suite):
         inst, plain, flipped, report = small_suite

@@ -80,6 +80,15 @@ class TestAlignPair:
             with pytest.raises(DegenerateAlignmentError, match="overflow"):
                 bc.align_pair(*pair)
 
+    def test_overflowing_block_norm_rejected(self):
+        # ||h||^2 overflows in the first sums, before any scale coefficient
+        h = np.array([1e160, 1.0], dtype=complex)
+        x = np.array([1.0, 2.0 - 1.0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateAlignmentError, match="overflow"):
+                bc.align_pair(h, x, h, x)
+
     def test_stacked_blocks_match_per_pair_calls(self):
         rng = np.random.default_rng(15)
         scale = 10.0 ** rng.uniform(-3, 3, (3, 4, 1))

@@ -10,7 +10,8 @@ from blaircomp.solver import gradient_inner
 
 from helpers import (brute_force_gradient, brute_force_hessian_x_block,
                      brute_force_loss, draw_direction, explicit_sign_flip,
-                     hessian_quadratic_form, population_gradient)
+                     gradient_and_loss_reference, hessian_quadratic_form,
+                     population_gradient)
 
 
 def _kernel_case(m, layout, weights):
@@ -106,6 +107,12 @@ class TestWirtingerGradient:
         assert np.abs(g.h - gh).max() / np.abs(gh).max() < 1e-12
         assert np.abs(g.x - gx).max() / np.abs(gx).max() < 1e-12
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 10)])
+    def test_bad_weights_shape_rejected(self, small_instance, small_iterate, shape):
+        with pytest.raises(DimensionMismatchError, match="sample weights"):
+            bc.wirtinger_gradient(small_iterate, small_instance,
+                                  sample_weights=np.ones(shape))
+
     def test_finite_difference_identity(self):
         for trial in range(5):
             rng = np.random.default_rng([300, trial])
@@ -136,6 +143,41 @@ class TestWirtingerGradient:
             gx += np.conj(r_j) * inst.a[0, j, 0] * bj_h * z.h[0, 0]
         assert abs(g.h[0, 0] - gh) < 1e-14
         assert abs(g.x[0, 0] - gx) < 1e-14
+
+
+class TestKernelBits:
+    """The lockstep kernel gives the bits of one product per run with fresh
+    arrays for every pass, and writes into none of its inputs."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("instances", ["shared", "per_run"])
+    def test_matches_reference_bit_for_bit(self, s, instances):
+        K, N, m = 5, 4, 97
+        rng = np.random.default_rng([40, s])
+        for n_runs in (1, 2, 5):
+            insts = [bc.make_instance(s, K, N, m, seed=[41, s, k])
+                     for k in range(n_runs if instances == "per_run" else 1)]
+            rows = solver._stack_instances(insts)
+            z = bc.random_init(n_runs * s, K, N, rng)
+            z = bc.Iterate(h=z.h.reshape(n_runs, s, K), x=z.x.reshape(n_runs, s, N))
+            cases = [(z, rows)]
+            if n_runs == 1 and instances == "shared":   # no run axis at all
+                cases.append((bc.Iterate(h=z.h[0], x=z.x[0]), insts[0]))
+            for zk, inst in cases:
+                for w in (None, rng.uniform(0.0, 2.0, m),
+                          rng.uniform(0.0, 2.0, (n_runs, m))):
+                    if w is not None and w.ndim == 2 and zk.h.ndim == 2:
+                        continue
+                    before = [v.copy() for v in (zk.h, zk.x, inst.a, inst.y)]
+                    w_before = None if w is None else w.copy()
+                    g, loss_val = solver._gradient_and_loss(zk, inst, w)
+                    g_ref, loss_ref = gradient_and_loss_reference(zk, inst, w)
+                    assert g.h.tobytes() == g_ref.h.tobytes()
+                    assert g.x.tobytes() == g_ref.x.tobytes()
+                    assert loss_val.tobytes() == loss_ref.tobytes()
+                    for old, new in zip(before, (zk.h, zk.x, inst.a, inst.y)):
+                        assert np.array_equal(old, new)
+                    assert w is None or np.array_equal(w_before, w)
 
 
 class TestPopulationGradient:
