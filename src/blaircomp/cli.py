@@ -14,7 +14,8 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -23,13 +24,6 @@ from . import state_evolution
 from .ensemble import make_instance
 from .errors import BlaircompError, ConfigError, DivergenceError, ParameterError
 from .solver import Iterate, SolverSettings, random_init, run_wf
-
-_INT_KEYS = {"s", "K", "N", "m", "m_factor", "max_iters", "trials", "seed",
-             "cadence", "loo_samples", "jobs"}
-_FLOAT_KEYS = {"eta", "tol", "sigma2_e"}
-_LIST_KEYS = {"sigma_w_grid", "q"}
-_STR_KEYS = {"preset", "out"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
 
 # Fields each preset fills when the user leaves them unset.  "N": "K" copies
 # the (possibly user-supplied) K.
@@ -56,6 +50,9 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass
 class ExperimentConfig:
+    """The experiment settings.  Each field is a config-file key and a CLI
+    flag (``_`` written ``-``), its value coerced to the field's type."""
+
     preset: str = "custom"
     s: Optional[int] = None
     K: Optional[int] = None
@@ -79,19 +76,8 @@ class ExperimentConfig:
         return self.m if self.m is not None else self.m_factor * self.K
 
     def resolved_jobs(self) -> int:
-        """Worker pool size: ``jobs``, else $BLAIRCOMP_JOBS, else the core count."""
-        if self.jobs is not None:
-            return self.jobs
-        env = os.environ.get("BLAIRCOMP_JOBS", "")
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            jobs = 0
-        if jobs < 1:
-            raise ConfigError(f"BLAIRCOMP_JOBS must be an integer >= 1, got {env!r}")
-        return jobs
+        """Worker pool size: ``jobs``, else the core count."""
+        return self.jobs or os.cpu_count() or 1
 
     def validate(self) -> None:
         if self.preset not in PRESET_NAMES:
@@ -122,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError("loo_samples must be >= 0")
         if not 0 < self.eta < np.inf:           # also rejects NaN
             raise ConfigError("eta must be finite and > 0")
+        if not self.tol > 0:                    # inf disables the test
+            raise ConfigError("tol must be > 0")
         if not 0 <= self.sigma2_e < np.inf:
             raise ConfigError("sigma2_e must be finite and >= 0")
         if self.q is not None and len(self.q) != self.s:
@@ -136,7 +124,6 @@ class ExperimentConfig:
         if self.sigma_w_grid is not None and not all(0 < v < np.inf
                                                      for v in self.sigma_w_grid):
             raise ConfigError("every sigma_w_grid value must be finite and > 0")
-        self.resolved_jobs()      # rejects a bad $BLAIRCOMP_JOBS
 
     def to_json_dict(self) -> Dict:
         """The settings that determine the results: every field but ``out``
@@ -146,6 +133,17 @@ class ExperimentConfig:
         del d["out"], d["jobs"]
         d["tol"] = None if not np.isfinite(self.tol) else self.tol
         return d
+
+
+def _key_type(hint) -> type:
+    """int, float, str or list: the type a field's values are coerced to."""
+    if get_origin(hint) is Union:                   # Optional[X] -> X
+        hint, = (arg for arg in get_args(hint) if arg is not type(None))
+    return get_origin(hint) or hint                 # List[float] -> list
+
+
+_KEY_TYPES: Dict[str, type] = {key: _key_type(hint) for key, hint
+                               in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config(path: Optional[str] = None,
@@ -161,7 +159,7 @@ def parse_config(path: Optional[str] = None,
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value
-    unknown = set(raw) - _ALL_KEYS
+    unknown = set(raw) - _KEY_TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
@@ -509,44 +507,26 @@ def _read_config_file(path: str) -> Dict[str, str]:
 
 
 def _coerce(key: str, value):
-    if not isinstance(value, str):
-        if key in _LIST_KEYS and value is not None:
-            return [float(v) for v in value]
-        return value
+    """The value as its field's type; text is read as in a config file,
+    where a list is comma separated."""
+    kind = _KEY_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _LIST_KEYS:
-            return [float(v) for v in value.split(",") if v.strip()]
-    except ValueError as exc:
+        if isinstance(value, str):
+            if kind is list:
+                return [float(v) for v in value.split(",") if v.strip()]
+            return kind(value)
+        return [float(v) for v in value] if kind is list else value
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    return value
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config``, then one flag per config key, read as text."""
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--preset", choices=PRESET_NAMES)
-    parser.add_argument("--s", type=int)
-    parser.add_argument("--K", type=int)
-    parser.add_argument("--N", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--m-factor", dest="m_factor", type=int)
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--max-iters", dest="max_iters", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--sigma2-e", dest="sigma2_e", type=float)
-    parser.add_argument("--sigma-w-grid", dest="sigma_w_grid",
-                        help="comma separated, e.g. 1,10,100")
-    parser.add_argument("--q", help="comma separated per-node norms")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--cadence", type=int)
-    parser.add_argument("--loo-samples", dest="loo_samples", type=int)
-    parser.add_argument("--jobs", type=int,
-                        help="trial worker pool size (env BLAIRCOMP_JOBS)")
+    for key, kind in _KEY_TYPES.items():
+        extra = ({"choices": PRESET_NAMES} if key == "preset" else
+                 {"help": "comma separated list"} if kind is list else {})
+        parser.add_argument("--" + key.replace("_", "-"), **extra)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

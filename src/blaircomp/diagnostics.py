@@ -99,8 +99,7 @@ def canonicalize_instance(inst: ProblemInstance) -> ProblemInstance:
         x_new[i, 0] = inst.truth.q[i]
     truth = GroundTruth(h=inst.truth.h.copy(), x=x_new, q=inst.truth.q.copy())
     return ProblemInstance(s=s, K=inst.K, N=N, m=inst.m, b_rows=inst.b_rows,
-                           a=a_new, truth=truth, y=inst.y.copy(),
-                           sigma2_e=inst.sigma2_e, seed=inst.seed)
+                           a=a_new, truth=truth, y=inst.y.copy())
 
 
 def sample_sign_flips(s: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,8 +126,7 @@ def apply_sign_flips(inst: ProblemInstance, xi: np.ndarray) -> ProblemInstance:
     a_new = inst.a * xi.conj()[:, :, None]
     a_new[:, :, 0] = inst.a[:, :, 0]    # copied, not |xi|^2 a: the identity is exact
     return ProblemInstance(s=inst.s, K=inst.K, N=inst.N, m=inst.m,
-                           b_rows=inst.b_rows, a=a_new, truth=inst.truth,
-                           y=inst.y, sigma2_e=inst.sigma2_e, seed=inst.seed)
+                           b_rows=inst.b_rows, a=a_new, truth=inst.truth, y=inst.y)
 
 
 def sign_flip_ensemble(inst: ProblemInstance, rng: np.random.Generator

@@ -50,8 +50,6 @@ class ProblemInstance:
     a: np.ndarray               # (s, m, N) complex design tensor
     truth: GroundTruth
     y: np.ndarray               # (m,) complex measurements
-    sigma2_e: float = 0.0
-    seed: Optional[object] = None
 
     def __post_init__(self):
         if min(self.s, self.K, self.N, self.m) < 1:
@@ -139,8 +137,7 @@ def make_instance(s: int, K: int, N: int, m: int,
     truth = sample_ground_truth(s, K, N, q, rng)
     a = sample_design_tensor(s, m, N, rng)
     y = synthesize_measurements(b_rows, a, truth, sigma2_e, rng)
-    return ProblemInstance(s=s, K=K, N=N, m=m, b_rows=b_rows, a=a, truth=truth,
-                           y=y, sigma2_e=sigma2_e, seed=seed)
+    return ProblemInstance(s=s, K=K, N=N, m=m, b_rows=b_rows, a=a, truth=truth, y=y)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:

@@ -44,16 +44,15 @@ class GradientBlocks:
 class SolverSettings:
     """Step size, iteration budget, and stopping/logging policy.
 
-    ``tol`` stops on relative error (needs ground truth, simulation only) and
-    ``loss_tol`` on the raw loss; non-finite values disable a rule.  The
-    default step size is the experimental value 0.1; pass eta ~ c/s for the
-    theoretical scaling at large node counts.
+    ``tol`` stops on relative error (needs ground truth, simulation only);
+    a non-finite value disables it.  The default step size is the
+    experimental value 0.1; pass eta ~ c/s for the theoretical scaling at
+    large node counts.
     """
 
     eta: float = 0.1
     max_iters: int = 500
     tol: float = np.inf
-    loss_tol: float = np.nan
     cadence: int = 1
 
     def __post_init__(self):
@@ -207,7 +206,7 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     """Iterate Wirtinger flow, recording the iterate and its loss at the
     configured cadence.
 
-    Stops at max_iters, at the relative-error or loss tolerance, or with a
+    Stops at max_iters, at the relative-error tolerance, or with a
     DivergenceError naming the offending iteration if the loss becomes
     non-finite or grows a millionfold.  Divergence is checked at every step;
     the tolerance test runs on blocks of log points, and a run that meets a
@@ -262,10 +261,7 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     limit = np.fmin(_DIVERGENCE_FACTOR * np.maximum(loss_t, 1e-300),
                     np.finfo(float).max)
     # Only a tolerance test needs the metrics in the loop.
-    metrics_in_loop = np.isfinite(settings.tol) or np.isfinite(settings.loss_tol)
-    # A disabled (non-finite) tolerance becomes -inf, which nothing meets.
-    tol, loss_tol = (v if np.isfinite(v) else -np.inf
-                     for v in (settings.tol, settings.loss_tol))
+    metrics_in_loop = np.isfinite(settings.tol)
 
     def retire(keep: np.ndarray) -> None:
         nonlocal z, g, loss_t, limit, runs, rows, w
@@ -282,10 +278,10 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
         retire(~bad)
 
     def settle() -> None:
-        """Log the pending points, with their metrics in one call when a
-        tolerance is set; every run that meets a tolerance at one of them
-        ends at the first such point.  A zero block ends its run, as the
-        truth alignment of that point would fail."""
+        """Log the pending points, with their metrics in one call when the
+        tolerance is set; every run that meets it at one of them ends at the
+        first such point.  A zero block ends its run, as the truth alignment
+        of that point would fail."""
         if not pending:
             return
         t_b, loss_b, h_b, x_b = map(np.asarray, zip(*pending))
@@ -297,11 +293,11 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
                 return
             loss_b, h_b, x_b = loss_b[:, ~bad], h_b[:, ~bad], x_b[:, ~bad]
         values = dict(loss=loss_b, h=h_b, x=x_b)
-        stop = loss_b <= loss_tol                                     # (B, A)
+        stop = np.zeros(loss_b.shape, dtype=bool)                     # (B, A)
         if metrics_in_loop:
             snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), rows.truth)
             values.update(_snapshot_columns(snap))
-            stop |= snap.relative_error <= tol
+            stop = snap.relative_error <= settings.tol
         blocks.append((t_b, runs, values))
         met, first = stop.any(axis=0), stop.argmax(axis=0)
         n_logged[runs] += np.where(met, first + 1, len(t_b))

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -66,6 +68,55 @@ class TestParseConfig:
     def test_nonpositive_trials_rejected(self):
         with pytest.raises(ConfigError):
             bc.parse_config(overrides={"preset": "noise-sweep", "trials": 0})
+
+    @pytest.mark.parametrize("key, value", [("q", ["x"]), ("sigma_w_grid", [1, "y"])])
+    def test_bad_list_entry_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            bc.parse_config(overrides={"preset": "noise-sweep", key: value})
+
+
+# A value for each config key that differs from its default and is valid on
+# top of the components preset (s = 4).
+_KEY_SAMPLES = {"preset": "diagnostics", "s": "3", "K": "12", "N": "7", "m": "90",
+                "m_factor": "20", "eta": "0.05", "max_iters": "40", "tol": "1e-3",
+                "sigma2_e": "0.01", "sigma_w_grid": "1,10,100", "q": "1,0.5,0.25,1",
+                "trials": "3", "seed": "11", "out": "elsewhere", "cadence": "5",
+                "loo_samples": "2", "jobs": "2"}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _main_config(monkeypatch, argv):
+    """The config that ``main(argv)`` runs, with the run itself stubbed out."""
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda cfg: seen.append(cfg) or {"ok": True, "trials": []})
+    assert main(argv) == 0
+    return seen[0]
+
+
+class TestKeysFromFields:
+    @pytest.mark.parametrize("field", dataclasses.fields(bc.ExperimentConfig),
+                             ids=lambda field: field.name)
+    def test_flag_and_config_line_agree(self, field, tmp_path, monkeypatch):
+        settings = {"preset": "components", field.name: _KEY_SAMPLES[field.name]}
+        path = tmp_path / "exp.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        from_file = _main_config(monkeypatch, ["run", "--config", str(path)])
+        flags = [arg for key, value in settings.items() for arg in (_flag(key), value)]
+        assert _main_config(monkeypatch, ["run", *flags]) == from_file
+        assert getattr(from_file, field.name) != getattr(bc.ExperimentConfig(), field.name)
+
+    @pytest.mark.parametrize("command", ["run", "diagnostics"])
+    def test_help_lists_one_flag_per_field(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^\s+(--[\w-]+)", capsys.readouterr().out, re.M)
+        assert listed == ["--config"] + [_flag(field.name) for field
+                                         in dataclasses.fields(bc.ExperimentConfig)]
 
 
 def _tiny_cfg(out, **kw):
@@ -399,35 +450,31 @@ class TestMainEntry:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, env", [
-        (["--preset", "fig1-convergence", "--K", "4", "--cadence", "0"], None),
-        (["--preset", "noise-sweep", "--sigma-w-grid", "1,-10"], None),
-        (["--preset", "noise-sweep", "--K", "30", "--m", "20"], None),
-        (["--preset", "noise-sweep", "--sigma2-e", "-1"], None),
-        (["--preset", "noise-sweep", "--q", "1.5"], None),
-        (["--preset", "noise-sweep", "--eta", "nan"], None),
-        (["--preset", "noise-sweep", "--eta", "inf"], None),
-        (["--preset", "noise-sweep", "--sigma2-e", "inf"], None),
-        (["--preset", "noise-sweep", "--sigma-w-grid", "1,inf"], None),
-        (["--preset", "noise-sweep", "--sigma-w-grid", "10"], None),
-        (["--preset", "noise-sweep", "--sigma-w-grid", "10,1e1"], None),
-        (["--preset", "noise-sweep", "--max-iters", "0"], None),
-        (["--preset", "diagnostics", "--loo-samples", "-1"], None),
-        (["--preset", "noise-sweep"], "two"),
-        (["--preset", "fig1-convergence", "--K", "4", "--seed", "-1"], None),
-        (["--preset", "noise-sweep", "--jobs", "-3"], None),
-        (["--preset", "noise-sweep", "--jobs", "0"], None),
-        (["--preset", "noise-sweep"], "0"),
-        (["--preset", "noise-sweep"], "-2"),
+    @pytest.mark.parametrize("flags", [
+        ["--preset", "fig1-convergence", "--K", "4", "--cadence", "0"],
+        ["--preset", "noise-sweep", "--sigma-w-grid", "1,-10"],
+        ["--preset", "noise-sweep", "--K", "30", "--m", "20"],
+        ["--preset", "noise-sweep", "--sigma2-e", "-1"],
+        ["--preset", "noise-sweep", "--q", "1.5"],
+        ["--preset", "noise-sweep", "--eta", "nan"],
+        ["--preset", "noise-sweep", "--eta", "inf"],
+        ["--preset", "noise-sweep", "--sigma2-e", "inf"],
+        ["--preset", "noise-sweep", "--sigma-w-grid", "1,inf"],
+        ["--preset", "noise-sweep", "--sigma-w-grid", "10"],
+        ["--preset", "noise-sweep", "--sigma-w-grid", "10,1e1"],
+        ["--preset", "noise-sweep", "--max-iters", "0"],
+        ["--preset", "diagnostics", "--loo-samples", "-1"],
+        ["--preset", "fig1-convergence", "--K", "4", "--seed", "-1"],
+        ["--preset", "noise-sweep", "--jobs", "-3"],
+        ["--preset", "noise-sweep", "--jobs", "0"],
+        ["--preset", "noise-sweep", "--tol", "nan"],
+        ["--preset", "noise-sweep", "--tol", "-0.001"],
+        ["--preset", "noise-sweep", "--K", "four"],
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
             "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
-            "sigma_w_grid_repeated", "max_iters",
-            "loo_samples", "jobs_env", "seed", "jobs_negative", "jobs_zero",
-            "jobs_env_zero", "jobs_env_negative"])
-    def test_bad_input_rejected_at_boundary(self, flags, env, tmp_path, capsys,
-                                            monkeypatch):
-        if env is not None:
-            monkeypatch.setenv("BLAIRCOMP_JOBS", env)
+            "sigma_w_grid_repeated", "max_iters", "loo_samples", "seed",
+            "jobs_negative", "jobs_zero", "tol_nan", "tol_negative", "K_text"])
+    def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err

@@ -310,14 +310,6 @@ class TestRunWf:
         with pytest.raises(DivergenceError, match=r"iteration \d+"):
             bc.run_wf(small_instance, small_iterate, settings)
 
-    def test_loss_tolerance_stops(self, small_instance):
-        z0 = bc.Iterate(h=small_instance.truth.h.copy(),
-                        x=small_instance.truth.x.copy())
-        settings = bc.SolverSettings(eta=0.1, max_iters=50, tol=np.inf,
-                                     loss_tol=1e-12)
-        trace = bc.run_wf(small_instance, z0, settings)
-        assert trace.converged and trace.n_iters == 0
-
 
 def _single_runs(inst, z0, settings, weights):
     """The rows of a weight matrix run one by one, as single-run calls."""
@@ -640,27 +632,29 @@ class TestMetricBlocks:
         assert len(calls) == len(on_read.runs)
 
     def test_tolerance_before_divergence_in_one_block(self):
-        # From the truth of a noisy instance the loss meets loss_tol at t = 0
-        # and, at this step size, diverges at iteration 1.  The tolerance
-        # comes first, so the run stops there and nothing is raised.
+        # From the truth of a noisy instance the relative error meets tol at
+        # t = 0 and, at this step size, the loss diverges at iteration 1.
+        # The tolerance comes first, so the run stops there and nothing is
+        # raised.
         inst = bc.make_instance(1, 4, 4, 60, sigma2_e=1e-2, seed=3)
-        z0 = bc.Iterate(h=inst.truth.h.copy(), x=inst.truth.x.copy())
-        settings = bc.SolverSettings(eta=1e3, max_iters=50, tol=np.inf,
-                                     loss_tol=2.0 * bc.loss(z0, inst))
-        trace = bc.run_wf(inst, z0, settings)
+        truth = bc.Iterate(h=inst.truth.h.copy(), x=inst.truth.x.copy())
+        settings = bc.SolverSettings(eta=1e3, max_iters=50, tol=1e-12)
+        trace = bc.run_wf(inst, truth, settings)
         assert trace.stop_reason == "tol" and trace.n_iters == 0
         assert trace.t.tolist() == [0]
         with pytest.raises(DivergenceError, match="iteration 1:"):
-            bc.run_wf(inst, z0, bc.SolverSettings(eta=1e3, max_iters=50,
-                                                  tol=np.inf))
-        # Beside a row that misses the tolerance and then diverges, the
-        # stopped row is not the one reported.
-        weights = np.array([1.0, 3.0])[:, None] * np.ones(inst.m)
-        with pytest.raises(DivergenceError) as sequential:
-            _single_runs(inst, z0, settings, weights)
-        batch = bc.run_wf(inst, z0, settings, sample_weights=weights)
-        assert batch.runs[0].stop_reason == "tol" and batch.runs[1] is None
-        assert str(batch.errors[1]) == str(sequential.value)
+            bc.run_wf(inst, truth, bc.SolverSettings(eta=1e3, max_iters=50,
+                                                     tol=np.inf))
+        # Beside a row that misses the tolerance and then diverges in the
+        # same block, the stopped row is not the one reported.
+        start = bc.random_init(1, 4, 4, np.random.default_rng(5))
+        with pytest.raises(DivergenceError, match="iteration 1:") as single:
+            bc.run_wf(inst, start, settings)
+        z0 = bc.Iterate(h=np.stack([truth.h, start.h]), x=np.stack([truth.x, start.x]))
+        batch = bc.run_wf(inst, z0, settings)
+        assert batch.runs[0].stop_reason == "tol" and batch.runs[0].n_iters == 0
+        assert batch.runs[1] is None
+        assert str(batch.errors[1]) == str(single.value)
 
 
 class TestHessianXBlock:
