@@ -6,8 +6,8 @@ from .ensemble import (GroundTruth, ProblemInstance, generate_partial_dft,
 from .errors import (BlaircompError, ConfigError, DegenerateAlignmentError,
                      DegenerateIterateError, DimensionMismatchError,
                      DivergenceError, ParameterError, UndefinedMetricError)
-from .metrics import (AlignmentResult, ComponentDecomposition, align_pair,
-                      incoherence, snapshot_metrics)
+from .metrics import (AlignmentResult, MetricSnapshot, align_pair, incoherence,
+                      snapshot_metrics)
 from .solver import (GradientBlocks, Iterate, RunBatch, SolverSettings, StateTrace,
                      loss, random_init, run_wf, wf_step, wirtinger_gradient)
 from .state_evolution import (PerturbationSeries, SEState, StageReport,

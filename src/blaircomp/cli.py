@@ -98,18 +98,14 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if self.cadence < 1:
-            raise ConfigError("cadence must be >= 1")
         if self.jobs is not None and self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.loo_samples < 0:
             raise ConfigError("loo_samples must be >= 0")
-        if not 0 < self.eta < np.inf:           # also rejects NaN
-            raise ConfigError("eta must be finite and > 0")
-        if not self.tol > 0:                    # inf disables the test
-            raise ConfigError("tol must be > 0")
+        try:
+            self.solver_settings()
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
         if not 0 <= self.sigma2_e < np.inf:
             raise ConfigError("sigma2_e must be finite and >= 0")
         if self.q is not None and len(self.q) != self.s:
@@ -124,6 +120,10 @@ class ExperimentConfig:
         if self.sigma_w_grid is not None and not all(0 < v < np.inf
                                                      for v in self.sigma_w_grid):
             raise ConfigError("every sigma_w_grid value must be finite and > 0")
+
+    def solver_settings(self) -> SolverSettings:
+        return SolverSettings(eta=self.eta, max_iters=self.max_iters, tol=self.tol,
+                              cadence=self.cadence)
 
     def to_json_dict(self) -> Dict:
         """The settings that determine the results: every field but ``out``
@@ -274,7 +274,7 @@ def _run_trial(cfg: ExperimentConfig, first_trial: int, n_trials: int) -> List[D
     the trial logs no trace rows, and the other trials go on.
     """
     trials = range(first_trial, first_trial + n_trials)
-    # trial -> its error, or its (trace, instance, aux rng, results)
+    # trial -> its error, or its (trace, aux rng, results)
     solved: Dict[int, object] = {}
     built = []
     for trial in trials:
@@ -302,24 +302,23 @@ def _build_trial(cfg: ExperimentConfig, trial: int):
 
 
 def _solve_block(cfg: ExperimentConfig, built: List[tuple]) -> Dict[int, object]:
-    """Each built trial's error, or its trace, instance, auxiliary stream and
+    """Each built trial's error, or its trace, auxiliary stream and
     per-trial results; all trials in one call, a diagnostics trial in its
     suite."""
-    settings = SolverSettings(eta=cfg.eta, max_iters=cfg.max_iters, tol=cfg.tol,
-                              cadence=cfg.cadence)
+    settings = cfg.solver_settings()
     if cfg.preset == "diagnostics":
         (trial, inst, z0, aux_rng), = built
         loo = diag.select_loo_indices(inst.m, cfg.loo_samples, aux_rng)
         plain, flipped = diag.run_diagnostics_suite(inst, z0, settings, loo, aux_rng)
         result = {"hypotheses": diag.measure_hypotheses(plain, flipped, inst),
                   "concentration": asdict(diag.concentration_report(inst))}
-        return {trial: (plain[0], inst, aux_rng, result)}
+        return {trial: (plain[0], aux_rng, result)}
     trials, insts, z0s, aux_rngs = zip(*built)
     batch = run_wf(insts, Iterate(h=np.stack([z.h for z in z0s]),
                                   x=np.stack([z.x for z in z0s])), settings)
-    return {trial: exc if exc is not None else (trace, inst, aux_rng, {})
-            for trial, inst, aux_rng, trace, exc
-            in zip(trials, insts, aux_rngs, batch.runs, batch.errors)}
+    return {trial: exc if exc is not None else (trace, aux_rng, {})
+            for trial, aux_rng, trace, exc
+            in zip(trials, aux_rngs, batch.runs, batch.errors)}
 
 
 def _trial_result(cfg: ExperimentConfig, trial: int, solved) -> Dict:
@@ -329,10 +328,9 @@ def _trial_result(cfg: ExperimentConfig, trial: int, solved) -> Dict:
         summary.update(diverged=isinstance(solved, DivergenceError), error=str(solved),
                        error_type=type(solved).__name__)
         return {"summary": summary, "trace": []}
-    trace, inst, aux_rng, result = solved
+    trace, aux_rng, result = solved
     if cfg.preset == "noise-sweep":
-        result["noise_rows"] = _noise_sweep_rows(trace, inst.truth, cfg.sigma_w_grid,
-                                                 aux_rng, trial)
+        result["noise_rows"] = _noise_sweep_rows(trace, cfg.sigma_w_grid, aux_rng, trial)
     summary.update(converged=trace.converged, n_iters=trace.n_iters,
                    final_relative_error=float(trace.relative_error[-1]),
                    final_loss=float(trace.loss[-1]),
@@ -341,7 +339,7 @@ def _trial_result(cfg: ExperimentConfig, trial: int, solved) -> Dict:
     return result
 
 
-def _noise_sweep_rows(trace, truth, sigma_w_grid: Sequence[float],
+def _noise_sweep_rows(trace, sigma_w_grid: Sequence[float],
                       rng: np.random.Generator, trial: int) -> np.ndarray:
     """Noisy relative error per logged iteration and sigma_w: the run's logged
     alignment parameters are perturbed and applied to the recovered sum.
@@ -352,10 +350,10 @@ def _noise_sweep_rows(trace, truth, sigma_w_grid: Sequence[float],
     is ``noise_sweep_rows_loop`` in the tests' helpers), taken in a single
     draw.
     """
-    target = np.sum(truth.x, axis=0)
+    target = np.sum(trace.truth.x, axis=0)
     denom = np.linalg.norm(target)
     grid = np.asarray(sigma_w_grid, dtype=float)
-    noise = (rng.standard_normal((len(trace.t), len(grid), 2, truth.s))
+    noise = (rng.standard_normal((len(trace.t), len(grid), 2, trace.s))
              * np.sqrt(0.5 / grid)[:, None, None])
     w_hat = trace.omega[:, None, :] + (noise[:, :, 0] + 1j * noise[:, :, 1])
     err = np.linalg.norm(w_hat @ trace.x - target, axis=-1) / denom   # (T, grid)
@@ -367,27 +365,22 @@ def _noise_sweep_rows(trace, truth, sigma_w_grid: Sequence[float],
     return rows.reshape(-1, 4)
 
 
-def fit_noise_slope(noise_rows: Sequence[Sequence[float]]) -> Dict:
+def fit_noise_slope(sigma_w_grid: Sequence[float], tables: Sequence[np.ndarray]) -> Dict:
     """Slope of error(dB) against sigma_w(dB), using the RMS noisy error over
     the last logged iterations of each trial (noise-dominated regime).
-    Rows are (trial, t, sigma_w, error); a line needs two distinct sigma_w."""
-    rows = np.asarray(noise_rows, dtype=float).reshape(-1, 4)
-    # Sort to (sigma_w, trial, t) order and keep each (sigma_w, trial) group's
-    # last _NOISE_FIT_WINDOW rows: each sigma_w's errors stay in the (trial, t)
-    # order the mean sums them in.
-    rows = rows[np.lexsort((rows[:, 1], rows[:, 0], rows[:, 2]))]
-    pos = np.arange(len(rows))
-    ends = np.flatnonzero(np.r_[np.any(rows[1:, [2, 0]] != rows[:-1, [2, 0]], axis=1),
-                                True])
-    rows = rows[ends[np.searchsorted(ends, pos)] - pos < _NOISE_FIT_WINDOW]
-    sigma_values, first = np.unique(rows[:, 2], return_index=True)
-    if len(sigma_values) < 2:
+    ``tables`` are the trials' ``_noise_sweep_rows``, (T*G, 4) iteration-major
+    over the G grid values; a line needs two or more, all distinct."""
+    grid = np.asarray(sigma_w_grid, dtype=float)
+    if len(grid) < 2 or len(np.unique(grid)) < len(grid):
         raise ParameterError("the noise slope needs at least two distinct sigma_w")
+    # (trials * window, G), each column in the (trial, t) order the mean sums
+    errs = np.concatenate([rows.reshape(-1, len(grid), 4)[-_NOISE_FIT_WINDOW:, :, 3]
+                           for rows in tables])
     points = []
-    for sigma_w, errs in zip(sigma_values, np.split(rows[:, 3], first[1:])):
-        rms = float(np.sqrt(np.mean(np.square(errs))))
-        points.append({"sigma_w": float(sigma_w),
-                       "sigma_w_db": 10.0 * np.log10(sigma_w),
+    for j in np.argsort(grid):
+        rms = float(np.sqrt(np.mean(np.square(errs[:, j]))))
+        points.append({"sigma_w": float(grid[j]),
+                       "sigma_w_db": 10.0 * np.log10(grid[j]),
                        "rms_error_db": 20.0 * np.log10(rms)})
     slope = float(np.polyfit([p["sigma_w_db"] for p in points],
                              [p["rms_error_db"] for p in points], 1)[0])
@@ -408,7 +401,7 @@ def _build_report(cfg: ExperimentConfig, results: List[Dict]) -> Dict:
     if cfg.preset == "noise-sweep":
         tables = [r["noise_rows"] for r in results if "noise_rows" in r]
         if tables:
-            report["noise_sweep"] = fit_noise_slope(np.concatenate(tables))
+            report["noise_sweep"] = fit_noise_slope(cfg.sigma_w_grid, tables)
     if cfg.preset == "diagnostics":
         report["concentration"] = [r.get("concentration") for r in results]
     return report
@@ -529,6 +522,23 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + key.replace("_", "-"), **extra)
 
 
+def _numbers_as_values(argv: Sequence[str]) -> List[str]:
+    """``--flag -1e-6,2`` as ``--flag=-1e-6,2``: argparse reads a token that
+    starts with ``-`` as a flag unless it is one plain negative number."""
+    out: List[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1]:
+            try:
+                [float(v) for v in token.split(",")]
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="blaircomp",
@@ -540,7 +550,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             help="leave-one-out / sign-flip diagnostics suite")
     _add_common_flags(diag_p)
 
-    args = vars(parser.parse_args(argv))
+    args = vars(parser.parse_args(
+        _numbers_as_values(sys.argv[1:] if argv is None else argv)))
     command = args.pop("command")
     config_path = args.pop("config")
     if command == "diagnostics":

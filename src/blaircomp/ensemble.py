@@ -105,8 +105,8 @@ def synthesize_measurements(b_rows: np.ndarray, a: np.ndarray, truth: GroundTrut
                             sigma2_e: float, rng: Optional[np.random.Generator] = None
                             ) -> np.ndarray:
     """y_j = sum_i b_j^H h_i x_i^H a_ij + e_j with e_j circularly symmetric."""
-    if sigma2_e < 0.0:
-        raise ParameterError("noise variance must be >= 0")
+    if not 0.0 <= sigma2_e < np.inf:          # also rejects NaN
+        raise ParameterError("noise variance must be finite and >= 0")
     s, m, _ = a.shape
     if truth.h.shape[0] != s:
         raise DimensionMismatchError("design tensor and ground truth disagree on s")

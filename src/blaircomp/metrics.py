@@ -26,26 +26,22 @@ class AlignmentResult:
 
 
 @dataclass(frozen=True)
-class ComponentDecomposition:
-    """Per-node overlap with the ground-truth direction and its complement.
+class MetricSnapshot:
+    """The truth metrics of an iterate, batch-shaped for stacked runs; the
+    fields are ``StateTrace``'s metric columns.
 
     alpha may be complex on measured traces; |alpha|^2 + beta^2 equals the
     squared norm of the aligned block (Pythagoras).
     """
 
-    alpha_h: np.ndarray      # (s,) complex
-    beta_h: np.ndarray       # (s,) real >= 0
+    relative_error: Union[float, np.ndarray]
+    dist: Union[float, np.ndarray]
+    alpha_h: np.ndarray      # (s,) complex overlap with the truth direction
+    beta_h: np.ndarray       # (s,) real >= 0, norm of the remainder
     alpha_x: np.ndarray      # (s,) complex
     beta_x: np.ndarray       # (s,) real >= 0
     rmse_x: np.ndarray       # (s,) beta_x / ||x_i|| of the raw iterate
     omega: np.ndarray        # (s,) complex alignment parameters used
-
-
-@dataclass(frozen=True)
-class MetricSnapshot:
-    relative_error: Union[float, np.ndarray]    # batch-shaped for stacked runs
-    dist: Union[float, np.ndarray]
-    decomposition: ComponentDecomposition
 
 
 def align_pair(h_a: np.ndarray, x_a: np.ndarray,
@@ -189,14 +185,23 @@ def snapshot_metrics(z, truth: GroundTruth) -> MetricSnapshot:
     ||sum_i x_bar_i||; dist is the square root of the sum over nodes of the
     alignment cost over d_i = ||h_bar_i||^2 + ||x_bar_i||^2 = 2*q_i^2.  The
     iterate may stack runs, h (..., s, K) and x (..., s, N); errors then
-    have the batch shape and the decomposition's arrays (..., s).  The truth
+    have the batch shape and the per-node arrays (..., s).  The truth
     may stack per-run truths, h (..., s, K), x (..., s, N) and q (..., s),
     that broadcast against the iterate.
     """
     res = align_pair(z.h, z.x, truth.h, truth.x)
-    return MetricSnapshot(relative_error=_relative_error(res.omega, z, truth),
-                          dist=_dist(res.cost, truth),
-                          decomposition=_decompose(z, truth, res.omega))
+    omega = res.omega
+    denom = target_norm(truth)
+    if not denom.all():
+        raise UndefinedMetricError("target vector sums to zero")
+    recovered = (omega[..., None, :] @ z.x)[..., 0, :]
+    error = np.linalg.norm(recovered - truth.x.sum(axis=-2), axis=-1) / denom
+    dist = np.sqrt((res.cost / (2.0 * truth.q ** 2)).sum(axis=-1))
+    alpha_h, beta_h = _components(z.h / np.conj(omega)[..., None], truth.h)
+    alpha_x, beta_x = _components(omega[..., None] * z.x, truth.x)
+    return MetricSnapshot(relative_error=_scalar(error), dist=_scalar(dist),
+                          alpha_h=alpha_h, beta_h=beta_h, alpha_x=alpha_x, beta_x=beta_x,
+                          rmse_x=beta_x / np.linalg.norm(z.x, axis=-1), omega=omega)
 
 
 def incoherence(truth: GroundTruth, b_rows: np.ndarray) -> float:
@@ -215,27 +220,6 @@ def target_norm(truth: GroundTruth) -> np.ndarray:
     # One 1-D norm per target: norm(axis=-1) rounds differently.
     return np.array([np.linalg.norm(v) for v in target.reshape(-1, target.shape[-1])]
                     ).reshape(target.shape[:-1])
-
-
-def _relative_error(omega: np.ndarray, z, truth: GroundTruth):
-    denom = target_norm(truth)
-    if not denom.all():
-        raise UndefinedMetricError("target vector sums to zero")
-    recovered = (omega[..., None, :] @ z.x)[..., 0, :]
-    return _scalar(np.linalg.norm(recovered - truth.x.sum(axis=-2), axis=-1) / denom)
-
-
-def _dist(cost: np.ndarray, truth: GroundTruth):
-    return _scalar(np.sqrt((cost / (2.0 * truth.q ** 2)).sum(axis=-1)))
-
-
-def _decompose(z, truth: GroundTruth, omega: np.ndarray) -> ComponentDecomposition:
-    alpha_h, beta_h = _components(z.h / np.conj(omega)[..., None], truth.h)
-    alpha_x, beta_x = _components(omega[..., None] * z.x, truth.x)
-    return ComponentDecomposition(alpha_h=alpha_h, beta_h=beta_h,
-                                  alpha_x=alpha_x, beta_x=beta_x,
-                                  rmse_x=beta_x / np.linalg.norm(z.x, axis=-1),
-                                  omega=omega)
 
 
 def _components(v_tilde: np.ndarray, v_bar: np.ndarray):

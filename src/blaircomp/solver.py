@@ -18,7 +18,8 @@ import numpy as np
 from . import metrics
 from .ensemble import GroundTruth, ProblemInstance
 from .errors import (BlaircompError, DegenerateAlignmentError, DegenerateIterateError,
-                     DimensionMismatchError, DivergenceError, UndefinedMetricError)
+                     DimensionMismatchError, DivergenceError, ParameterError,
+                     UndefinedMetricError)
 
 _DIVERGENCE_FACTOR = 1e6
 # Iterations whose log points share one snapshot_metrics call (at least one
@@ -45,7 +46,7 @@ class SolverSettings:
     """Step size, iteration budget, and stopping/logging policy.
 
     ``tol`` stops on relative error (needs ground truth, simulation only);
-    a non-finite value disables it.  The default step size is the
+    ``inf`` turns the test off.  The default step size is the
     experimental value 0.1; pass eta ~ c/s for the theoretical scaling at
     large node counts.
     """
@@ -56,12 +57,14 @@ class SolverSettings:
     cadence: int = 1
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError("step size must be > 0")
+        if not 0.0 < self.eta < np.inf:         # also rejects NaN
+            raise ParameterError("eta must be finite and > 0")
+        if not self.tol > 0.0:
+            raise ParameterError("tol must be > 0")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ParameterError("max_iters must be >= 1")
         if self.cadence < 1:
-            raise ValueError("cadence must be >= 1")
+            raise ParameterError("cadence must be >= 1")
 
 
 def _metric(name: str) -> property:
@@ -109,7 +112,7 @@ class StateTrace:
 
     def _metric_columns(self) -> Dict[str, np.ndarray]:
         if self._metrics is None:
-            self._metrics = _snapshot_columns(
+            self._metrics = vars(
                 metrics.snapshot_metrics(Iterate(h=self.h, x=self.x), self.truth))
         return self._metrics
 
@@ -169,13 +172,11 @@ def random_init(s: int, K: int, N: int, rng: np.random.Generator) -> Iterate:
 
 def loss(z: Iterate, inst: ProblemInstance,
          sample_weights: Optional[np.ndarray] = None) -> float:
-    r, _, _ = _forward(z, inst)
-    if r.ndim != 1:
+    """f(z), weighted per sample by ``sample_weights`` of shape (m,)."""
+    _, loss_val = _gradient_and_loss(z, inst, _check_weights(sample_weights, inst.m))
+    if np.ndim(loss_val) != 0:
         raise DimensionMismatchError("loss takes one iterate, not a stack")
-    w = _check_weights(sample_weights, inst.m)
-    if w is None:
-        return float(np.sum(np.abs(r) ** 2))
-    return float(np.sum(w * np.abs(r) ** 2))
+    return float(loss_val)
 
 
 def wirtinger_gradient(z: Iterate, inst: ProblemInstance,
@@ -296,7 +297,7 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
         stop = np.zeros(loss_b.shape, dtype=bool)                     # (B, A)
         if metrics_in_loop:
             snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), rows.truth)
-            values.update(_snapshot_columns(snap))
+            values.update(vars(snap))
             stop = snap.relative_error <= settings.tol
         blocks.append((t_b, runs, values))
         met, first = stop.any(axis=0), stop.argmax(axis=0)
@@ -370,11 +371,6 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
                     n_iters=sum(tr.n_iters for tr in done),
                     t=np.concatenate([tr.t for tr in done] or [np.zeros(0, int)]),
                     s=rows.s)
-
-
-def gradient_inner(g: GradientBlocks, dh: np.ndarray, dx: np.ndarray) -> complex:
-    """<delta, grad> with the convention f(z+eps*delta)-f(z) ~ 2*eps*Re<...>."""
-    return complex(np.vdot(dh, g.h) + np.vdot(dx, g.x))
 
 
 def _forward(z: Iterate, inst: Union[ProblemInstance, _Rows]):
@@ -472,13 +468,6 @@ def _stack_instances(inst: Union[ProblemInstance, Sequence[ProblemInstance]]) ->
 def _take(v: Optional[np.ndarray], keep: np.ndarray) -> Optional[np.ndarray]:
     """Rows ``keep`` of per-run values; a single shared row stays as it is."""
     return v if v is None or len(v) == 1 else v[keep]
-
-
-def _snapshot_columns(snap: metrics.MetricSnapshot) -> Dict[str, np.ndarray]:
-    """A snapshot's values under their StateTrace column names (the
-    decomposition's fields are columns by name)."""
-    return dict(vars(snap.decomposition), relative_error=snap.relative_error,
-                dist=snap.dist)
 
 
 def _zero_block(h: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -24,6 +24,11 @@ def brute_force_loss(z, inst, sample_weights=None):
     return total
 
 
+def gradient_inner(g, dh, dx):
+    """<delta, grad> with the convention f(z+eps*delta)-f(z) ~ 2*eps*Re<...>."""
+    return complex(np.vdot(dh, g.h) + np.vdot(dx, g.x))
+
+
 def brute_force_gradient(z, inst, sample_weights=None):
     """Naive per-(i, j) gradient accumulation, no residual sharing.
 

@@ -11,9 +11,8 @@ import pytest
 
 import blaircomp as bc
 from blaircomp.cli import ExperimentConfig
-from blaircomp.solver import gradient_inner
 
-from helpers import draw_direction, explicit_sign_flip, grid_search_cost
+from helpers import draw_direction, explicit_sign_flip, gradient_inner, grid_search_cost
 
 ETA = 0.1
 
@@ -213,8 +212,9 @@ def test_criterion_8_noise_sweep_slope(tmp_path):
     elapsed = time.perf_counter() - t0
     ok = result["ok"] and -1.2 <= slope <= -0.8 and elapsed < 60.0
     _criterion(8, ok,
-               f"error(dB) vs sigma_w(dB) slope {slope:.3f} in [-1.2, -0.8], "
-               f"{elapsed:.1f}s < 60s")
+               f"error(dB) vs sigma_w(dB) slope {slope:.3f} in [-1.2, -0.8] (set "
+               f"by the injected omega noise: certifies converged iterates, not the "
+               f"error's scaling with sigma2_e), {elapsed:.1f}s < 60s")
 
 
 def test_criterion_9_concentration_suite():

@@ -203,7 +203,7 @@ class TestRunExperiment:
     def test_noise_sweep_rows_match_per_row_loop(self, s):
         inst, _, trace = run_desk_scale(3, s=s, max_iters=40)
         grid = [1.0, 10.0, 1e3, 1e5]
-        rows = _noise_sweep_rows(trace, inst.truth, grid, np.random.default_rng(8), 2)
+        rows = _noise_sweep_rows(trace, grid, np.random.default_rng(8), 2)
         ref = noise_sweep_rows_loop(trace, inst.truth, grid,
                                     np.random.default_rng(8), 2)
         ref = np.asarray(ref)
@@ -274,20 +274,22 @@ class TestArtifactWriters:
 
     def test_fit_noise_slope_matches_masked_loop(self):
         rng = np.random.default_rng(4)
-        grid = [1.0, 10.0, 1e3, 1e5]
         # trial 1 logs fewer points than the fit window
         lengths = {0: 25, 1: cli._NOISE_FIT_WINDOW - 3, 2: 13, 3: 30}
-        rows = np.array([[trial, 3 * t, sigma_w, rng.uniform(0.1, 2.0) / sigma_w]
-                         for trial, n in lengths.items() for t in range(n)
-                         for sigma_w in grid])
-        rows = rows[rng.permutation(len(rows))]
-        assert cli.fit_noise_slope(rows) == fit_noise_slope_loop(rows)
+        for grid in ([1.0, 10.0, 1e3, 1e5], [1e3, 1.0, 1e5, 10.0]):    # sorted or not
+            tables = [np.array([[trial, 3 * t, sigma_w, rng.uniform(0.1, 2.0) / sigma_w]
+                                for t in range(n) for sigma_w in grid])
+                      for trial, n in lengths.items()]
+            assert (cli.fit_noise_slope(grid, tables)
+                    == fit_noise_slope_loop(np.concatenate(tables)))
 
-    @pytest.mark.parametrize("grid", [[10.0], []], ids=["one_sigma_w", "no_rows"])
+    @pytest.mark.parametrize("grid", [[10.0], [], [1.0, 10.0, 1.0]],
+                             ids=["one_sigma_w", "no_rows", "repeated_sigma_w"])
     def test_fit_noise_slope_needs_two_sigma_w(self, grid):
-        rows = [[0, t, sigma_w, 0.1 + 0.01 * t] for t in range(20) for sigma_w in grid]
+        tables = [np.array([[0, t, sigma_w, 0.1 + 0.01 * t]
+                            for t in range(20) for sigma_w in grid]).reshape(-1, 4)]
         with pytest.raises(ParameterError):
-            cli.fit_noise_slope(rows)
+            cli.fit_noise_slope(grid, tables)
 
 
 class TestTrialBlocks:
@@ -470,10 +472,15 @@ class TestMainEntry:
         ["--preset", "noise-sweep", "--tol", "nan"],
         ["--preset", "noise-sweep", "--tol", "-0.001"],
         ["--preset", "noise-sweep", "--K", "four"],
+        ["--preset", "noise-sweep", "--tol", "-1e-6"],
+        ["--preset", "noise-sweep", "--sigma2-e", "-1e-3"],
+        ["--preset", "noise-sweep", "--sigma-w-grid", "-1e-3,10"],
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
             "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
             "sigma_w_grid_repeated", "max_iters", "loo_samples", "seed",
-            "jobs_negative", "jobs_zero", "tol_nan", "tol_negative", "K_text"])
+            "jobs_negative", "jobs_zero", "tol_nan", "tol_negative", "K_text",
+            "tol_negative_exponent", "sigma2_e_negative_exponent",
+            "sigma_w_grid_negative_first"])
     def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2

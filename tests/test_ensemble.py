@@ -134,6 +134,11 @@ class TestMeasurements:
                                                                np.random.default_rng(1)),
                                        t, -1.0)
 
+    @pytest.mark.parametrize("sigma2_e", [np.inf, np.nan])
+    def test_non_finite_variance_rejected(self, sigma2_e):
+        with pytest.raises(ParameterError):
+            bc.make_instance(1, 4, 4, 20, sigma2_e=sigma2_e, seed=0)
+
 
 class TestInstance:
     def test_seed_determinism_bitwise(self):

@@ -277,7 +277,7 @@ class TestDecompose:
     def test_at_truth(self):
         t = bc.sample_ground_truth(2, 4, 4, [1.0, 0.5], np.random.default_rng(8))
         z = bc.Iterate(h=t.h.copy(), x=t.x.copy())
-        dec = bc.snapshot_metrics(z, t).decomposition
+        dec = bc.snapshot_metrics(z, t)
         np.testing.assert_allclose(dec.alpha_h, t.q, atol=1e-9)
         np.testing.assert_allclose(dec.alpha_x, t.q, atol=1e-9)
         np.testing.assert_allclose(dec.beta_h, 0, atol=1e-9)
@@ -290,7 +290,7 @@ class TestDecompose:
         h = rng.normal(size=4) + 1j * rng.normal(size=4)
         h -= truth.h[0] * np.vdot(truth.h[0], h)  # q = 1
         z = bc.Iterate(h=h[None, :], x=truth.x.copy())
-        dec = bc.snapshot_metrics(z, truth).decomposition
+        dec = bc.snapshot_metrics(z, truth)
         assert abs(dec.alpha_h[0]) < 1e-10
         assert dec.beta_h[0] == pytest.approx(
             np.linalg.norm(h) / abs(dec.omega[0]), rel=1e-10)
@@ -298,7 +298,7 @@ class TestDecompose:
     def test_pythagorean_identity(self):
         t = bc.sample_ground_truth(2, 4, 4, [1, 1], np.random.default_rng(10))
         z = bc.random_init(2, 4, 4, np.random.default_rng(11))
-        dec = bc.snapshot_metrics(z, t).decomposition
+        dec = bc.snapshot_metrics(z, t)
         for i in range(2):
             h_t = z.h[i] / np.conj(dec.omega[i])
             x_t = dec.omega[i] * z.x[i]
@@ -310,7 +310,7 @@ class TestDecompose:
     def test_rmse_normalizes_by_raw_norm(self):
         t = bc.sample_ground_truth(1, 4, 4, [1.0], np.random.default_rng(12))
         z = bc.random_init(1, 4, 4, np.random.default_rng(13))
-        dec = bc.snapshot_metrics(z, t).decomposition
+        dec = bc.snapshot_metrics(z, t)
         assert dec.rmse_x[0] == pytest.approx(
             dec.beta_x[0] / np.linalg.norm(z.x[0]), rel=1e-12)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,12 @@ import blaircomp as bc
 from blaircomp import metrics, solver
 from blaircomp.errors import (DegenerateAlignmentError, DegenerateIterateError,
                               DimensionMismatchError, DivergenceError,
-                              UndefinedMetricError)
-from blaircomp.solver import gradient_inner
+                              ParameterError, UndefinedMetricError)
 
 from helpers import (brute_force_gradient, brute_force_hessian_x_block,
                      brute_force_loss, draw_direction, explicit_sign_flip,
-                     gradient_and_loss_reference, hessian_quadratic_form,
-                     population_gradient)
+                     gradient_and_loss_reference, gradient_inner,
+                     hessian_quadratic_form, population_gradient)
 
 
 def _kernel_case(m, layout, weights):
@@ -254,6 +255,18 @@ class TestWfStep:
             bc.wf_step(z, g, 0.1)
 
 
+class TestSolverSettings:
+    @pytest.mark.parametrize("bad", [
+        dict(eta=0.0), dict(eta=-0.1), dict(eta=np.nan), dict(eta=np.inf),
+        dict(tol=0.0), dict(tol=-1.0), dict(tol=np.nan),
+        dict(max_iters=0), dict(cadence=0),
+    ], ids=["eta_zero", "eta_negative", "eta_nan", "eta_inf", "tol_zero",
+            "tol_negative", "tol_nan", "max_iters", "cadence"])
+    def test_bad_value_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            bc.SolverSettings(**bad)
+
+
 class TestRunWf:
     def test_disabled_tolerance_runs_full_budget(self, small_instance, small_iterate):
         settings = bc.SolverSettings(eta=0.01, max_iters=7, tol=np.inf)
@@ -261,6 +274,16 @@ class TestRunWf:
         assert trace.n_iters == 7
         assert trace.t[-1] == 7
         assert not trace.converged
+
+    def test_snapshot_fields_are_the_trace_columns(self, small_instance, small_iterate):
+        names = {f.name for f in dataclasses.fields(bc.MetricSnapshot)}
+        columns = {name for name, attr in vars(bc.StateTrace).items()
+                   if isinstance(attr, property)} - {"q"}
+        assert names == columns
+        for tol in (np.inf, 1e-300):    # the columns on first read, and from the loop
+            trace = bc.run_wf(small_instance, small_iterate,
+                              bc.SolverSettings(max_iters=3, tol=tol))
+            assert set(trace._metric_columns()) == names
 
     def test_bit_identical_reruns(self, small_instance, small_iterate):
         settings = bc.SolverSettings(eta=0.05, max_iters=20, tol=np.inf)
