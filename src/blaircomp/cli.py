@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -186,8 +187,9 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
 
     Emits trace.csv (fixed 5 + 5s column schema), stages.json (config echo,
     per-trial summaries and stage reports), report.json (preset-specific
-    summary), a gnuplot stub, per-preset extras, and timings.json (wall clock
-    and pool size, the only artifact that changes between reruns).  Returns
+    summary), a gnuplot stub, per-preset extras, and timings.json (wall clock,
+    pool size and the time spent writing the other artifacts: the only
+    artifact that changes between reruns).  Returns
     a summary dict with artifact paths; ``ok`` is False when any trial failed.
     """
     cfg.validate()
@@ -210,16 +212,12 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
              "report": os.path.join(cfg.out, "report.json"),
              "plot": os.path.join(cfg.out, "plot.gp"),
              "timings": os.path.join(cfg.out, "timings.json")}
+    report = _build_report(cfg, results)
+    t_write = time.perf_counter()
     _write_csv(paths["trace"], trace_header(cfg.s), (r["trace"] for r in results))
     _write_plot_stub(paths["plot"], cfg)
-
-    stages_doc = {
-        "config": cfg.to_json_dict(),
-        "trials": [r["summary"] for r in results],
-    }
-    _write_json(paths["stages"], stages_doc)
-
-    report = _build_report(cfg, results)
+    _write_json(paths["stages"], {"config": cfg.to_json_dict(),
+                                  "trials": [r["summary"] for r in results]})
     if cfg.preset == "noise-sweep":
         paths["noise"] = os.path.join(cfg.out, "noise_sweep.csv")
         _write_csv(paths["noise"], ["trial", "t", "sigma_w", "noisy_relative_error"],
@@ -231,8 +229,9 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
                 r["hypotheses"].write_csv(os.path.join(cfg.out, name))
                 report.setdefault("hypotheses_csv", []).append(name)
     _write_json(paths["report"], report)
-    _write_json(paths["timings"],
-                {"wall_clock_s": time.perf_counter() - t_start, "jobs": jobs})
+    t_end = time.perf_counter()
+    _write_json(paths["timings"], {"wall_clock_s": t_end - t_start, "jobs": jobs,
+                                   "artifacts_s": t_end - t_write})
 
     ok = all(r["summary"]["error"] is None for r in results)
     return {"ok": ok, "paths": paths, "report": report,
@@ -429,39 +428,228 @@ def trace_header(s: int) -> List[str]:
 
 
 def _write_csv(path: str, header: List[str], tables) -> None:
-    """The header, then every row of ``tables`` at 17 significant digits,
-    comma separated with CRLF line ends."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for rows in tables:
-            rows = np.ascontiguousarray(rows, dtype=float)
-            if rows.size:
-                fh.write(_csv_lines(rows))
+    """The header, then every row of ``tables`` with each field the text of
+    ``'%.17g' % value``, comma separated with CRLF line ends.
 
-
-def _csv_lines(rows: np.ndarray) -> str:
-    """The CSV lines of one (n, c) table, formatted with a single ``%``.
-
-    A column with at most n/2 distinct values has each one formatted once
-    and written into the row template as text; the other columns stay
-    ``%.17g`` fields.  Values are told apart by bit pattern, so -0.0 and 0.0
-    keep their own text.
+    The tables are formatted as one, about ``_CSV_CHUNK_FIELDS`` fields per
+    call.  A column with at most n/2 distinct values (trial, t, sigma_w)
+    has each one formatted once, in one call for all such columns.  Each
+    column's text keeps only the byte slots that some field of it fills.
     """
-    n, c = rows.shape
-    bits = rows.view(np.int64).T                                   # (c, n)
-    ordered = np.sort(bits, axis=1)
+    tables = [t for t in (np.asarray(t, dtype=float) for t in tables) if t.size]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        if not tables:
+            return
+        rows = np.concatenate(tables)
+        n, c = rows.shape
+        separator = np.zeros((c, _SLOTS - _SEP_SLOT), np.uint8)
+        separator[:, 0] = ord(",")
+        separator[-1, :2] = (ord("\r"), ord("\n"))
+        distinct = _repeated_columns(rows)
+        fresh = [j for j in range(c) if j not in distinct]
+        texts = {}
+        if distinct:
+            text = _field_text(np.concatenate(list(distinct.values())).view(float))
+            splits = np.cumsum([len(d) for d in distinct.values()])[:-1]
+            for j, part in zip(distinct, np.split(text, splits)):
+                part[:, _SEP_SLOT:] = separator[j]
+                texts[j] = part[:, np.bitwise_or.reduce(part, axis=0) != 0]
+        per_chunk = max(1, _CSV_CHUNK_FIELDS // max(1, len(fresh)))
+        for first in range(0, n, per_chunk):
+            block = rows[first:first + per_chunk]
+            columns = {j: text.take(np.searchsorted(distinct[j], block[:, j].view(np.int64)),
+                                    axis=0)
+                       for j, text in texts.items()}
+            if fresh:
+                fields = _field_text(block[:, fresh].ravel()).reshape(len(block),
+                                                                     len(fresh), -1)
+                fields[:, :, _SEP_SLOT:] = separator[fresh]
+                used = np.bitwise_or.reduce(fields, axis=0) != 0     # (fresh, slots)
+                trimmed = fields.reshape(len(block), -1)[:, used.ravel()]
+                ends = np.cumsum(used.sum(axis=1)).tolist()
+                columns.update((j, trimmed[:, a:b])
+                               for j, a, b in zip(fresh, [0] + ends, ends))
+            line = np.concatenate([columns[j] for j in range(c)], axis=1)
+            fh.write(line.tobytes().translate(None, b"\0"))
+
+
+def _repeated_columns(rows: np.ndarray) -> Dict[int, np.ndarray]:
+    """Column -> its distinct values' bit patterns, sorted, for each column
+    with at most n/2 of them; so -0.0 and 0.0 keep their own text."""
+    ordered = rows.view(np.int64).T.copy()
+    ordered.sort(axis=1)
     step = ordered[:, 1:] != ordered[:, :-1]
-    repeated = 2 * (1 + np.count_nonzero(step, axis=1)) <= n
-    cells = np.empty((n, 2 * c), dtype=object)           # field, separator, ...
-    cells[:, 0::2] = "%.17g"
-    cells[:, 1::2] = [","] * (c - 1) + ["\r\n"]
-    for j in np.flatnonzero(repeated):
-        distinct = ordered[j, np.concatenate(([True], step[j]))]
-        text = np.array(["%.17g" % v for v in distinct.view(float).tolist()],
-                        dtype=object)
-        cells[:, 2 * j] = text[np.searchsorted(distinct, bits[j])]
-    template = "".join(cells.ravel().tolist())
-    return template % tuple(rows[:, ~repeated].ravel().tolist())
+    return {j: ordered[j, np.concatenate(([True], step[j]))]
+            for j in range(rows.shape[1])
+            if 2 * (1 + np.count_nonzero(step[j])) <= len(rows)}
+
+
+# Every CSV field is the text of '%.17g' % value, laid out in numpy.  A
+# finite nonzero |v| with decimal exponent X has the 17 digits round(s),
+# s = |v| * 10**(16 - X), rounded half-even.  S, the long double product of
+# |v| (exact) and 10**(16 - X) * (1 + d) (a table entry correctly rounded
+# from integers, its relative error |d| recorded), is within
+# s * (|d| + u + |d| * u) < 1.01 * S * (|d| + u) of s, where u is the unit
+# roundoff of a correctly rounded long double product (x87 extended or
+# IEEE quad).  Rounding S half up thus gives the digits exactly unless S
+# lies within that bound of a half-integer or of the carry to 10**17; such
+# a value takes its digits and X from '%.16e' % |v|, which rounds as
+# '%.17g' does.  Where long double is no wider than double (Windows, macOS
+# on arm64) the bound passes 1/2 for every value, and all take that route.
+_ROUNDOFF = float(np.finfo(np.longdouble).eps) / 2
+_CSV_CHUNK_FIELDS = 8192
+# A field's text in 56 NUL-padded byte slots: 0 the sign, 1-5 a "0.000"
+# lead, 14 + 2i the i-th of the 17 digits and 15 + 2i a point after it,
+# 48-52 the exponent, 53-54 the separator.  NULs are dropped on writing.
+_SLOTS = 56
+_SEP_SLOT = 53
+_X_MIN, _X_MAX = -324, 308                  # decimal exponents of doubles
+_CARRY = np.longdouble(1e17) - np.longdouble(0.5)    # s >= this: X is one more
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10() -> Tuple[np.ndarray, np.ndarray]:
+    """Long double 10**k, correctly rounded, and its relative error, at
+    index _X_MAX + 1 - X for k = 16 - X and X = _X_MIN ... _X_MAX + 1."""
+    bits = np.finfo(np.longdouble).nmant + 1
+    mantissas, shifts, errors = [], [], []
+    for k in range(16 - _X_MAX - 1, 16 - _X_MIN + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        # num / den in (2**(bits - 1), 2**(bits + 1)) after the shift
+        shift = num.bit_length() - den.bit_length() - bits
+        num, den = num << max(-shift, 0), den << max(shift, 0)
+        if num >= den << bits:
+            shift, den = shift + 1, den << 1
+        q, rem = divmod(num, den)
+        q += 2 * rem > den or (2 * rem == den and q & 1)
+        mantissas.append(q)
+        shifts.append(shift)
+        errors.append(abs(q * den - num) / num)
+    pow10 = np.zeros(len(mantissas), np.longdouble)
+    for part in range(0, bits + 1, 32):     # exact: each partial sum fits
+        pow10 += np.ldexp(np.array([m >> part & 0xFFFFFFFF for m in mantissas],
+                                   dtype=np.longdouble), part)
+    pow10, errors = np.ldexp(pow10, np.array(shifts)), np.array(errors)
+    pow10.flags.writeable = errors.flags.writeable = False  # shared: read-only
+    return pow10, errors
+
+
+@functools.lru_cache(maxsize=None)
+def _csv_tables():
+    """The lookup tables of ``_field_text``, built on first use: the slot
+    words of 4 digits and of the first digit; each (X, sign)'s frame of
+    point, lead and exponent; the masks that keep digits 0..last; and the
+    words 0-5 of 0, -0, inf, -inf and nan."""
+    def words(cells: np.ndarray) -> np.ndarray:       # shared: read-only
+        table = np.ascontiguousarray(cells).view(np.uint64)
+        table.flags.writeable = False
+        return table
+
+    quad = np.zeros((10000, 8), np.uint8)
+    quad[:, ::2] = 48 + (np.arange(10000, dtype=np.uint16)[:, None]
+                         // np.array([1000, 100, 10, 1], np.uint16) % 10)
+    first = np.zeros((10, 8), np.uint8)
+    first[:, 6] = 48 + np.arange(10)
+    X = np.arange(_X_MIN, _X_MAX + 1)
+    frame = np.zeros((len(X), 2, _SLOTS), np.uint8)
+    frame[:, 1, 0] = ord("-")
+    sci = (X < -4) | (X >= 17)
+    e = np.abs(X)
+    frame[sci, :, 15] = ord(".")
+    frame[sci, :, 48] = ord("e")
+    frame[sci, :, 49] = np.where(X[sci] < 0, ord("-"), ord("+"))[:, None]
+    frame[sci, :, 50] = np.where(e[sci] >= 100, 48 + e[sci] // 100, 0)[:, None]
+    frame[sci, :, 51] = (48 + e[sci] // 10 % 10)[:, None]
+    frame[sci, :, 52] = (48 + e[sci] % 10)[:, None]
+    for lead in range(1, 5):                                   # X = -1 ... -4
+        frame[X == -lead, :, 1:2 + lead] = np.frombuffer(
+            b"0." + b"0" * (lead - 1), np.uint8)
+    point = (0 <= X) & (X < 16)
+    frame[point, :, 15 + 2 * X[point]] = ord(".")
+    keep = np.zeros((17, 40), np.uint8)
+    for last in range(17):
+        keep[last, 6:7 + 2 * last] = 0xFF                        # no point after
+    special = np.zeros((5, 48), np.uint8)
+    for i, text in enumerate((b"0", b"-0", b"inf", b"-inf", b"nan")):
+        special[i, 0] = text[0] if text[0] == ord("-") else 0
+        body = text.lstrip(b"-")
+        special[i, 14:14 + 2 * len(body):2] = np.frombuffer(body, np.uint8)
+    return (words(quad).ravel(), words(first).ravel(),
+            words(frame.reshape(-1, _SLOTS)), words(keep), words(special))
+
+
+def _round17(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(r, X) with a ~ r * 10**(X - 16), 10**16 <= r < 10**17: positive
+    finite ``a`` rounded half-even to 17 significant digits."""
+    if 1e16 * _ROUNDOFF >= 0.5:
+        return _round17_text(a)
+    pow10, error = _pow10()
+    # X, or X - 1 where a is within 1e-9 of a power of ten (log10 is good
+    # to a few ulp) or rounds up to one
+    X = np.floor(np.log10(a) - 1e-9).astype(np.int64)
+    at = _X_MAX + 1 - X
+    wide = a.astype(np.longdouble)
+    s = wide * pow10.take(at)
+    edge = 2.02e17 * _ROUNDOFF
+    high = np.flatnonzero(s >= _CARRY - edge)
+    near = np.zeros(len(a), bool)
+    near[high] = s[high] <= _CARRY + edge
+    up = high[s[high] >= _CARRY]                         # rounds to 10**17
+    X[up] += 1
+    at[up] -= 1
+    s[up] = wide[up] * pow10.take(at[up])
+    half_up = s + np.longdouble(0.5)
+    r = half_up.astype(np.int64)
+    frac = (half_up - r).astype(float)
+    bound = 1.01 * s.astype(float) * (error.take(at) + _ROUNDOFF)
+    near |= np.abs(frac - 0.5) >= 0.5 - bound
+    ties = np.flatnonzero(near)
+    r[ties], X[ties] = _round17_text(a[ties])
+    return r, X
+
+
+def _round17_text(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``_round17`` read off ``'%.16e' % value``, one value at a time."""
+    texts = ["%.16e" % v for v in a.tolist()]
+    return (np.array([int(t[0] + t[2:18]) for t in texts], dtype=np.int64),
+            np.array([int(t[19:]) for t in texts], dtype=np.int64))
+
+
+def _field_text(values: np.ndarray) -> np.ndarray:
+    """Each value's ``'%.17g'`` text in NUL-padded byte slots, (n, 56)
+    uint8: the (X, sign) frame, or-ed with the digits; trailing zeros, and
+    a point they leave last, masked to NUL."""
+    quad, first, frame, keep, special = _csv_tables()
+    a = np.abs(values)
+    finite = (a > 0) & (a < np.inf)                    # and not 0 or nan
+    a = np.where(finite, a, 1.0)
+    r, X = _round17(a)
+    slots = frame.take(2 * (X - _X_MIN) + np.signbit(values), axis=0)
+    hi = r // 10 ** 8                                   # digits 0-8, then 9-16
+    lo = r - hi * 10 ** 8
+    top = hi // 10 ** 4
+    g3 = lo // 10 ** 4
+    d0 = top // 10 ** 4
+    slots[:, 1] |= first.take(d0)
+    slots[:, 2] |= quad.take(top - d0 * 10 ** 4)
+    slots[:, 3] |= quad.take(hi - top * 10 ** 4)
+    slots[:, 4] |= quad.take(g3)
+    slots[:, 5] |= quad.take(lo - g3 * 10 ** 4)
+    text = slots.view(np.uint8)
+    zeros = np.flatnonzero(text[:, 46] == ord("0"))
+    if zeros.size:
+        digits = text[zeros, 14:48:2]
+        last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+        Xz = X[zeros]
+        fixed = (0 <= Xz) & (Xz < 17)                   # keeps its integer digits
+        slots[zeros, 1:6] &= keep.take(np.where(fixed, np.maximum(last, Xz), last), axis=0)
+    odd = np.flatnonzero(~finite)
+    if odd.size:
+        v = values[odd]
+        slots[odd, :6] = special[np.where(np.isnan(v), 4,
+                                          2 * np.isinf(v) + np.signbit(v))]
+    return text
 
 
 def _write_json(path: str, doc) -> None:

@@ -186,7 +186,8 @@ class TestRunExperiment:
         assert "stages" in doc["trials"][0]
         with open(result["paths"]["timings"]) as fh:
             timings = json.load(fh)
-        assert timings["wall_clock_s"] > 0 and timings["jobs"] == 1
+        assert (timings["wall_clock_s"] > timings["artifacts_s"] > 0
+                and timings["jobs"] == 1)
 
     def test_noise_sweep_report(self, tmp_path):
         cfg = bc.parse_config(overrides=dict(
@@ -248,6 +249,38 @@ _SPECIAL = np.r_[np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.in
                  np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1e16, 1e-300, 1 / 3]
 
 
+def _random_doubles(n, seed):
+    """n random bit patterns covering every biased exponent (subnormals,
+    inf and nan payloads included), with random mantissas and signs."""
+    rng = np.random.default_rng(seed)
+    mantissa = rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    exponent = np.arange(n, dtype=np.uint64) % np.uint64(2048) << np.uint64(52)
+    sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    return (mantissa | exponent | sign).view(float)
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.column_stack([np.nextafter(values, -np.inf), values,
+                            np.nextafter(values, np.inf)])
+
+
+def _long_table():
+    """Rows for several formatting calls, in two tables: columns 0 and 2
+    repeat, and their runs of one value straddle the calls' boundaries."""
+    n = 5 * cli._CSV_CHUNK_FIELDS // 2
+    rng = np.random.default_rng(6)
+    rows = np.column_stack([np.repeat(np.arange(7.0), n // 7 + 1)[:n], rng.normal(size=n),
+                            np.arange(n) % 5 * 0.1, rng.uniform(-1e-6, 1e6, n)])
+    return [rows[:7001], rows[7001:]]
+
+
+# 17 digits of an odd multiple of 1/8 in [1e14, 1e15) end on a tie, broken
+# to even: ...84.875 prints as ...84.88 and ...84.625 as ...84.62.
+_TIES = np.r_[123456789012384.875, 123456789012384.625,
+              (2 * np.random.default_rng(3).integers(4 * 10**14, 4 * 10**15, 2000) + 1) / 8]
+
+
 class TestArtifactWriters:
     @pytest.mark.parametrize("header, tables", [
         (["a", "b", "c"], [np.zeros((0,))]),
@@ -264,13 +297,41 @@ class TestArtifactWriters:
         (["trial", "t"], [np.column_stack([np.zeros(5), np.arange(5)]), [],
                           np.column_stack([np.ones(3), np.arange(3) * 2]),
                           [[2.0, -0.0]]]),
+        (["a", "b", "c", "d"], [_random_doubles(10**5, 5).reshape(-1, 4)]),
+        (["below", "at", "above"], [_with_neighbours([float(f"1e{k}")
+                                                      for k in range(-323, 309)])]),
+        (["v"], [np.ldexp(1.0, np.arange(-1074, 1024))[:, None]]),
+        (["below", "at", "above"], [_with_neighbours([1e-5, 1e-4, 1e16, 1e17])]),
+        (["near_2_53", "near_1e17"], [np.column_stack([2.0**53 + np.arange(-64, 65),
+                                                       1e17 + 16 * np.arange(-64, 65)])]),
+        (["v"], [_TIES[:, None]]),
+        (["v", "w"], [[[np.copysign(np.nan, -1.0), 1.0], [2.0, -np.nan]]]),
+        (["a", "b", "c", "d"], _long_table()),
     ], ids=["empty", "empty_list", "one_row", "one_column", "half_distinct", "special",
-            "signed_zeros", "several_tables"])
+            "signed_zeros", "several_tables", "random_bits", "powers_of_ten",
+            "powers_of_two", "g_switch_points", "integers", "ties", "negative_nan",
+            "several_chunks"])
     def test_write_csv_matches_per_row_writer(self, tmp_path, header, tables):
         cli._write_csv(str(tmp_path / "fast.csv"), header, tables)
         write_csv_rows(str(tmp_path / "rows.csv"), header, tables)
         assert ((tmp_path / "fast.csv").read_bytes()
                 == (tmp_path / "rows.csv").read_bytes())
+
+    def test_text_route_matches_per_row_writer(self, tmp_path, monkeypatch):
+        """With a long double no wider than double, every value takes its
+        digits from '%.16e'; the bytes stay the same."""
+        values = np.r_[_random_doubles(10**4, 7), _SPECIAL, _TIES,
+                       _with_neighbours([float(f"1e{k}") for k in range(-323, 309)]).ravel()]
+        routed = []
+        text_route = cli._round17_text
+        monkeypatch.setattr(cli, "_ROUNDOFF", np.finfo(float).eps / 2)
+        monkeypatch.setattr(cli, "_round17_text",
+                            lambda a: routed.append(len(a)) or text_route(a))
+        cli._write_csv(str(tmp_path / "fast.csv"), ["v"], [values[:, None]])
+        write_csv_rows(str(tmp_path / "rows.csv"), ["v"], [values[:, None]])
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+        assert sum(routed) == len(values)
 
     def test_fit_noise_slope_matches_masked_loop(self):
         rng = np.random.default_rng(4)
