@@ -16,8 +16,7 @@ from .state_evolution import (PerturbationSeries, SEState, StageReport,
 from .diagnostics import (ConcentrationReport, HypothesisReport, apply_sign_flips,
                           canonicalize_instance, concentration_report,
                           measure_hypotheses, run_diagnostics_suite,
-                          sample_sign_flips, select_loo_indices,
-                          sign_flip_ensemble)
+                          sample_sign_flips, select_loo_indices)
 from .cli import ExperimentConfig, parse_config, read_trace_csv, run_experiment
 
 __version__ = "0.1.0"

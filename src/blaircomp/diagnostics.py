@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import metrics
-from .ensemble import GroundTruth, ProblemInstance
+from .ensemble import GroundTruth, ProblemInstance, _complex_gaussian
 from .errors import DimensionMismatchError, ParameterError
 from .solver import Iterate, SolverSettings, StateTrace, run_wf
 
@@ -104,7 +104,7 @@ def canonicalize_instance(inst: ProblemInstance) -> ProblemInstance:
 
 def sample_sign_flips(s: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """s x m unit-modulus scalars u/|u| with u standard complex Gaussian."""
-    u = rng.normal(0.0, np.sqrt(0.5), (s, m)) + 1j * rng.normal(0.0, np.sqrt(0.5), (s, m))
+    u = _complex_gaussian(rng, (s, m), 1.0)
     mag = np.abs(u)
     mag[mag == 0.0] = 1.0
     return u / mag
@@ -129,12 +129,6 @@ def apply_sign_flips(inst: ProblemInstance, xi: np.ndarray) -> ProblemInstance:
                            b_rows=inst.b_rows, a=a_new, truth=inst.truth, y=inst.y)
 
 
-def sign_flip_ensemble(inst: ProblemInstance, rng: np.random.Generator
-                       ) -> Tuple[ProblemInstance, np.ndarray]:
-    xi = sample_sign_flips(inst.s, inst.m, rng)
-    return apply_sign_flips(inst, xi), xi
-
-
 def run_diagnostics_suite(inst: ProblemInstance, z0: Iterate,
                           settings: SolverSettings, loo_indices: Sequence[int],
                           rng: np.random.Generator
@@ -149,7 +143,7 @@ def run_diagnostics_suite(inst: ProblemInstance, z0: Iterate,
     """
     weights = _loo_weights(inst.m, loo_indices)
     plain = run_wf(inst, z0, settings, sample_weights=weights).traces()
-    inst_sgn, _ = sign_flip_ensemble(inst, rng)
+    inst_sgn = apply_sign_flips(inst, sample_sign_flips(inst.s, inst.m, rng))
     flipped = run_wf(inst_sgn, z0, settings, sample_weights=weights).traces()
     return plain, flipped
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .ensemble import GroundTruth, ProblemInstance
+from .ensemble import GroundTruth, ProblemInstance, _complex_gaussian
 from .errors import (BlaircompError, DegenerateAlignmentError, DegenerateIterateError,
                      DimensionMismatchError, DivergenceError, ParameterError,
                      UndefinedMetricError)
@@ -163,11 +163,8 @@ class _Rows:
 
 def random_init(s: int, K: int, N: int, rng: np.random.Generator) -> Iterate:
     """Gaussian starting point with E||h_i||^2 = E||x_i||^2 = 1, unnormalized."""
-    h = (rng.normal(0.0, np.sqrt(0.5 / K), (s, K))
-         + 1j * rng.normal(0.0, np.sqrt(0.5 / K), (s, K)))
-    x = (rng.normal(0.0, np.sqrt(0.5 / N), (s, N))
-         + 1j * rng.normal(0.0, np.sqrt(0.5 / N), (s, N)))
-    return Iterate(h=h, x=x, t=0)
+    return Iterate(h=_complex_gaussian(rng, (s, K), 1.0 / K),
+                   x=_complex_gaussian(rng, (s, N), 1.0 / N), t=0)
 
 
 def loss(z: Iterate, inst: ProblemInstance,
@@ -248,8 +245,7 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     truths = rows.truth              # every run's; ``rows`` drops runs that retire
     block_len = max(1, _METRIC_BLOCK // settings.cadence)   # in log points
     pending: List[tuple] = []        # (t, loss, h, x) of unsettled log points
-    blocks: List[tuple] = []         # (t (B,), active rows, columns (B, A, ...))
-    n_logged = np.zeros(n_runs, dtype=int)
+    logs: List[List[tuple]] = [[] for _ in range(n_runs)]  # (columns, k, n) per block
     converged = np.zeros(n_runs, dtype=bool)
     errors: List[Optional[BlaircompError]] = [None] * n_runs
     runs = np.arange(n_runs)         # row of each active run, ascending
@@ -279,10 +275,10 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
         retire(~bad)
 
     def settle() -> None:
-        """Log the pending points, with their metrics in one call when the
-        tolerance is set; every run that meets it at one of them ends at the
-        first such point.  A zero block ends its run, as the truth alignment
-        of that point would fail."""
+        """Append the pending points to each active run's own log, with their
+        metrics from one call when the tolerance is set; every run that meets
+        it at one of them ends at the first such point.  A zero block ends
+        its run, as the truth alignment of that point would fail."""
         if not pending:
             return
         t_b, loss_b, h_b, x_b = map(np.asarray, zip(*pending))
@@ -293,15 +289,16 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
             if not len(runs):
                 return
             loss_b, h_b, x_b = loss_b[:, ~bad], h_b[:, ~bad], x_b[:, ~bad]
-        values = dict(loss=loss_b, h=h_b, x=x_b)
+        values = dict(t=np.broadcast_to(t_b[:, None], loss_b.shape),
+                      loss=loss_b, h=h_b, x=x_b)
         stop = np.zeros(loss_b.shape, dtype=bool)                     # (B, A)
         if metrics_in_loop:
             snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), rows.truth)
             values.update(vars(snap))
             stop = snap.relative_error <= settings.tol
-        blocks.append((t_b, runs, values))
         met, first = stop.any(axis=0), stop.argmax(axis=0)
-        n_logged[runs] += np.where(met, first + 1, len(t_b))
+        for k, n in enumerate(np.where(met, first + 1, len(t_b))):
+            logs[runs[k]].append((values, k, n))     # its first n points, column k
         converged[runs[met]] = True
         retire(~met)
 
@@ -334,29 +331,17 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     if not batched and errors[0] is not None:
         raise errors[0]
 
-    # Blocks are (B, A, ...) over their active rows; placed at those rows of
-    # (T, R, ...) columns, each run's points are a prefix of its column.
     traces: List[Optional[StateTrace]] = [None] * n_runs
-    if blocks:
-        t_all = np.concatenate([t_b for t_b, _, _ in blocks])
-        cols = {}
-        for name, like in blocks[0][2].items():
-            col = np.zeros((len(t_all), n_runs) + like.shape[2:], like.dtype)
-            start = 0
-            for t_b, active, values in blocks:
-                col[start:start + len(t_b), active] = values[name]
-                start += len(t_b)
-            cols[name] = col
     for r in range(n_runs):
         if errors[r] is not None:
             continue
-        n = n_logged[r]
-        run = {name: col[:n, r] for name, col in cols.items()}
-        loss_r, h, x = run.pop("loss"), run.pop("h"), run.pop("x")
-        n_iters = int(t_all[n - 1])      # every run ends at a log point
+        run = {name: np.concatenate([cols[name][:n, k] for cols, k, n in logs[r]])
+               for name in logs[r][0][0]}
+        t_r, loss_r, h, x = (run.pop(name) for name in ("t", "loss", "h", "x"))
+        n_iters = int(t_r[-1])           # every run ends at a log point
         k = r if len(truths.q) > 1 else 0
         traces[r] = StateTrace(
-            t=t_all[:n], loss=loss_r, h=h, x=x,
+            t=t_r, loss=loss_r, h=h, x=x,
             final=Iterate(h=h[-1], x=x[-1], t=n_iters),
             truth=GroundTruth(h=truths.h[k].copy(), x=truths.x[k].copy(),
                               q=truths.q[k].copy()),

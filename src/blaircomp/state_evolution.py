@@ -100,13 +100,15 @@ def run_population_se(state: SEState, steps: int) -> Dict[str, np.ndarray]:
     return {k: np.asarray(v) for k, v in hist.items()}
 
 
-def extract_perturbations(trace, q: np.ndarray, eta: float) -> PerturbationSeries:
-    """Invert the approximate recursions on consecutive logged iterations.
+def extract_perturbations(trace) -> PerturbationSeries:
+    """Invert the approximate recursions on consecutive logged iterations,
+    with the trace's own q and step size eta.
 
     Works on the component magnitudes (measured alpha may be complex).  Only
     meaningful when the trace was logged at cadence 1.
     """
-    q = np.asarray(q, dtype=float)
+    q = np.asarray(trace.q, dtype=float)
+    eta = trace.eta
     a_h = np.abs(np.asarray(trace.alpha_h))
     a_x = np.abs(np.asarray(trace.alpha_x))
     b_h = np.asarray(trace.beta_h)

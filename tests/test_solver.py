@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ def _kernel_case(m, layout, weights):
     inst = oracle = bc.make_instance(2, 3, 3, m, seed=1)
     if layout == "sign":
         base = bc.canonicalize_instance(inst)
-        inst, xi = bc.sign_flip_ensemble(base, np.random.default_rng(3))
+        xi = bc.sample_sign_flips(base.s, base.m, np.random.default_rng(3))
+        inst = bc.apply_sign_flips(base, xi)
         oracle = explicit_sign_flip(base, xi)
     z = bc.random_init(2, 3, 3, np.random.default_rng(2))
     w = None
@@ -386,6 +388,10 @@ class TestRunBatch:
         assert [run.stop_reason for run in batch.runs] == ["tol", "tol", "max_iters"]
         assert batch.runs[0].n_iters < batch.runs[1].n_iters < 600
         assert batch.runs[2].t[-1] == 600
+        # each run owns its columns: none is a view into another run's
+        for name in ("t", "loss", "h", "relative_error"):
+            for a, b in itertools.combinations(batch.runs, 2):
+                assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
 
     def test_first_diverging_row_is_reported(self):
         # Row 1 diverges at iteration 5 and row 2 already at iteration 1; the

@@ -51,7 +51,7 @@ class TestExtractPerturbations:
     def test_population_trace_gives_zero(self):
         hist = bc.run_population_se(_state(0.2, 1.0, 0.3, 0.9), 50)
         trace = trace_from_population(hist, np.array([1.0]), 400, 0.1)
-        pert = bc.extract_perturbations(trace, trace.q, trace.eta)
+        pert = bc.extract_perturbations(trace)
         assert np.nanmax(np.abs(pert.phi_h)) < 1e-10
         assert np.nanmax(np.abs(pert.phi_x)) < 1e-10
         assert np.nanmax(np.abs(pert.psi_h)) < 1e-10
@@ -70,7 +70,7 @@ class TestExtractPerturbations:
         trace = FakeTrace(alpha_h=alpha_h[:, None], beta_h=beta_h[:, None],
                           alpha_x=alpha_x[:, None], beta_x=beta_x[:, None],
                           q=np.array([q]), m=400, eta=eta)
-        pert = bc.extract_perturbations(trace, trace.q, eta)
+        pert = bc.extract_perturbations(trace)
         np.testing.assert_allclose(pert.phi_x[:, 0], phi, atol=1e-12)
 
     def test_alpha_round_trip_recovers_injected_psi(self):
@@ -87,14 +87,14 @@ class TestExtractPerturbations:
         trace = FakeTrace(alpha_h=alpha_h[:, None], beta_h=beta_h[:, None],
                           alpha_x=alpha_x[:, None], beta_x=beta_x[:, None],
                           q=np.array([q]), m=400, eta=eta)
-        pert = bc.extract_perturbations(trace, trace.q, eta)
+        pert = bc.extract_perturbations(trace)
         np.testing.assert_allclose(pert.psi_h[:, 0], psi, atol=1e-12)
 
     def test_zero_beta_marked_absent(self):
         trace = FakeTrace(alpha_h=np.ones((3, 1)), beta_h=np.zeros((3, 1)),
                           alpha_x=np.ones((3, 1)), beta_x=np.ones((3, 1)),
                           q=np.array([1.0]), m=100, eta=0.1)
-        pert = bc.extract_perturbations(trace, trace.q, 0.1)
+        pert = bc.extract_perturbations(trace)
         assert np.isnan(pert.phi_h).all()
 
     def test_desk_scale_perturbations_small_and_shrinking(self):
@@ -102,7 +102,7 @@ class TestExtractPerturbations:
         # shrink when the sample size grows eightfold.
         _, _, tr400 = run_desk_scale(0, max_iters=200)
         rep400 = bc.detect_stages(tr400)
-        pert400 = bc.extract_perturbations(tr400, tr400.q, tr400.eta)
+        pert400 = bc.extract_perturbations(tr400)
         window = tr400.t[:-1] <= rep400.T_gamma
         max400 = np.nanmax(np.abs(pert400.phi_x[window]))
         assert max400 <= 3.0 / np.log(400)
@@ -112,7 +112,7 @@ class TestExtractPerturbations:
         tr3200 = bc.run_wf(inst, z0,
                            bc.SolverSettings(eta=0.1, max_iters=200, tol=1e-6))
         rep3200 = bc.detect_stages(tr3200)
-        pert3200 = bc.extract_perturbations(tr3200, tr3200.q, tr3200.eta)
+        pert3200 = bc.extract_perturbations(tr3200)
         window = tr3200.t[:-1] <= rep3200.T_gamma
         max3200 = np.nanmax(np.abs(pert3200.phi_x[window]))
         assert max3200 <= 1.5 / np.log(3200)
