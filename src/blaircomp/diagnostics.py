@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import metrics
-from .ensemble import GroundTruth, ProblemInstance, _complex_gaussian
+from .ensemble import GroundTruth, ProblemInstance, _complex_gaussian, measurement_factors
 from .errors import DimensionMismatchError, ParameterError
 from .solver import Iterate, SolverSettings, StateTrace, run_wf
 
@@ -189,10 +189,9 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
     with np.errstate(divide="ignore", invalid="ignore"):
         out["norm_ratio_h"] = h_norms / (np.abs(base.alpha_h[:n_t]) * log5m_sqrt)
         out["norm_ratio_x"] = x_norms / (np.abs(base.alpha_x[:n_t]) * log5m_sqrt)
-    incoh_x = np.abs((inst.a @ x_t.conj()[..., None])[..., 0]
-                     / np.linalg.norm(x_t, axis=2)[..., None]).max(axis=(1, 2))
-    incoh_h = np.abs(h_t @ inst.b_rows.T
-                     / np.linalg.norm(h_t, axis=2)[..., None]).max(axis=(1, 2))
+    bh, xa = measurement_factors(h_t, x_t, inst.b_rows, inst.a)
+    incoh_x = np.abs(xa / np.linalg.norm(x_t, axis=2)[..., None]).max(axis=(1, 2))
+    incoh_h = np.abs(bh / np.linalg.norm(h_t, axis=2)[..., None]).max(axis=(1, 2))
 
     h_chk, x_chk, _ = _mutual_align(sign.h[:n_t], sign.x[:n_t], h_t, x_t)
     out["sign_dist_h"] = np.linalg.norm(h_chk - h_t, axis=-1)

@@ -8,7 +8,7 @@ bilinear measurements collected at the fusion center.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -110,14 +110,32 @@ def synthesize_measurements(b_rows: np.ndarray, a: np.ndarray, truth: GroundTrut
     s, m, _ = a.shape
     if truth.h.shape[0] != s:
         raise DimensionMismatchError("design tensor and ground truth disagree on s")
-    bh = truth.h @ b_rows.T                  # (s, m): b_j^H h_i
-    xa = (a @ truth.x.conj()[:, :, None])[:, :, 0]  # (s, m): x_i^H a_ij
+    bh, xa = measurement_factors(truth.h, truth.x, b_rows, a)
     y = np.sum(bh * xa, axis=0)
     if sigma2_e > 0.0:
         if rng is None:
             raise ParameterError("rng required when sigma2_e > 0")
         y = y + _complex_gaussian(rng, (m,), sigma2_e)
     return y
+
+
+def measurement_factors(h: np.ndarray, x: np.ndarray, b_rows: np.ndarray,
+                        a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """b_j^H h_i and x_i^H a_ij, two (..., s, m) arrays, for blocks h (..., s, K)
+    and x (..., s, N) whose leading axes broadcast against a (..., s, m, N).
+
+    The products fix the artifacts' last bits: one ``gemv`` per (run, node)
+    on a; one GEMM over all rows for the access rows, or, at s = 1, one
+    ``gemv`` per run, which a GEMM would round differently.
+    """
+    return _rows_product(h, b_rows.T), (a @ x.conj()[..., None])[..., 0]
+
+
+def _rows_product(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u (..., s, k) @ b (k, n) by the access-row rule of ``measurement_factors``."""
+    if u.shape[-2] == 1:
+        return u @ b
+    return (u.reshape(-1, u.shape[-1]) @ b).reshape(u.shape[:-1] + b.shape[-1:])
 
 
 def make_instance(s: int, K: int, N: int, m: int,

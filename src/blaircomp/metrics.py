@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .ensemble import GroundTruth
+from .ensemble import GroundTruth, _rows_product
 from .errors import DegenerateAlignmentError, UndefinedMetricError
 
 _SUBDIAGONAL = np.eye(6, k=-1)     # the ones of a sextic's companion matrix
@@ -209,7 +209,7 @@ def incoherence(truth: GroundTruth, b_rows: np.ndarray) -> float:
     and ground-truth channels."""
     if np.any(truth.q == 0.0):
         raise DegenerateAlignmentError("zero channel in ground truth")
-    corr = np.abs(truth.h @ b_rows.T) / truth.q[:, None]   # (s, m)
+    corr = np.abs(_rows_product(truth.h, b_rows.T)) / truth.q[:, None]   # (s, m)
     return float(np.sqrt(b_rows.shape[0]) * corr.max())
 
 

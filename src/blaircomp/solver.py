@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .ensemble import GroundTruth, ProblemInstance, _complex_gaussian
+from .ensemble import (GroundTruth, ProblemInstance, _complex_gaussian, _rows_product,
+                       measurement_factors)
 from .errors import (BlaircompError, DegenerateAlignmentError, DegenerateIterateError,
                      DimensionMismatchError, DivergenceError, ParameterError,
                      UndefinedMetricError)
@@ -252,11 +253,6 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
 
     z = Iterate(h=np.broadcast_to(z0.h, (n_runs,) + z0.h.shape[-2:]).copy(),
                 x=np.broadcast_to(z0.x, (n_runs,) + z0.x.shape[-2:]).copy(), t=0)
-    g, loss_t = _gradient_and_loss(z, rows, w)
-    # Capped at the largest float, so a non-finite loss never passes
-    # loss <= limit; fmin ignores a NaN initial loss, as loss > NaN would.
-    limit = np.fmin(_DIVERGENCE_FACTOR * np.maximum(loss_t, 1e-300),
-                    np.finfo(float).max)
     # Only a tolerance test needs the metrics in the loop.
     metrics_in_loop = np.isfinite(settings.tol)
 
@@ -302,32 +298,38 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
         converged[runs[met]] = True
         retire(~met)
 
-    undefined = np.broadcast_to(metrics.target_norm(rows.truth) == 0.0, (n_runs,))
-    if undefined.any():
-        fail(undefined, lambda k: UndefinedMetricError("target vector sums to zero"))
-    for t in range(settings.max_iters + 1 if len(runs) else 0):
-        if t > 0:
-            try:
-                z = wf_step(z, g, settings.eta)
-            except DegenerateIterateError as exc:
-                settle()         # a pending metric error or tolerance stop wins
-                fail(_zero_block(z.h, z.x), lambda k: exc)
-                if not len(runs):
-                    break
-                z = wf_step(z, g, settings.eta)
-            g, loss_t = _gradient_and_loss(z, rows, w)
-            if not (loss_t <= limit).all():
-                settle()         # an earlier tolerance stop wins
-                fail(~(loss_t <= limit), lambda k: DivergenceError(
-                    f"loss diverged at iteration {t}: {float(loss_t[k])!r}"))
-                if not len(runs):
-                    break
-        if t % settings.cadence == 0 or t == settings.max_iters:
-            pending.append((t, loss_t, z.h, z.x))
-            if len(pending) == block_len or t == settings.max_iters:
-                settle()
-                if not len(runs):
-                    break
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a divergence
+        g, loss_t = _gradient_and_loss(z, rows, w)
+        # Capped at the largest float, so a non-finite loss never passes
+        # loss <= limit; fmin ignores a NaN initial loss, as loss > NaN would.
+        limit = np.fmin(_DIVERGENCE_FACTOR * np.maximum(loss_t, 1e-300),
+                        np.finfo(float).max)
+        undefined = np.broadcast_to(metrics.target_norm(rows.truth) == 0.0, (n_runs,))
+        if undefined.any():
+            fail(undefined, lambda k: UndefinedMetricError("target vector sums to zero"))
+        for t in range(settings.max_iters + 1 if len(runs) else 0):
+            if t > 0:
+                try:
+                    z = wf_step(z, g, settings.eta)
+                except DegenerateIterateError as exc:
+                    settle()         # a pending metric error or tolerance stop wins
+                    fail(_zero_block(z.h, z.x), lambda k: exc)
+                    if not len(runs):
+                        break
+                    z = wf_step(z, g, settings.eta)
+                g, loss_t = _gradient_and_loss(z, rows, w)
+                if not (loss_t <= limit).all():
+                    settle()         # an earlier tolerance stop wins
+                    fail(~(loss_t <= limit), lambda k: DivergenceError(
+                        f"loss diverged at iteration {t}: {float(loss_t[k])!r}"))
+                    if not len(runs):
+                        break
+            if t % settings.cadence == 0 or t == settings.max_iters:
+                pending.append((t, loss_t, z.h, z.x))
+                if len(pending) == block_len or t == settings.max_iters:
+                    settle()
+                    if not len(runs):
+                        break
     if not batched and errors[0] is not None:
         raise errors[0]
 
@@ -358,31 +360,24 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
                     s=rows.s)
 
 
-def _forward(z: Iterate, inst: Union[ProblemInstance, _Rows]):
-    """Residual (..., m) and the factors b_j^H h_i, x_i^H a_ij (..., s, m) of
-    an iterate with optional leading run axes, against one instance or the
-    per-run arrays of ``_Rows``."""
-    if z.h.shape[-2:] != (inst.s, inst.K) or z.x.shape[-2:] != (inst.s, inst.N):
-        raise DimensionMismatchError(
-            f"iterate shapes {z.h.shape}/{z.x.shape} do not match instance dims")
-    bh = _rows_product(z.h, inst.b_rows.T)
-    xa = (inst.a @ z.x.conj()[..., None])[..., 0]
-    r = (bh * xa).sum(axis=-2)
-    r -= inst.y
-    return r, bh, xa
-
-
 def _gradient_and_loss(z: Iterate, inst: Union[ProblemInstance, _Rows],
                        w: Optional[np.ndarray]
                        ) -> Tuple[GradientBlocks, np.ndarray]:
-    """Gradient blocks and the loss, per run for stacked iterates; ``w``
+    """Gradient blocks and the loss of an iterate with optional leading run
+    axes, against one instance or the per-run arrays of ``_Rows``; ``w``
     broadcasts to the residual's shape (..., m).
 
-    The elementwise passes write into the arrays ``_forward`` allocated, and
-    each multiply keeps its operand order: numpy's complex multiply may fuse
-    a multiply-add, so swapping the operands can change the last bit.
+    The elementwise passes write into the arrays ``measurement_factors``
+    allocated, and each multiply keeps its operand order: numpy's complex
+    multiply may fuse a multiply-add, so swapping the operands can change the
+    last bit.
     """
-    r, bh, xa = _forward(z, inst)
+    if z.h.shape[-2:] != (inst.s, inst.K) or z.x.shape[-2:] != (inst.s, inst.N):
+        raise DimensionMismatchError(
+            f"iterate shapes {z.h.shape}/{z.x.shape} do not match instance dims")
+    bh, xa = measurement_factors(z.h, z.x, inst.b_rows, inst.a)
+    r = (bh * xa).sum(axis=-2)
+    r -= inst.y
     loss_val = np.abs(r)
     np.square(loss_val, out=loss_val)
     rc = np.conj(r, out=r)      # the adjoints conjugate r, not the design arrays
@@ -395,17 +390,6 @@ def _gradient_and_loss(z: Iterate, inst: Union[ProblemInstance, _Rows],
     np.conj(grad_h, out=grad_h)
     grad_x = (np.multiply(rc, bh, out=bh)[..., None, :] @ inst.a)[..., 0, :]
     return GradientBlocks(h=grad_h, x=grad_x), loss_val
-
-
-def _rows_product(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """u (..., s, k) @ b (k, n) as one GEMM over every run's rows.
-
-    With s = 1 each run's product is a vector-matrix ``gemv``, whose last
-    bits a GEMM would change, so those keep numpy's per-run product.
-    """
-    if u.shape[-2] == 1:
-        return u @ b
-    return (u.reshape(-1, u.shape[-1]) @ b).reshape(u.shape[:-1] + b.shape[-1:])
 
 
 def _check_weights(w: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:

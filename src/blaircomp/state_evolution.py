@@ -9,7 +9,7 @@ inverting it.  Stage boundaries mark when the signal components grow large
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -63,16 +63,10 @@ class StageReport:
     growth_rate_x: np.ndarray   # (s,)
 
     def to_json_dict(self) -> Dict:
-        return {
-            "T_gamma": self.T_gamma, "T_1": self.T_1, "T_2": self.T_2,
-            "gamma": self.gamma,
-            "t1_threshold": self.t1_threshold,
-            "t2_threshold": self.t2_threshold,
-            "growth_rate_h": [None if not np.isfinite(v) else float(v)
-                              for v in self.growth_rate_h],
-            "growth_rate_x": [None if not np.isfinite(v) else float(v)
-                              for v in self.growth_rate_x],
-        }
+        doc = asdict(self)
+        for key in ("growth_rate_h", "growth_rate_x"):
+            doc[key] = [float(v) if np.isfinite(v) else None for v in doc[key]]
+        return doc
 
 
 def population_se_step(state: SEState) -> SEState:
@@ -151,9 +145,10 @@ def detect_stages(trace, gamma: float = 0.1, t1_threshold: float = 1.0,
     thr = gamma / (2.0 * kappa * np.sqrt(s))
     in_region = ((np.abs(a_h - q[None, :]) <= thr) & (b_h <= thr)
                  & (np.abs(a_x - q[None, :]) <= thr) & (b_x <= thr)).all(axis=1)
-    log5m = np.log(trace.m) ** 5
-    t1_ok = ((a_h / q[None, :]).min(axis=1) >= t1_threshold / log5m) \
-        & ((a_x / q[None, :]).min(axis=1) >= t1_threshold / log5m)
+    with np.errstate(divide="ignore", invalid="ignore"):   # m = 1: never reached
+        t1_scale = t1_threshold / np.log(trace.m) ** 5
+    t1_ok = ((a_h / q[None, :]).min(axis=1) >= t1_scale) \
+        & ((a_x / q[None, :]).min(axis=1) >= t1_scale)
     t2_ok = ((a_h / q[None, :]).min(axis=1) > t2_threshold) \
         & ((a_x / q[None, :]).min(axis=1) > t2_threshold)
 

@@ -82,12 +82,17 @@ def population_gradient(z, truth):
     return bc.GradientBlocks(h=grad_h, x=grad_x)
 
 
+def measurement_factors_reference(h, x, b_rows, a):
+    """b_j^H h_i and x_i^H a_ij with one product per leading index, the
+    products ``ensemble.measurement_factors`` must match bit for bit."""
+    return h @ b_rows.T, (a @ x.conj()[..., None])[..., 0]
+
+
 def gradient_and_loss_reference(z, inst, w):
     """``solver._gradient_and_loss`` with one product per run and fresh
     arrays for every elementwise pass, the form the fast kernel must match
     bit for bit."""
-    bh = z.h @ inst.b_rows.T
-    xa = (inst.a @ z.x.conj()[..., None])[..., 0]
+    bh, xa = measurement_factors_reference(z.h, z.x, inst.b_rows, inst.a)
     r = (bh * xa).sum(axis=-2) - inst.y
     if w is None:
         loss_val = (np.abs(r) ** 2).sum(axis=-1)

@@ -9,7 +9,8 @@ from blaircomp import metrics
 from blaircomp.diagnostics import _loo_weights
 from blaircomp.errors import ParameterError
 
-from helpers import brute_force_loss, explicit_sign_flip, write_hypotheses_rows
+from helpers import (brute_force_loss, explicit_sign_flip, measurement_factors_reference,
+                     write_hypotheses_rows)
 
 
 def _model_terms(inst):
@@ -319,17 +320,29 @@ class TestMeasureHypotheses:
         assert fast == (tmp_path / "ref.csv").read_bytes()
         assert (b",nan," in fast) == (rows == 1)
 
-    @pytest.mark.parametrize("s, n_drop, n_t", [(2, 8, None), (2, 0, None),
-                                                (1, 3, None), (2, 2, 1)],
-                             ids=["loo_8", "loo_0", "one_node", "one_iteration"])
-    def test_csv_bytes_match_per_row_writer(self, tmp_path, s, n_drop, n_t):
-        inst = bc.canonicalize_instance(bc.make_instance(s, 5, 4, 60, seed=[703, s]))
-        z0 = bc.random_init(s, 5, 4, np.random.default_rng(704))
-        settings = bc.SolverSettings(eta=0.1, max_iters=12, tol=np.inf)
+    @pytest.mark.parametrize("s, n_drop, n_t, shape", [
+        (2, 8, None, (5, 4, 60, 12)), (2, 0, None, (5, 4, 60, 12)),
+        (1, 3, None, (5, 4, 60, 12)), (2, 2, 1, (5, 4, 60, 12)),
+        (2, 8, None, (8, 8, 400, 80))],
+        ids=["loo_8", "loo_0", "one_node", "one_iteration", "suite_shape"])
+    def test_csv_bytes_match_per_row_writer(self, tmp_path, s, n_drop, n_t, shape):
+        # shape is (K, N, m, max_iters); "suite_shape" is the benchmark's
+        # diagnostics-suite run.  The incoherence columns also match the
+        # products of one GEMM per iteration on the truth-aligned base run.
+        K, N, m, max_iters = shape
+        inst = bc.canonicalize_instance(bc.make_instance(s, K, N, m, seed=[703, s]))
+        z0 = bc.random_init(s, K, N, np.random.default_rng(704))
+        settings = bc.SolverSettings(eta=0.1, max_iters=max_iters, tol=np.inf)
         rng = np.random.default_rng(705)
         loo = bc.select_loo_indices(inst.m, n_drop, rng)
-        report = bc.measure_hypotheses(*bc.run_diagnostics_suite(inst, z0, settings,
-                                                                 loo, rng), inst)
+        plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, loo, rng)
+        report = bc.measure_hypotheses(plain, flipped, inst)
+        omega = plain[0].omega[:, :, None]
+        h_t, x_t = plain[0].h / np.conj(omega), omega * plain[0].x
+        bh, xa = measurement_factors_reference(h_t, x_t, inst.b_rows, inst.a)
+        for got, v, f in ((report.incoh_x, x_t, xa), (report.incoh_h, h_t, bh)):
+            want = np.abs(f / np.linalg.norm(v, axis=2)[..., None]).max(axis=(1, 2))
+            assert got.tobytes() == want.tobytes()
         if n_t is not None:
             report = replace(report, **{f.name: getattr(report, f.name)[:n_t]
                                         for f in fields(report)

@@ -6,6 +6,7 @@ import pytest
 
 import blaircomp as bc
 from blaircomp import metrics, solver
+from blaircomp.ensemble import measurement_factors
 from blaircomp.errors import (DegenerateAlignmentError, DegenerateIterateError,
                               DimensionMismatchError, DivergenceError,
                               ParameterError, UndefinedMetricError)
@@ -13,7 +14,8 @@ from blaircomp.errors import (DegenerateAlignmentError, DegenerateIterateError,
 from helpers import (brute_force_gradient, brute_force_hessian_x_block,
                      brute_force_loss, draw_direction, explicit_sign_flip,
                      gradient_and_loss_reference, gradient_inner,
-                     hessian_quadratic_form, population_gradient)
+                     hessian_quadratic_form, measurement_factors_reference,
+                     population_gradient)
 
 
 def _kernel_case(m, layout, weights):
@@ -150,7 +152,9 @@ class TestWirtingerGradient:
 
 class TestKernelBits:
     """The lockstep kernel gives the bits of one product per run with fresh
-    arrays for every pass, and writes into none of its inputs."""
+    arrays for every pass, and writes into none of its inputs; the
+    measurement operator, the measurements and the incoherence give the
+    bits of one product per leading index."""
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     @pytest.mark.parametrize("instances", ["shared", "per_run"])
@@ -160,12 +164,26 @@ class TestKernelBits:
         for n_runs in (1, 2, 5):
             insts = [bc.make_instance(s, K, N, m, seed=[41, s, k])
                      for k in range(n_runs if instances == "per_run" else 1)]
+            for inst in insts:
+                bh, xa = measurement_factors_reference(inst.truth.h, inst.truth.x,
+                                                       inst.b_rows, inst.a)
+                assert inst.y.tobytes() == np.sum(bh * xa, axis=0).tobytes()
+                assert metrics.incoherence(inst.truth, inst.b_rows) == float(
+                    np.sqrt(m) * (np.abs(bh) / inst.truth.q[:, None]).max())
             rows = solver._stack_instances(insts)
             z = bc.random_init(n_runs * s, K, N, rng)
             z = bc.Iterate(h=z.h.reshape(n_runs, s, K), x=z.x.reshape(n_runs, s, N))
             cases = [(z, rows)]
             if n_runs == 1 and instances == "shared":   # no run axis at all
                 cases.append((bc.Iterate(h=z.h[0], x=z.x[0]), insts[0]))
+            z_tr = bc.random_init(3 * n_runs * s, K, N, np.random.default_rng([42, s]))
+            z_tr = bc.Iterate(h=z_tr.h.reshape(3, n_runs, s, K),
+                              x=z_tr.x.reshape(3, n_runs, s, N))     # (T, R) axes
+            for zk, inst in cases + [(z_tr, rows)]:
+                got = measurement_factors(zk.h, zk.x, inst.b_rows, inst.a)
+                want = measurement_factors_reference(zk.h, zk.x, inst.b_rows, inst.a)
+                for g, w in zip(got, want):
+                    assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
             for zk, inst in cases:
                 for w in (None, rng.uniform(0.0, 2.0, m),
                           rng.uniform(0.0, 2.0, (n_runs, m))):
@@ -331,9 +349,16 @@ class TestRunWf:
         assert converged >= 4
 
     def test_divergence_raises_with_iteration(self, small_instance, small_iterate):
-        settings = bc.SolverSettings(eta=1e6, max_iters=50, tol=np.inf)
-        with pytest.raises(DivergenceError, match=r"iteration \d+"):
-            bc.run_wf(small_instance, small_iterate, settings)
+        # In the second case noise of variance 1e300 overflows the loss at the
+        # first step: the run still ends as a divergence, not a RuntimeWarning.
+        for inst, z0, eta, match in (
+                (small_instance, small_iterate, 1e6, r"iteration \d+"),
+                (bc.make_instance(1, 2, 2, 4, sigma2_e=1e300, seed=0),
+                 bc.random_init(1, 2, 2, np.random.default_rng(0)), 0.1,
+                 "^loss diverged at iteration 1: inf$")):
+            settings = bc.SolverSettings(eta=eta, max_iters=50, tol=np.inf)
+            with pytest.raises(DivergenceError, match=match):
+                bc.run_wf(inst, z0, settings)
 
 
 def _single_runs(inst, z0, settings, weights):
@@ -394,28 +419,36 @@ class TestRunBatch:
                 assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
 
     def test_first_diverging_row_is_reported(self):
-        # Row 1 diverges at iteration 5 and row 2 already at iteration 1; the
-        # rows run one by one raise row 1's error, and so does the batch's
-        # traces().  Each row records its own error, and row 0 runs on.
-        inst = bc.make_instance(1, 4, 4, 80, seed=3)
-        z0 = bc.random_init(1, 4, 4, np.random.default_rng(4))
+        # Weight rows: row 1 diverges at iteration 5 and row 2 already at
+        # iteration 1; the rows run one by one raise row 1's error, and so
+        # does the batch's traces().  Stacked instances: noise of variance
+        # 1e300 overflows row 1's loss at iteration 1, which ends that row,
+        # not the call.  Each row records its own error, and row 0 runs on.
         settings = bc.SolverSettings(eta=0.1, max_iters=60, tol=np.inf)
+        inst = bc.make_instance(1, 4, 4, 80, seed=3)
         weights = np.array([1.0, 30.0, 1e3])[:, None] * np.ones(inst.m)
-        with pytest.raises(DivergenceError) as sequential:
-            _single_runs(inst, z0, settings, weights)
-        assert "iteration 5:" in str(sequential.value)
-        batch = bc.run_wf(inst, z0, settings, sample_weights=weights)
-        with pytest.raises(DivergenceError) as batched:
-            batch.traces()
-        assert str(batched.value) == str(sequential.value)
-        assert batch.runs[1:] == [None, None] and batch.errors[0] is None
-        for row, exc in zip(weights[1:], batch.errors[1:]):
-            with pytest.raises(DivergenceError) as alone:
-                bc.run_wf(inst, z0, settings, sample_weights=row)
-            assert type(exc) is DivergenceError and str(exc) == str(alone.value)
-        _assert_identical_traces(batch.runs[0], bc.run_wf(inst, z0, settings))
-        assert batch.n_iters == batch.runs[0].n_iters
-        assert np.array_equal(batch.t, batch.runs[0].t)
+        noisy = [bc.make_instance(1, 2, 2, 4, sigma2_e=v, seed=0) for v in (0.0, 1e300)]
+        for rows, batch_inst, batch_w, first in (
+                ([(inst, w) for w in weights], inst, weights, "iteration 5:"),
+                ([(i, None) for i in noisy], noisy, None, "iteration 1: inf")):
+            n = rows[0][0].K
+            z0 = bc.random_init(1, n, n, np.random.default_rng(4))
+            with pytest.raises(DivergenceError) as sequential:
+                for row_inst, row_w in rows:
+                    bc.run_wf(row_inst, z0, settings, sample_weights=row_w)
+            assert first in str(sequential.value)
+            batch = bc.run_wf(batch_inst, z0, settings, sample_weights=batch_w)
+            with pytest.raises(DivergenceError) as batched:
+                batch.traces()
+            assert str(batched.value) == str(sequential.value)
+            assert batch.runs[1:] == [None] * (len(rows) - 1) and batch.errors[0] is None
+            for (row_inst, row_w), exc in zip(rows[1:], batch.errors[1:]):
+                with pytest.raises(DivergenceError) as alone:
+                    bc.run_wf(row_inst, z0, settings, sample_weights=row_w)
+                assert type(exc) is DivergenceError and str(exc) == str(alone.value)
+            _assert_identical_traces(batch.runs[0], bc.run_wf(rows[0][0], z0, settings))
+            assert batch.n_iters == batch.runs[0].n_iters
+            assert np.array_equal(batch.t, batch.runs[0].t)
 
     def test_bad_input_rejected(self, small_instance, small_iterate):
         settings = bc.SolverSettings(eta=0.05, max_iters=3, tol=np.inf)

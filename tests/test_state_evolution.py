@@ -152,13 +152,15 @@ class TestDetectStages:
                                                           rel=0.05)
 
     def test_never_reached_reported_absent(self):
-        trace = FakeTrace(alpha_h=np.full((5, 1), 1e-9),
-                          beta_h=np.ones((5, 1)),
-                          alpha_x=np.full((5, 1), 1e-9),
-                          beta_x=np.ones((5, 1)),
-                          q=np.array([1.0]), m=100, eta=0.1)
-        rep = bc.detect_stages(trace, t2_threshold=0.5)
-        assert rep.T_2 is None and rep.T_gamma is None
+        # at m = 1 the T_1 scale 1/log^5(m) is infinite, so T_1 is never reached
+        for m in (100, 1):
+            trace = FakeTrace(alpha_h=np.full((5, 1), 1e-9),
+                              beta_h=np.ones((5, 1)),
+                              alpha_x=np.full((5, 1), 1e-9),
+                              beta_x=np.ones((5, 1)),
+                              q=np.array([1.0]), m=m, eta=0.1)
+            rep = bc.detect_stages(trace, t2_threshold=0.5)
+            assert rep.T_1 is None and rep.T_2 is None and rep.T_gamma is None
 
     def test_json_round_trip_fields(self):
         hist = bc.run_population_se(_state(0.2, 1.0, 0.2, 1.0), 80)
