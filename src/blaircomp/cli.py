@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("dimensions must be positive")
         if self.K > self.resolved_m():
             raise ConfigError(f"need K <= m, got K={self.K}, m={self.resolved_m()}")
+        if self.preset == "diagnostics" and self.resolved_m() < 2:
+            raise ConfigError("diagnostics needs m >= 2: its bounds scale with log m")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:

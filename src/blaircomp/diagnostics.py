@@ -98,8 +98,7 @@ def canonicalize_instance(inst: ProblemInstance) -> ProblemInstance:
         a_new[i] = inst.a[i] @ u.T
         x_new[i, 0] = inst.truth.q[i]
     truth = GroundTruth(h=inst.truth.h.copy(), x=x_new, q=inst.truth.q.copy())
-    return ProblemInstance(s=s, K=inst.K, N=N, m=inst.m, b_rows=inst.b_rows,
-                           a=a_new, truth=truth, y=inst.y.copy())
+    return ProblemInstance(b_rows=inst.b_rows, a=a_new, truth=truth, y=inst.y.copy())
 
 
 def sample_sign_flips(s: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -125,8 +124,7 @@ def apply_sign_flips(inst: ProblemInstance, xi: np.ndarray) -> ProblemInstance:
     _require_canonical(inst.truth)
     a_new = inst.a * xi.conj()[:, :, None]
     a_new[:, :, 0] = inst.a[:, :, 0]    # copied, not |xi|^2 a: the identity is exact
-    return ProblemInstance(s=inst.s, K=inst.K, N=inst.N, m=inst.m,
-                           b_rows=inst.b_rows, a=a_new, truth=inst.truth, y=inst.y)
+    return ProblemInstance(b_rows=inst.b_rows, a=a_new, truth=inst.truth, y=inst.y)
 
 
 def run_diagnostics_suite(inst: ProblemInstance, z0: Iterate,
@@ -166,10 +164,13 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
     family is aligned to the aligned base iterates in one batched call over
     its runs and iterations, and per-run quantities take the max over the
     family's runs.  With no dropped samples the leave-one-out entries are NaN.
+    Needs m >= 2: the scales are powers of log m.
     """
     if not plain or len(plain) != len(flipped):
         raise DimensionMismatchError(
             f"need two equal, non-empty trace lists, got {len(plain)} and {len(flipped)}")
+    if inst.m < 2:
+        raise ParameterError(f"the hypothesis scales need log m > 0, got m={inst.m}")
     base, sign = plain[0], flipped[0]
     truth = inst.truth
     n_t = min(len(tr.t) for tr in (*plain, *flipped))

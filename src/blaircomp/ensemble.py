@@ -33,8 +33,18 @@ class GroundTruth:
         return float(np.max(self.q) / np.min(self.q))
 
 
+class _Sizes:
+    """``s, m, N`` read from the design tensor ``a`` (..., s, m, N) and ``K``
+    from the access rows ``b_rows`` (m, K)."""
+
+    s = property(lambda self: self.a.shape[-3])
+    m = property(lambda self: self.a.shape[-2])
+    N = property(lambda self: self.a.shape[-1])
+    K = property(lambda self: self.b_rows.shape[1])
+
+
 @dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(_Sizes):
     """Immutable synthetic problem; safe to share across parallel runs.
 
     ``b_rows`` holds the access vectors as rows ``b_j^H``, shape (m, K),
@@ -42,24 +52,17 @@ class ProblemInstance:
     the flips folded into its design tensor (see ``apply_sign_flips``).
     """
 
-    s: int
-    K: int
-    N: int
-    m: int
     b_rows: np.ndarray          # (m, K) complex
     a: np.ndarray               # (s, m, N) complex design tensor
     truth: GroundTruth
     y: np.ndarray               # (m,) complex measurements
 
     def __post_init__(self):
+        if (self.b_rows.ndim, self.a.ndim) != (2, 3) or self.a.shape[1] != len(self.b_rows):
+            raise DimensionMismatchError(f"b_rows {self.b_rows.shape} and design tensor "
+                                         f"{self.a.shape} are not (m, K) and (s, m, N)")
         if min(self.s, self.K, self.N, self.m) < 1:
             raise ParameterError("all dimensions must be >= 1")
-        if self.b_rows.shape != (self.m, self.K):
-            raise DimensionMismatchError(
-                f"b_rows shape {self.b_rows.shape} != {(self.m, self.K)}")
-        if self.a.shape != (self.s, self.m, self.N):
-            raise DimensionMismatchError(
-                f"design tensor shape {self.a.shape} != {(self.s, self.m, self.N)}")
         if self.truth.h.shape != (self.s, self.K) or self.truth.x.shape != (self.s, self.N):
             raise DimensionMismatchError("ground truth shapes inconsistent with dims")
         if self.y.shape != (self.m,):
@@ -155,7 +158,7 @@ def make_instance(s: int, K: int, N: int, m: int,
     truth = sample_ground_truth(s, K, N, q, rng)
     a = sample_design_tensor(s, m, N, rng)
     y = synthesize_measurements(b_rows, a, truth, sigma2_e, rng)
-    return ProblemInstance(s=s, K=K, N=N, m=m, b_rows=b_rows, a=a, truth=truth, y=y)
+    return ProblemInstance(b_rows=b_rows, a=a, truth=truth, y=y)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .ensemble import (GroundTruth, ProblemInstance, _complex_gaussian, _rows_product,
-                       measurement_factors)
+                       _Sizes, measurement_factors)
 from .errors import (BlaircompError, DegenerateAlignmentError, DegenerateIterateError,
                      DimensionMismatchError, DivergenceError, ParameterError,
                      UndefinedMetricError)
@@ -76,27 +76,31 @@ def _metric(name: str) -> property:
 class StateTrace:
     """Per-logged-iteration history of a solver run plus run metadata.
 
-    The truth metrics are read-only columns.  ``run_wf`` computes them in its
-    loop only when a tolerance needs them; otherwise the first read fills
-    them all, with one ``snapshot_metrics`` call over every log point.
+    The sizes, ``final``, ``n_iters`` and ``converged`` are read from the
+    arrays and the stop reason.  The truth metrics are read-only columns.
+    ``run_wf`` computes them in its loop only when a tolerance needs them;
+    otherwise the first read fills them all, with one ``snapshot_metrics``
+    call over every log point.
     """
 
     t: np.ndarray                 # (T,) logged iteration indices
     loss: np.ndarray              # (T,)
     h: np.ndarray                 # (T, s, K) logged iterates
     x: np.ndarray                 # (T, s, N)
-    final: Iterate                # the last logged iterate
     truth: GroundTruth            # the run's truth, h (s, K), x (s, N), q (s,)
-    s: int
-    K: int
-    N: int
     m: int
     eta: float
-    n_iters: int
-    converged: bool
-    stop_reason: str
+    stop_reason: str              # "tol" or "max_iters"
     _metrics: Optional[Dict[str, np.ndarray]] = field(default=None, repr=False,
                                                       compare=False)
+
+    s = property(lambda self: self.h.shape[-2])
+    K = property(lambda self: self.h.shape[-1])
+    N = property(lambda self: self.x.shape[-1])
+    n_iters = property(lambda self: int(self.t[-1]))    # every run ends at a log point
+    converged = property(lambda self: self.stop_reason == "tol")
+    final = property(lambda self: Iterate(h=self.h[-1], x=self.x[-1], t=self.n_iters))
+    q = property(lambda self: self.truth.q)
 
     relative_error = _metric("relative_error")    # (T,)
     dist = _metric("dist")                        # (T,)
@@ -106,10 +110,6 @@ class StateTrace:
     beta_x = _metric("beta_x")                    # (T, s)
     rmse_x = _metric("rmse_x")                    # (T, s)
     omega = _metric("omega")      # (T, s) complex truth alignment of each node
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.truth.q
 
     def _metric_columns(self) -> Dict[str, np.ndarray]:
         if self._metrics is None:
@@ -128,9 +128,12 @@ class RunBatch:
 
     runs: List[Optional[StateTrace]]
     errors: List[Optional[BlaircompError]]
-    n_iters: int                  # iterations summed over the finished runs
-    t: np.ndarray                 # their logged iterations, concatenated
-    s: int
+    s: int              # stored, as a batch whose rows all failed has no trace
+
+    # iterations summed over the finished runs, and their logged iterations joined
+    n_iters = property(lambda self: sum(tr.n_iters for tr in self.runs if tr is not None))
+    t = property(lambda self: np.concatenate(
+        [tr.t for tr in self.runs if tr is not None] or [np.zeros(0, int)]))
 
     def traces(self) -> List[StateTrace]:
         """Every run's trace; raises the first failed row's error, in row
@@ -142,7 +145,7 @@ class RunBatch:
 
 
 @dataclass(frozen=True)
-class _Rows:
+class _Rows(_Sizes):
     """The instance arrays of ``run_wf``'s active runs, each with a leading
     run axis of one entry per run, or of one entry that every run shares."""
 
@@ -150,10 +153,6 @@ class _Rows:
     y: np.ndarray           # (R or 1, m)
     truth: GroundTruth      # h (R or 1, s, K), x (R or 1, s, N), q (R or 1, s)
     b_rows: np.ndarray      # (m, K), the same for every run
-    s: int
-    K: int
-    N: int
-    m: int
 
     def take(self, keep: np.ndarray) -> "_Rows":
         tr = self.truth
@@ -340,24 +339,17 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
         run = {name: np.concatenate([cols[name][:n, k] for cols, k, n in logs[r]])
                for name in logs[r][0][0]}
         t_r, loss_r, h, x = (run.pop(name) for name in ("t", "loss", "h", "x"))
-        n_iters = int(t_r[-1])           # every run ends at a log point
         k = r if len(truths.q) > 1 else 0
         traces[r] = StateTrace(
             t=t_r, loss=loss_r, h=h, x=x,
-            final=Iterate(h=h[-1], x=x[-1], t=n_iters),
             truth=GroundTruth(h=truths.h[k].copy(), x=truths.x[k].copy(),
                               q=truths.q[k].copy()),
-            s=rows.s, K=rows.K, N=rows.N, m=rows.m, eta=settings.eta,
-            n_iters=n_iters, converged=bool(converged[r]),
+            m=rows.m, eta=settings.eta,
             stop_reason="tol" if converged[r] else "max_iters",
             _metrics=run or None)
     if not batched:
         return traces[0]
-    done = [tr for tr in traces if tr is not None]
-    return RunBatch(runs=traces, errors=errors,
-                    n_iters=sum(tr.n_iters for tr in done),
-                    t=np.concatenate([tr.t for tr in done] or [np.zeros(0, int)]),
-                    s=rows.s)
+    return RunBatch(runs=traces, errors=errors, s=rows.s)
 
 
 def _gradient_and_loss(z: Iterate, inst: Union[ProblemInstance, _Rows],
@@ -430,8 +422,7 @@ def _stack_instances(inst: Union[ProblemInstance, Sequence[ProblemInstance]]) ->
         return get(first)[None] if len(insts) == 1 else np.stack([get(o) for o in insts])
 
     truth = GroundTruth(h=stack("truth.h"), x=stack("truth.x"), q=stack("truth.q"))
-    return _Rows(a=stack("a"), y=stack("y"), truth=truth, b_rows=first.b_rows,
-                 s=first.s, K=first.K, N=first.N, m=first.m)
+    return _Rows(a=stack("a"), y=stack("y"), truth=truth, b_rows=first.b_rows)
 
 
 def _take(v: Optional[np.ndarray], keep: np.ndarray) -> Optional[np.ndarray]:

@@ -118,7 +118,7 @@ def explicit_sign_flip(inst, xi):
     Node i sees the access rows conj(xi_ij) b_j^H and the design vectors with
     first entry xi_ij a_ij,1; ``bc.apply_sign_flips`` stores the same loss
     folded into the design tensor.  The (s, m, K) rows are not a valid
-    ``ProblemInstance``, so this is a plain namespace with the same fields,
+    ``ProblemInstance``, so this is a plain namespace with the same attributes,
     read by the brute-force evaluators.
     """
     a = inst.a.copy()

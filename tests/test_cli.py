@@ -401,8 +401,7 @@ class TestTrialBlocks:
             inst = real(*args, seed=seed, **kwargs)
             if seed.entropy[1] != 1:
                 return inst
-            return bc.ProblemInstance(s=inst.s, K=inst.K, N=inst.N, m=inst.m,
-                                      b_rows=inst.b_rows, a=inst.a * 30.0,
+            return bc.ProblemInstance(b_rows=inst.b_rows, a=inst.a * 30.0,
                                       truth=inst.truth, y=inst.y * 30.0)
 
         case = dict(preset="noise-sweep", trials=3, max_iters=400)
@@ -545,6 +544,15 @@ class TestMainEntry:
     def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diagnostics_needs_two_samples(self, tmp_path, capsys):
+        # Its comparison scales are powers of log m, which is 0 at m = 1.
+        out = tmp_path / "d"
+        code = main(["diagnostics", "--s", "1", "--K", "1", "--N", "1", "--m", "1",
+                     "--max-iters", "3", "--loo-samples", "1", "--out", str(out)])
+        assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 

@@ -161,8 +161,7 @@ class TestLeaveOneOut:
         a, y = inst.a.copy(), inst.y.copy()
         a[:, 5] *= 7.0
         y[5] += 3.0 - 2.0j
-        changed = bc.ProblemInstance(s=2, K=4, N=4, m=30, b_rows=inst.b_rows,
-                                     a=a, truth=inst.truth, y=y)
+        changed = bc.ProblemInstance(b_rows=inst.b_rows, a=a, truth=inst.truth, y=y)
         z0 = bc.random_init(2, 4, 4, np.random.default_rng(14))
         settings = bc.SolverSettings(max_iters=20, tol=np.inf)
         w = _loo_weights(inst.m, [5])[1]
@@ -401,12 +400,21 @@ class TestMeasureHypotheses:
             bc.measure_hypotheses(plain[:cut[0]], flipped[:cut[1]], inst)
 
 
+    def test_single_sample_rejected(self):
+        # The comparison scales are powers of log m, which is 0 at m = 1.
+        inst = bc.canonicalize_instance(bc.make_instance(1, 1, 1, 1, seed=0))
+        z0 = bc.random_init(1, 1, 1, np.random.default_rng(1))
+        plain, flipped = bc.run_diagnostics_suite(
+            inst, z0, bc.SolverSettings(max_iters=3), [0], np.random.default_rng(2))
+        with pytest.raises(ParameterError, match="m=1"):
+            bc.measure_hypotheses(plain, flipped, inst)
+
+
 class TestConcentrationReport:
     def test_zero_design_tensor(self):
         inst = bc.make_instance(1, 2, 3, 8, seed=13)
-        zeroed = bc.ProblemInstance(s=1, K=2, N=3, m=8, b_rows=inst.b_rows,
-                                    a=np.zeros_like(inst.a), truth=inst.truth,
-                                    y=inst.y)
+        zeroed = bc.ProblemInstance(b_rows=inst.b_rows, a=np.zeros_like(inst.a),
+                                    truth=inst.truth, y=inst.y)
         rep = bc.concentration_report(zeroed)
         assert rep.max_abs_first_entry == 0.0
         assert rep.max_design_norm == 0.0

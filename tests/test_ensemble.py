@@ -151,8 +151,20 @@ class TestInstance:
     def test_shape_validation(self):
         inst = bc.make_instance(1, 2, 2, 4, seed=0)
         with pytest.raises(DimensionMismatchError):
-            bc.ProblemInstance(s=1, K=2, N=2, m=4, b_rows=inst.b_rows,
-                               a=inst.a[:, :3], truth=inst.truth, y=inst.y)
+            bc.ProblemInstance(b_rows=inst.b_rows, a=inst.a[:, :3], truth=inst.truth,
+                               y=inst.y)
         with pytest.raises(DimensionMismatchError):     # per-node (s, m, K) rows
-            bc.ProblemInstance(s=1, K=2, N=2, m=4, b_rows=inst.b_rows[None],
-                               a=inst.a, truth=inst.truth, y=inst.y)
+            bc.ProblemInstance(b_rows=inst.b_rows[None], a=inst.a, truth=inst.truth,
+                               y=inst.y)
+        with pytest.raises(ParameterError):             # K = 0
+            bc.ProblemInstance(b_rows=inst.b_rows[:, :0], a=inst.a, truth=inst.truth,
+                               y=inst.y)
+
+    def test_sizes_read_from_the_arrays(self):
+        inst = bc.make_instance(3, 4, 5, 20, seed=1)
+        canon = bc.canonicalize_instance(inst)
+        flipped = bc.apply_sign_flips(
+            canon, bc.sample_sign_flips(3, 20, np.random.default_rng(2)))
+        for i in (inst, canon, flipped):
+            assert (i.s, i.m, i.N) == i.a.shape == (3, 20, 5)
+            assert (i.m, i.K) == i.b_rows.shape == (20, 4)

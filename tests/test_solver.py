@@ -226,8 +226,7 @@ class TestPopulationGradient:
         for _ in range(n_mc):
             a = bc.sample_design_tensor(s, m, N, mc_rng)
             y = bc.synthesize_measurements(b_rows, a, truth, 0.0)
-            inst = bc.ProblemInstance(s=s, K=K, N=N, m=m, b_rows=b_rows, a=a,
-                                      truth=truth, y=y)
+            inst = bc.ProblemInstance(b_rows=b_rows, a=a, truth=truth, y=y)
             g = bc.wirtinger_gradient(z, inst)
             acc_h += g.h
             acc_x += g.x
@@ -297,8 +296,9 @@ class TestRunWf:
 
     def test_snapshot_fields_are_the_trace_columns(self, small_instance, small_iterate):
         names = {f.name for f in dataclasses.fields(bc.MetricSnapshot)}
+        derived = {"q", "s", "K", "N", "n_iters", "converged", "final"}
         columns = {name for name, attr in vars(bc.StateTrace).items()
-                   if isinstance(attr, property)} - {"q"}
+                   if isinstance(attr, property)} - derived
         assert names == columns
         for tol in (np.inf, 1e-300):    # the columns on first read, and from the loop
             trace = bc.run_wf(small_instance, small_iterate,
@@ -488,6 +488,7 @@ class TestRunBatch:
         batch = bc.run_wf(small_instance, z0, settings,
                           sample_weights=np.ones((3, small_instance.m)))
         assert batch.runs == [None] * 3 and batch.n_iters == 0
+        assert batch.t.shape == (0,) and batch.s == 2
         assert all(isinstance(e, DegenerateAlignmentError) for e in batch.errors)
         with pytest.raises(DegenerateAlignmentError, match="zero block"):
             batch.traces()
@@ -577,8 +578,8 @@ class TestStackedInstances:
         # diverges; rows 0 and 2 match their separate calls.
         insts = [bc.make_instance(1, 4, 4, 80, seed=k) for k in range(3)]
         big = insts[1]
-        insts[1] = bc.ProblemInstance(s=1, K=4, N=4, m=80, b_rows=big.b_rows,
-                                      a=big.a * 30.0, truth=big.truth, y=big.y * 30.0)
+        insts[1] = bc.ProblemInstance(b_rows=big.b_rows, a=big.a * 30.0,
+                                      truth=big.truth, y=big.y * 30.0)
         z0 = bc.random_init(1, 4, 4, np.random.default_rng(4))
         settings = bc.SolverSettings(eta=0.1, max_iters=300, tol=1e-6)
         batch = bc.run_wf(insts, z0, settings)
@@ -587,6 +588,10 @@ class TestStackedInstances:
         assert batch.runs[1] is None and str(batch.errors[1]) == str(alone.value)
         for k in (0, 2):
             _assert_identical_traces(batch.runs[k], bc.run_wf(insts[k], z0, settings))
+            _assert_summaries_from_arrays(batch.runs[k])
+        done = [batch.runs[0], batch.runs[2]]
+        assert batch.s == 1 and batch.n_iters == sum(tr.n_iters for tr in done)
+        assert batch.t.tobytes() == np.concatenate([tr.t for tr in done]).tobytes()
 
     @pytest.mark.parametrize("tol", [np.inf, 1e-6])
     def test_zero_target_ends_only_its_row(self, tol):
@@ -596,8 +601,7 @@ class TestStackedInstances:
         tr = insts[1].truth
         x = tr.x.copy()
         x[1] = -x[0]
-        insts[1] = bc.ProblemInstance(s=2, K=4, N=4, m=80, b_rows=insts[1].b_rows,
-                                      a=insts[1].a, y=insts[1].y,
+        insts[1] = bc.ProblemInstance(b_rows=insts[1].b_rows, a=insts[1].a, y=insts[1].y,
                                       truth=bc.GroundTruth(h=tr.h, x=x, q=tr.q))
         z0 = bc.random_init(2, 4, 4, np.random.default_rng(4))
         settings = bc.SolverSettings(eta=0.1, max_iters=30, tol=tol)
@@ -632,6 +636,17 @@ def _assert_identical_traces(got, want):
     assert got.final.x.tobytes() == want.final.x.tobytes()
 
 
+def _assert_summaries_from_arrays(trace):
+    """The sizes, final iterate, iteration count and convergence flag agree
+    with the trace's arrays and stop reason."""
+    assert (trace.s, trace.K) == trace.h.shape[1:] and trace.N == trace.x.shape[2]
+    assert type(trace.n_iters) is int and trace.n_iters == trace.t[-1]
+    assert trace.final.t == trace.n_iters
+    assert trace.final.h.tobytes() == trace.h[-1].tobytes()
+    assert trace.final.x.tobytes() == trace.x[-1].tobytes()
+    assert trace.converged is (trace.stop_reason == "tol")
+
+
 def _tol_case():
     """Three runs that stop at iterations 232 (tol), 470 (tol) and 600
     (max_iters): halving the weights halves the step."""
@@ -663,6 +678,7 @@ class TestMetricBlocks:
         assert [run.stop_reason for run in want.runs] == ["tol", "tol", "max_iters"]
         for run, ref in zip(got.runs, want.runs):
             _assert_identical_traces(run, ref)
+            _assert_summaries_from_arrays(run)
         assert got.n_iters == want.n_iters
         assert np.array_equal(got.t, want.t)
 
