@@ -83,12 +83,18 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {self.preset!r}")
-        missing = [name for name in ("s", "K", "N", "eta", "max_iters")
-                   if getattr(self, name) is None]
+        # A preset needs every field it fills; m and m_factor are either-or.
+        needed = {"s", "K", "N", "eta", "max_iters", *_PRESETS[self.preset]}
+        missing = [key for key in _KEY_TYPES if key in needed - {"m", "m_factor"}
+                   and getattr(self, key) is None]
         if self.m is None and self.m_factor is None:
             missing.append("m or m_factor")
         if missing:
             raise ConfigError(f"missing required fields: {', '.join(missing)}")
+        for key, kind in _KEY_TYPES.items():
+            value = getattr(self, key)
+            if kind is int and value is not None and type(value) is not int:
+                raise ConfigError(f"bad value for {key}: {value!r}")
         if self.m is not None and self.m_factor is not None:
             raise ConfigError("set exactly one of m / m_factor, not both")
         if min(self.s, self.K, self.N, self.resolved_m()) < 1:
@@ -116,12 +122,10 @@ class ExperimentConfig:
         if self.q is not None and not all(0 < v <= 1 for v in self.q):
             raise ConfigError("every q value must lie in (0, 1]")
         # The noise sweep fits a line through one point per sigma_w value.
-        grid = self.sigma_w_grid or []
-        if self.preset == "noise-sweep" and len(set(grid)) < max(2, len(grid)):
-            raise ConfigError("noise-sweep needs at least two distinct sigma_w_grid "
-                              "values")
-        if self.sigma_w_grid is not None and not all(0 < v < np.inf
-                                                     for v in self.sigma_w_grid):
+        grid = self.sigma_w_grid
+        if grid is not None and len(set(grid)) < max(2, len(grid)):
+            raise ConfigError("sigma_w_grid needs at least two distinct values")
+        if grid is not None and not all(0 < v < np.inf for v in grid):
             raise ConfigError("every sigma_w_grid value must be finite and > 0")
 
     def solver_settings(self) -> SolverSettings:
@@ -222,9 +226,13 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
                                   "trials": [r["summary"] for r in results]})
     if cfg.preset == "noise-sweep":
         paths["noise"] = os.path.join(cfg.out, "noise_sweep.csv")
+        tables = [r["noise_rows"] for r in results if "noise_rows" in r]
         _write_csv(paths["noise"], ["trial", "t", "sigma_w", "noisy_relative_error"],
-                   (r.get("noise_rows", []) for r in results))
+                   tables)
+        if tables:
+            report["noise_sweep"] = fit_noise_slope(cfg.sigma_w_grid, tables)
     if cfg.preset == "diagnostics":
+        report["concentration"] = [r.get("concentration") for r in results]
         for r in results:
             if r.get("hypotheses") is not None:
                 name = f"hypotheses_{r['summary']['trial']}.csv"
@@ -275,7 +283,7 @@ def _run_trial(cfg: ExperimentConfig, first_trial: int, n_trials: int) -> List[D
     the trial logs no trace rows, and the other trials go on.
     """
     trials = range(first_trial, first_trial + n_trials)
-    # trial -> its error, or its (trace, aux rng, results)
+    # trial -> its error, or its (trace, results)
     solved: Dict[int, object] = {}
     built = []
     for trial in trials:
@@ -288,7 +296,7 @@ def _run_trial(cfg: ExperimentConfig, first_trial: int, n_trials: int) -> List[D
             solved.update(_solve_block(cfg, built))
         except BlaircompError as exc:     # the call the block shares failed
             solved.update((b[0], exc) for b in built)
-    return [_trial_result(cfg, trial, solved[trial]) for trial in trials]
+    return [_trial_result(trial, solved[trial]) for trial in trials]
 
 
 def _build_trial(cfg: ExperimentConfig, trial: int):
@@ -296,42 +304,46 @@ def _build_trial(cfg: ExperimentConfig, trial: int):
     inst_seed, init_seed, aux_seed = np.random.SeedSequence([cfg.seed, trial]).spawn(3)
     inst = make_instance(cfg.s, cfg.K, cfg.N, cfg.resolved_m(), q=cfg.q,
                          sigma2_e=cfg.sigma2_e, seed=inst_seed)
-    if cfg.preset == "diagnostics":
-        inst = diag.canonicalize_instance(inst)
     z0 = random_init(cfg.s, cfg.K, cfg.N, np.random.default_rng(init_seed))
     return inst, z0, np.random.default_rng(aux_seed)
 
 
 def _solve_block(cfg: ExperimentConfig, built: List[tuple]) -> Dict[int, object]:
-    """Each built trial's error, or its trace, auxiliary stream and
-    per-trial results; all trials in one call, a diagnostics trial in its
-    suite."""
+    """Each built trial's error, or its trace and per-preset results: the
+    trials in one ``run_wf`` call, a noise-sweep trial's rows drawn from its
+    auxiliary stream; or a diagnostics trial canonicalized here and run in
+    its suite, whose auxiliary runs draw from that stream."""
     settings = cfg.solver_settings()
     if cfg.preset == "diagnostics":
         (trial, inst, z0, aux_rng), = built
+        inst = diag.canonicalize_instance(inst)
         loo = diag.select_loo_indices(inst.m, cfg.loo_samples, aux_rng)
         plain, flipped = diag.run_diagnostics_suite(inst, z0, settings, loo, aux_rng)
         result = {"hypotheses": diag.measure_hypotheses(plain, flipped, inst),
                   "concentration": asdict(diag.concentration_report(inst))}
-        return {trial: (plain[0], aux_rng, result)}
+        return {trial: (plain[0], result)}
     trials, insts, z0s, aux_rngs = zip(*built)
     batch = run_wf(insts, Iterate(h=np.stack([z.h for z in z0s]),
                                   x=np.stack([z.x for z in z0s])), settings)
-    return {trial: exc if exc is not None else (trace, aux_rng, {})
-            for trial, aux_rng, trace, exc
-            in zip(trials, aux_rngs, batch.runs, batch.errors)}
+    solved: Dict[int, object] = dict(zip(trials, batch.errors))
+    for trial, aux_rng, trace in zip(trials, aux_rngs, batch.runs):
+        if solved[trial] is None:
+            result = {}
+            if cfg.preset == "noise-sweep":
+                result["noise_rows"] = _noise_sweep_rows(trace, cfg.sigma_w_grid,
+                                                         aux_rng, trial)
+            solved[trial] = (trace, result)
+    return solved
 
 
-def _trial_result(cfg: ExperimentConfig, trial: int, solved) -> Dict:
+def _trial_result(trial: int, solved) -> Dict:
     """The trial's summary, trace rows and per-preset results."""
     summary = {"trial": trial, "diverged": False, "error": None, "error_type": None}
     if isinstance(solved, BlaircompError):
         summary.update(diverged=isinstance(solved, DivergenceError), error=str(solved),
                        error_type=type(solved).__name__)
         return {"summary": summary, "trace": []}
-    trace, aux_rng, result = solved
-    if cfg.preset == "noise-sweep":
-        result["noise_rows"] = _noise_sweep_rows(trace, cfg.sigma_w_grid, aux_rng, trial)
+    trace, result = solved
     summary.update(converged=trace.converged, n_iters=trace.n_iters,
                    final_relative_error=float(trace.relative_error[-1]),
                    final_loss=float(trace.loss[-1]),
@@ -391,7 +403,7 @@ def fit_noise_slope(sigma_w_grid: Sequence[float], tables: Sequence[np.ndarray])
 def _build_report(cfg: ExperimentConfig, results: List[Dict]) -> Dict:
     summaries = [r["summary"] for r in results]
     ok = [s for s in summaries if s["error"] is None]
-    report: Dict = {
+    return {
         "preset": cfg.preset,
         "n_trials": cfg.trials,
         "n_diverged": sum(s["diverged"] for s in summaries),
@@ -399,13 +411,6 @@ def _build_report(cfg: ExperimentConfig, results: List[Dict]) -> Dict:
         "n_converged": sum(bool(s.get("converged")) for s in ok),
         "final_relative_errors": [s.get("final_relative_error") for s in ok],
     }
-    if cfg.preset == "noise-sweep":
-        tables = [r["noise_rows"] for r in results if "noise_rows" in r]
-        if tables:
-            report["noise_sweep"] = fit_noise_slope(cfg.sigma_w_grid, tables)
-    if cfg.preset == "diagnostics":
-        report["concentration"] = [r.get("concentration") for r in results]
-    return report
 
 
 def _trace_columns(trace, trial: int) -> np.ndarray:
@@ -490,15 +495,17 @@ def _repeated_columns(rows: np.ndarray) -> Dict[int, np.ndarray]:
 # Every CSV field is the text of '%.17g' % value, laid out in numpy.  A
 # finite nonzero |v| with decimal exponent X has the 17 digits round(s),
 # s = |v| * 10**(16 - X), rounded half-even.  S, the long double product of
-# |v| (exact) and 10**(16 - X) * (1 + d) (a table entry correctly rounded
-# from integers, its relative error |d| recorded), is within
+# |v| (exact) and 10**(16 - X) * (1 + d) (a table entry parsed from text,
+# its exact relative error |d| recorded), is within
 # s * (|d| + u + |d| * u) < 1.01 * S * (|d| + u) of s, where u is the unit
 # roundoff of a correctly rounded long double product (x87 extended or
 # IEEE quad).  Rounding S half up thus gives the digits exactly unless S
 # lies within that bound of a half-integer or of the carry to 10**17; such
 # a value takes its digits and X from '%.16e' % |v|, which rounds as
-# '%.17g' does.  Where long double is no wider than double (Windows, macOS
-# on arm64) the bound passes 1/2 for every value, and all take that route.
+# '%.17g' does.  The carry window assumes every |d| <= u, as a correctly
+# rounding parser gives; should some |d| exceed u, every value takes that
+# route.  So do all where long double is no wider than double (Windows,
+# macOS on arm64): there the bound passes 1/2 for every value.
 _ROUNDOFF = float(np.finfo(np.longdouble).eps) / 2
 _CSV_CHUNK_FIELDS = 8192
 # A field's text in 56 NUL-padded byte slots: 0 the sign, 1-5 a "0.000"
@@ -512,27 +519,16 @@ _CARRY = np.longdouble(1e17) - np.longdouble(0.5)    # s >= this: X is one more
 
 @functools.lru_cache(maxsize=None)
 def _pow10() -> Tuple[np.ndarray, np.ndarray]:
-    """Long double 10**k, correctly rounded, and its relative error, at
+    """Long double 10**k, parsed from text, and its exact relative error, at
     index _X_MAX + 1 - X for k = 16 - X and X = _X_MIN ... _X_MAX + 1."""
-    bits = np.finfo(np.longdouble).nmant + 1
-    mantissas, shifts, errors = [], [], []
-    for k in range(16 - _X_MAX - 1, 16 - _X_MIN + 1):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        # num / den in (2**(bits - 1), 2**(bits + 1)) after the shift
-        shift = num.bit_length() - den.bit_length() - bits
-        num, den = num << max(-shift, 0), den << max(shift, 0)
-        if num >= den << bits:
-            shift, den = shift + 1, den << 1
-        q, rem = divmod(num, den)
-        q += 2 * rem > den or (2 * rem == den and q & 1)
-        mantissas.append(q)
-        shifts.append(shift)
-        errors.append(abs(q * den - num) / num)
-    pow10 = np.zeros(len(mantissas), np.longdouble)
-    for part in range(0, bits + 1, 32):     # exact: each partial sum fits
-        pow10 += np.ldexp(np.array([m >> part & 0xFFFFFFFF for m in mantissas],
-                                   dtype=np.longdouble), part)
-    pow10, errors = np.ldexp(pow10, np.array(shifts)), np.array(errors)
+    ks = range(16 - _X_MAX - 1, 16 - _X_MIN + 1)
+    pow10 = np.array([np.longdouble(f"1e{k}") for k in ks], dtype=np.longdouble)
+    errors = []
+    for k, p in zip(ks, pow10):
+        num, den = p.as_integer_ratio()
+        a, b = (10**k, 1) if k >= 0 else (1, 10**-k)             # 10**k = a / b
+        errors.append(abs(num * b - a * den) / (a * den))
+    errors = np.array(errors)
     pow10.flags.writeable = errors.flags.writeable = False  # shared: read-only
     return pow10, errors
 
@@ -584,7 +580,7 @@ def _csv_tables():
 def _round17(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(r, X) with a ~ r * 10**(X - 16), 10**16 <= r < 10**17: positive
     finite ``a`` rounded half-even to 17 significant digits."""
-    if 1e16 * _ROUNDOFF >= 0.5:
+    if 1e16 * _ROUNDOFF >= 0.5 or _pow10()[1].max() > _ROUNDOFF:
         return _round17_text(a)
     pow10, error = _pow10()
     # X, or X - 1 where a is within 1e-9 of a power of ten (log10 is good

@@ -74,6 +74,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"bad value for {key}"):
             bc.parse_config(overrides={"preset": "noise-sweep", key: value})
 
+    def test_noise_sweep_built_without_a_grid_is_a_config_error(self):
+        cfg = bc.parse_config(overrides={"preset": "noise-sweep"})
+        with pytest.raises(ConfigError, match="sigma_w_grid"):
+            dataclasses.replace(cfg, sigma_w_grid=None).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iters", 10.5), ("s", 1.5), ("seed", 1.5), ("trials", 2.0),
+        ("cadence", 2.5), ("K", True), ("jobs", 1.0), ("m", np.float64(100.0))])
+    def test_int_field_given_a_non_int_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            bc.parse_config(overrides={"preset": "noise-sweep", key: value})
+        cfg = bc.parse_config(overrides={"preset": "noise-sweep"})
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            dataclasses.replace(cfg, **{key: value}).validate()
+
 
 # A value for each config key that differs from its default and is valid on
 # top of the components preset (s = 4).
@@ -333,6 +348,46 @@ class TestArtifactWriters:
                 == (tmp_path / "rows.csv").read_bytes())
         assert sum(routed) == len(values)
 
+    def test_pow10_entries_are_correctly_rounded(self):
+        """Each entry is the long double nearest 10**k, and its recorded error
+        is the exact |entry - 10**k| / 10**k rounded to a double; all in
+        integers."""
+        pow10, error = cli._pow10()
+        ks = range(16 - cli._X_MAX - 1, 16 - cli._X_MIN + 1)
+        assert len(pow10) == len(error) == len(ks)
+        for k, p, d in zip(ks, pow10, error):
+            a, b = (10**k, 1) if k >= 0 else (1, 10**-k)            # 10**k = a / b
+
+            def gap(v):            # |v - 10**k| * b * den(v), den(v) returned too
+                num, den = v.as_integer_ratio()
+                return abs(num * b - a * den), den
+
+            g, den = gap(p)
+            for toward in (0, np.inf):
+                g_n, den_n = gap(np.nextafter(p, np.longdouble(toward)))
+                assert g * den_n <= g_n * den, k
+            assert d == g / (a * den), k
+
+    def test_inexact_table_routes_every_value_through_text(self, tmp_path, monkeypatch):
+        """A parser that misses 10**k by more than the roundoff breaks the
+        carry window's premise; every value then takes its digits from
+        '%.16e', and the bytes stay the same."""
+        pow10, error = (t.copy() for t in cli._pow10())
+        at = cli._X_MAX + 1 - 5                                   # X = 5
+        pow10[at] = np.nextafter(np.nextafter(pow10[at], np.inf), np.inf)
+        error[at] = 2.5 * cli._ROUNDOFF
+        monkeypatch.setattr(cli, "_pow10", lambda: (pow10, error))
+        routed = []
+        text_route = cli._round17_text
+        monkeypatch.setattr(cli, "_round17_text",
+                            lambda a: routed.append(len(a)) or text_route(a))
+        values = np.r_[_random_doubles(10**4, 8), _TIES, 123456.0 + np.arange(100) / 8]
+        cli._write_csv(str(tmp_path / "fast.csv"), ["v"], [values[:, None]])
+        write_csv_rows(str(tmp_path / "rows.csv"), ["v"], [values[:, None]])
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+        assert sum(routed) == len(values)
+
     def test_fit_noise_slope_matches_masked_loop(self):
         rng = np.random.default_rng(4)
         # trial 1 logs fewer points than the fit window
@@ -452,6 +507,14 @@ def _fail_trial_1(monkeypatch):
     monkeypatch.setattr(cli, "make_instance", make_instance)
 
 
+def _fail_every_trial(monkeypatch):
+    """Make every trial's instance build raise."""
+    def make_instance(*args, seed, **kwargs):
+        raise DegenerateAlignmentError(f"forced failure in trial {seed.entropy[1]}")
+
+    monkeypatch.setattr(cli, "make_instance", make_instance)
+
+
 class TestTrialFailure:
     # jobs=2 relies on forked workers inheriting the patched module.
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
@@ -484,6 +547,32 @@ class TestTrialFailure:
         ref_cols = bc.read_trace_csv(ref["paths"]["trace"])
         keep = ref_cols["trial"] != 1.0
         np.testing.assert_array_equal(cols["loss"], ref_cols["loss"][keep])
+
+    def test_noise_sweep_with_every_trial_failed(self, tmp_path, monkeypatch):
+        _fail_every_trial(monkeypatch)
+        cfg = bc.parse_config(overrides=dict(preset="noise-sweep", trials=2, jobs=1,
+                                             out=str(tmp_path / "ns")))
+        result = bc.run_experiment(cfg)
+        assert not result["ok"]
+        with open(result["paths"]["noise"], "rb") as fh:
+            assert fh.read() == b"trial,t,sigma_w,noisy_relative_error\r\n"
+        assert "noise_sweep" not in result["report"]
+        with open(result["paths"]["report"]) as fh:
+            assert "noise_sweep" not in json.load(fh)
+
+    def test_diagnostics_with_every_trial_failed(self, tmp_path, monkeypatch):
+        _fail_every_trial(monkeypatch)
+        cfg = bc.parse_config(overrides=dict(preset="diagnostics", K=4, m=40,
+                                             max_iters=5, loo_samples=1, trials=2,
+                                             jobs=1, out=str(tmp_path / "d")))
+        result = bc.run_experiment(cfg)
+        assert not result["ok"]
+        with open(result["paths"]["report"]) as fh:
+            report = json.load(fh)
+        assert report == result["report"]
+        assert report["concentration"] == [None] * cfg.trials
+        assert "hypotheses_csv" not in report
+        assert not list((tmp_path / "d").glob("hypotheses_*.csv"))
 
     def test_main_exits_1_naming_the_type(self, tmp_path, monkeypatch, capsys):
         _fail_trial_1(monkeypatch)
@@ -535,12 +624,13 @@ class TestMainEntry:
         ["--preset", "noise-sweep", "--tol", "-1e-6"],
         ["--preset", "noise-sweep", "--sigma2-e", "-1e-3"],
         ["--preset", "noise-sweep", "--sigma-w-grid", "-1e-3,10"],
+        ["--preset", "fig1-convergence", "--K", "4", "--sigma-w-grid", "10"],
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
             "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
             "sigma_w_grid_repeated", "max_iters", "loo_samples", "seed",
             "jobs_negative", "jobs_zero", "tol_nan", "tol_negative", "K_text",
             "tol_negative_exponent", "sigma2_e_negative_exponent",
-            "sigma_w_grid_negative_first"])
+            "sigma_w_grid_negative_first", "sigma_w_grid_single_any_preset"])
     def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2
