@@ -1,7 +1,7 @@
 """Experiment presets, configuration parsing, and CSV/JSON artifact emission.
 
 Presets encode the reference experimental settings (node counts, dimension
-ratios m = factor*K, step size 0.1); trials run in a worker pool and every
+ratios m = factor*K); trials run in a worker pool and every
 stochastic stream is derived from (seed, trial) so artifacts are bit-stable.
 """
 
@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args,
                     get_origin, get_type_hints)
 
@@ -26,18 +26,14 @@ from .ensemble import make_instance
 from .errors import BlaircompError, ConfigError, DivergenceError, ParameterError
 from .solver import Iterate, SolverSettings, random_init, run_wf
 
-# Fields each preset fills when the user leaves them unset.  "N": "K" copies
-# the (possibly user-supplied) K.
+# The values that set each preset apart, which ``parse_config`` lays the given
+# keys over.  Every other field keeps its default; N, unless given, is K.
 _PRESETS: Dict[str, Dict] = {
-    "fig1-convergence": {"s": 10, "K": 20, "N": "K", "m_factor": 50, "eta": 0.1,
-                         "max_iters": 500, "tol": 1e-6},
-    "components": {"s": 4, "K": 10, "N": "K", "m_factor": 50, "eta": 0.1,
-                   "max_iters": 500, "tol": 1e-6},
-    "noise-sweep": {"s": 1, "K": 10, "N": "K", "m": 100, "eta": 0.1,
-                    "max_iters": 500, "tol": 1e-6,
+    "fig1-convergence": {"s": 10, "K": 20, "m_factor": 50, "tol": 1e-6},
+    "components": {"s": 4, "K": 10, "m_factor": 50, "tol": 1e-6},
+    "noise-sweep": {"s": 1, "K": 10, "m": 100, "tol": 1e-6,
                     "sigma_w_grid": [1.0, 1e1, 1e2, 1e3, 1e4, 1e5]},
-    "diagnostics": {"s": 2, "K": 8, "N": "K", "m_factor": 50, "eta": 0.1,
-                    "max_iters": 80, "tol": float("inf"), "loo_samples": 8},
+    "diagnostics": {"s": 2, "K": 8, "m_factor": 50, "max_iters": 80},
     "custom": {},
 }
 PRESET_NAMES = tuple(_PRESETS)
@@ -60,16 +56,16 @@ class ExperimentConfig:
     N: Optional[int] = None
     m: Optional[int] = None
     m_factor: Optional[int] = None
-    eta: Optional[float] = None
-    max_iters: Optional[int] = None
-    tol: float = float("inf")
+    eta: float = SolverSettings.eta
+    max_iters: int = SolverSettings.max_iters
+    tol: float = SolverSettings.tol
     sigma2_e: float = 0.0
     sigma_w_grid: Optional[List[float]] = None
     q: Optional[List[float]] = None
     trials: int = 1
     seed: int = 0
     out: str = "results"
-    cadence: int = 1
+    cadence: int = SolverSettings.cadence
     loo_samples: int = 8
     jobs: Optional[int] = None
 
@@ -83,18 +79,19 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {self.preset!r}")
-        # A preset needs every field it fills; m and m_factor are either-or.
-        needed = {"s", "K", "N", "eta", "max_iters", *_PRESETS[self.preset]}
+        # A preset needs every field it sets; m and m_factor are either-or.
+        needed = {"s", "K", "N", *_PRESETS[self.preset]}
         missing = [key for key in _KEY_TYPES if key in needed - {"m", "m_factor"}
                    and getattr(self, key) is None]
         if self.m is None and self.m_factor is None:
             missing.append("m or m_factor")
         if missing:
             raise ConfigError(f"missing required fields: {', '.join(missing)}")
-        for key, kind in _KEY_TYPES.items():
-            value = getattr(self, key)
-            if kind is int and value is not None and type(value) is not int:
-                raise ConfigError(f"bad value for {key}: {value!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (value is None and field.default is None
+                    or _has_kind(value, _KEY_TYPES[field.name])):
+                raise ConfigError(f"bad value for {field.name}: {value!r}")
         if self.m is not None and self.m_factor is not None:
             raise ConfigError("set exactly one of m / m_factor, not both")
         if min(self.s, self.K, self.N, self.resolved_m()) < 1:
@@ -153,37 +150,38 @@ _KEY_TYPES: Dict[str, type] = {key: _key_type(hint) for key, hint
                                in get_type_hints(ExperimentConfig).items()}
 
 
+def _has_kind(value, kind: type) -> bool:
+    """An int field takes an int; a float field an int or a float; a list
+    field a list of those; a str field a str.  No bool passes."""
+    if kind is list:
+        return isinstance(value, list) and all(_has_kind(v, float) for v in value)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is int if kind is int else isinstance(value, kind)
+
+
 def parse_config(path: Optional[str] = None,
                  overrides: Optional[Dict] = None) -> ExperimentConfig:
-    """Key=value config file plus explicit overrides; overrides win.
+    """Key=value config file plus overrides, which win, laid over the
+    preset's values; giving m or m_factor drops both of the preset's.
 
-    Unknown keys are rejected.  Preset defaults fill whatever remains unset,
-    and the result is validated.
+    Unknown keys are rejected.  Each value is coerced to its field's type,
+    N is K unless given, and the result is validated.
     """
-    raw: Dict[str, object] = {}
-    if path is not None:
-        raw.update(_read_config_file(path))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            raw[key] = value
-    unknown = set(raw) - _KEY_TYPES.keys()
+    given = _read_config_file(path) if path is not None else {}
+    given.update((key, value) for key, value in (overrides or {}).items()
+                 if value is not None)
+    unknown = set(given) - _KEY_TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    cfg = ExperimentConfig()
-    explicit = set()
-    for key, value in raw.items():
-        setattr(cfg, key, _coerce(key, value))
-        explicit.add(key)
-
-    for key, value in _PRESETS.get(cfg.preset, {}).items():
-        if key in explicit:
-            continue
-        if key == "m_factor" and "m" in explicit:
-            continue
-        if key == "m" and "m_factor" in explicit:
-            continue
-        setattr(cfg, key, cfg.K if value == "K" else value)
+    base = _PRESETS.get(given.get("preset", "custom"), {})
+    if given.keys() & {"m", "m_factor"}:
+        base = {key: value for key, value in base.items() if key not in ("m", "m_factor")}
+    cfg = ExperimentConfig(**{key: _coerce(key, value)
+                              for key, value in {**base, **given}.items()})
+    if cfg.N is None:
+        cfg.N = cfg.K
     cfg.validate()
     return cfg
 

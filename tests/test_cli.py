@@ -19,6 +19,38 @@ from helpers import (fit_noise_slope_loop, noise_sweep_rows_loop, run_desk_scale
                      write_csv_rows)
 
 
+# What parse_config({"preset": preset, **overrides}) resolves to: the fields
+# _RESOLVED_KEYS of each case, and _RESOLVED_REST for the rest.
+_RESOLVED_KEYS = ("s", "K", "N", "m", "m_factor", "eta", "max_iters", "tol",
+                  "sigma_w_grid")
+_RESOLVED_REST = {"sigma2_e": 0.0, "q": None, "trials": 1, "seed": 0, "out": "results",
+                  "cadence": 1, "loo_samples": 8, "jobs": None}
+_GRID = [1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0]
+_INF = float("inf")
+_RESOLVED = [
+    ("fig1-convergence", {}, (10, 20, 20, None, 50, 0.1, 500, 1e-06, None)),
+    ("fig1-convergence", {"K": 6}, (10, 6, 6, None, 50, 0.1, 500, 1e-06, None)),
+    ("fig1-convergence", {"m": 90}, (10, 20, 20, 90, None, 0.1, 500, 1e-06, None)),
+    ("fig1-convergence", {"m_factor": 20}, (10, 20, 20, None, 20, 0.1, 500, 1e-06, None)),
+    ("fig1-convergence", {"K": 6, "N": 3}, (10, 6, 3, None, 50, 0.1, 500, 1e-06, None)),
+    ("components", {}, (4, 10, 10, None, 50, 0.1, 500, 1e-06, None)),
+    ("components", {"K": 6}, (4, 6, 6, None, 50, 0.1, 500, 1e-06, None)),
+    ("components", {"m": 90}, (4, 10, 10, 90, None, 0.1, 500, 1e-06, None)),
+    ("components", {"m_factor": 20}, (4, 10, 10, None, 20, 0.1, 500, 1e-06, None)),
+    ("components", {"K": 6, "N": 3}, (4, 6, 3, None, 50, 0.1, 500, 1e-06, None)),
+    ("noise-sweep", {}, (1, 10, 10, 100, None, 0.1, 500, 1e-06, _GRID)),
+    ("noise-sweep", {"K": 6}, (1, 6, 6, 100, None, 0.1, 500, 1e-06, _GRID)),
+    ("noise-sweep", {"m": 90}, (1, 10, 10, 90, None, 0.1, 500, 1e-06, _GRID)),
+    ("noise-sweep", {"m_factor": 20}, (1, 10, 10, None, 20, 0.1, 500, 1e-06, _GRID)),
+    ("noise-sweep", {"K": 6, "N": 3}, (1, 6, 3, 100, None, 0.1, 500, 1e-06, _GRID)),
+    ("diagnostics", {}, (2, 8, 8, None, 50, 0.1, 80, _INF, None)),
+    ("diagnostics", {"K": 6}, (2, 6, 6, None, 50, 0.1, 80, _INF, None)),
+    ("diagnostics", {"m": 90}, (2, 8, 8, 90, None, 0.1, 80, _INF, None)),
+    ("diagnostics", {"m_factor": 20}, (2, 8, 8, None, 20, 0.1, 80, _INF, None)),
+    ("diagnostics", {"K": 6, "N": 3}, (2, 6, 3, None, 50, 0.1, 80, _INF, None)),
+]
+
+
 class TestParseConfig:
     def test_preset_fills_defaults(self):
         cfg = bc.parse_config(overrides={"preset": "fig1-convergence", "K": 20})
@@ -42,8 +74,32 @@ class TestParseConfig:
     def test_empty_custom_lists_missing_fields(self):
         with pytest.raises(ConfigError) as exc:
             bc.parse_config(overrides={"preset": "custom"})
-        for name in ("s", "K", "N", "eta"):
-            assert name in str(exc.value)
+        assert str(exc.value) == "missing required fields: s, K, N, m or m_factor"
+
+    def test_custom_needs_only_s_K_and_m(self):
+        cfg = bc.parse_config(overrides={"preset": "custom", "s": 1, "K": 4, "m": 40})
+        assert (cfg.N, cfg.eta, cfg.max_iters) == (4, 0.1, 500)
+
+    @pytest.mark.parametrize("preset, overrides, resolved", _RESOLVED, ids=[
+        "-".join([preset, *(f"{key}{value}" for key, value in overrides.items())])
+        for preset, overrides, _ in _RESOLVED])
+    def test_preset_resolves_to_its_fields(self, preset, overrides, resolved):
+        cfg = bc.parse_config(overrides={"preset": preset, **overrides})
+        assert dataclasses.asdict(cfg) == {"preset": preset,
+                                           **dict(zip(_RESOLVED_KEYS, resolved)),
+                                           **_RESOLVED_REST}
+
+    def test_presets_hold_only_what_sets_them_apart(self):
+        defaults = dataclasses.asdict(bc.ExperimentConfig())
+        for values in cli._PRESETS.values():
+            assert all(value != defaults[key] for key, value in values.items()), values
+
+    def test_preset_grid_is_not_shared(self):
+        first = bc.parse_config(overrides={"preset": "noise-sweep"})
+        first.sigma_w_grid.append(1e6)
+        second = bc.parse_config(overrides={"preset": "noise-sweep"})
+        assert second.sigma_w_grid == [1.0, 1e1, 1e2, 1e3, 1e4, 1e5]
+        assert second.sigma_w_grid is not first.sigma_w_grid
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -88,6 +144,18 @@ class TestParseConfig:
         cfg = bc.parse_config(overrides={"preset": "noise-sweep"})
         with pytest.raises(ConfigError, match=f"bad value for {key}"):
             dataclasses.replace(cfg, **{key: value}).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("eta", "0.1"), ("tol", "1e-6"), ("sigma2_e", None), ("trials", None),
+        ("loo_samples", None), ("q", 1.0), ("sigma_w_grid", 10.0),
+        ("sigma_w_grid", [1, "y"]), ("out", 3), ("eta", True)])
+    def test_field_given_a_value_of_another_kind_is_a_config_error(self, key, value):
+        cfg = bc.parse_config(overrides={"preset": "noise-sweep"})
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            dataclasses.replace(cfg, **{key: value}).validate()
+        if value is not None and not isinstance(value, str):   # else unset or text
+            with pytest.raises(ConfigError, match=f"bad value for {key}"):
+                bc.parse_config(overrides={"preset": "noise-sweep", key: value})
 
 
 # A value for each config key that differs from its default and is valid on
