@@ -8,8 +8,8 @@ from .errors import (BlaircompError, ConfigError, DegenerateAlignmentError,
                      DivergenceError, ParameterError, UndefinedMetricError)
 from .metrics import (AlignmentResult, MetricSnapshot, align_pair, incoherence,
                       snapshot_metrics)
-from .solver import (GradientBlocks, Iterate, RunBatch, SolverSettings, StateTrace,
-                     loss, random_init, run_wf, wf_step, wirtinger_gradient)
+from .solver import (Iterate, RunBatch, SolverSettings, StateTrace, loss, random_init,
+                     run_wf, wf_step, wirtinger_gradient)
 from .state_evolution import (PerturbationSeries, SEState, StageReport,
                               detect_stages, extract_perturbations,
                               population_se_step, run_population_se)

@@ -77,6 +77,11 @@ class ExperimentConfig:
         return self.jobs or os.cpu_count() or 1
 
     def validate(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (value is None and field.default is None
+                    or _has_kind(value, _KEY_TYPES[field.name])):
+                raise ConfigError(f"bad value for {field.name}: {value!r}")
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {self.preset!r}")
         # A preset needs every field it sets; m and m_factor are either-or.
@@ -87,11 +92,6 @@ class ExperimentConfig:
             missing.append("m or m_factor")
         if missing:
             raise ConfigError(f"missing required fields: {', '.join(missing)}")
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not (value is None and field.default is None
-                    or _has_kind(value, _KEY_TYPES[field.name])):
-                raise ConfigError(f"bad value for {field.name}: {value!r}")
         if self.m is not None and self.m_factor is not None:
             raise ConfigError("set exactly one of m / m_factor, not both")
         if min(self.s, self.K, self.N, self.resolved_m()) < 1:
@@ -175,7 +175,8 @@ def parse_config(path: Optional[str] = None,
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    base = _PRESETS.get(given.get("preset", "custom"), {})
+    preset = given.get("preset", "custom")
+    base = _PRESETS.get(preset, {}) if isinstance(preset, str) else {}
     if given.keys() & {"m", "m_factor"}:
         base = {key: value for key, value in base.items() if key not in ("m", "m_factor")}
     cfg = ExperimentConfig(**{key: _coerce(key, value)
@@ -356,10 +357,9 @@ def _noise_sweep_rows(trace, sigma_w_grid: Sequence[float],
     alignment parameters are perturbed and applied to the recovered sum.
 
     Rows (trial, t, sigma_w, error), iteration-major.  The noise is the
-    stream that one ``perturb_alignment`` call per row would draw
-    (iteration-major, then sigma_w, real before imaginary; the per-row loop
-    is ``noise_sweep_rows_loop`` in the tests' helpers), taken in a single
-    draw.
+    stream that the per-row loop ``noise_sweep_rows_loop`` in the tests'
+    helpers draws (iteration-major, then sigma_w, real before imaginary),
+    taken in a single draw.
     """
     target = np.sum(trace.truth.x, axis=0)
     denom = np.linalg.norm(target)
@@ -438,8 +438,9 @@ def _write_csv(path: str, header: List[str], tables) -> None:
 
     The tables are formatted as one, about ``_CSV_CHUNK_FIELDS`` fields per
     call.  A column with at most n/2 distinct values (trial, t, sigma_w)
-    has each one formatted once, in one call for all such columns.  Each
-    column's text keeps only the byte slots that some field of it fills.
+    has each one formatted once, in one call for all such columns, its
+    text trimmed to the byte slots that some value of it fills; the NULs
+    that pad the other columns are dropped on writing.
     """
     tables = [t for t in (np.asarray(t, dtype=float) for t in tables) if t.size]
     with open(path, "wb") as fh:
@@ -470,11 +471,7 @@ def _write_csv(path: str, header: List[str], tables) -> None:
                 fields = _field_text(block[:, fresh].ravel()).reshape(len(block),
                                                                      len(fresh), -1)
                 fields[:, :, _SEP_SLOT:] = separator[fresh]
-                used = np.bitwise_or.reduce(fields, axis=0) != 0     # (fresh, slots)
-                trimmed = fields.reshape(len(block), -1)[:, used.ravel()]
-                ends = np.cumsum(used.sum(axis=1)).tolist()
-                columns.update((j, trimmed[:, a:b])
-                               for j, a, b in zip(fresh, [0] + ends, ends))
+                columns.update(zip(fresh, fields.transpose(1, 0, 2)))
             line = np.concatenate([columns[j] for j in range(c)], axis=1)
             fh.write(line.tobytes().translate(None, b"\0"))
 
@@ -684,16 +681,19 @@ def _read_config_file(path: str) -> Dict[str, str]:
 
 
 def _coerce(key: str, value):
-    """The value as its field's type; text is read as in a config file,
-    where a list is comma separated."""
+    """Text read as its field's type, as in a config file, where a list is
+    comma separated; a list of numbers copied as floats.  Any other value is
+    left for ``validate`` to judge."""
     kind = _KEY_TYPES[key]
+    if kind is list and _has_kind(value, list):
+        return [float(v) for v in value]
+    if not isinstance(value, str):
+        return value
     try:
-        if isinstance(value, str):
-            if kind is list:
-                return [float(v) for v in value.split(",") if v.strip()]
-            return kind(value)
-        return [float(v) for v in value] if kind is list else value
-    except (TypeError, ValueError) as exc:
+        if kind is list:
+            return [float(v) for v in value.split(",") if v.strip()]
+        return kind(value)
+    except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 

@@ -31,15 +31,11 @@ _METRIC_BLOCK = 32
 
 @dataclass
 class Iterate:
-    h: np.ndarray   # (s, K) complex
-    x: np.ndarray   # (s, N) complex
-    t: int = 0
+    """A vector of the block space z = (h_1, x_1, ..., h_s, x_s): an
+    iterate, a gradient or a step, with optional leading run axes."""
 
-
-@dataclass(frozen=True)
-class GradientBlocks:
-    h: np.ndarray   # (s, K) complex
-    x: np.ndarray   # (s, N) complex
+    h: np.ndarray   # (..., s, K) complex
+    x: np.ndarray   # (..., s, N) complex
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ class StateTrace:
     N = property(lambda self: self.x.shape[-1])
     n_iters = property(lambda self: int(self.t[-1]))    # every run ends at a log point
     converged = property(lambda self: self.stop_reason == "tol")
-    final = property(lambda self: Iterate(h=self.h[-1], x=self.x[-1], t=self.n_iters))
+    final = property(lambda self: Iterate(h=self.h[-1], x=self.x[-1]))   # at n_iters
     q = property(lambda self: self.truth.q)
 
     relative_error = _metric("relative_error")    # (T,)
@@ -164,7 +160,7 @@ class _Rows(_Sizes):
 def random_init(s: int, K: int, N: int, rng: np.random.Generator) -> Iterate:
     """Gaussian starting point with E||h_i||^2 = E||x_i||^2 = 1, unnormalized."""
     return Iterate(h=_complex_gaussian(rng, (s, K), 1.0 / K),
-                   x=_complex_gaussian(rng, (s, N), 1.0 / N), t=0)
+                   x=_complex_gaussian(rng, (s, N), 1.0 / N))
 
 
 def loss(z: Iterate, inst: ProblemInstance,
@@ -177,14 +173,14 @@ def loss(z: Iterate, inst: ProblemInstance,
 
 
 def wirtinger_gradient(z: Iterate, inst: ProblemInstance,
-                       sample_weights: Optional[np.ndarray] = None) -> GradientBlocks:
+                       sample_weights: Optional[np.ndarray] = None) -> Iterate:
     """Gradient blocks; the per-sample residual is computed once and shared
     across nodes.  ``sample_weights`` has shape (m,), as for ``loss``."""
     g, _ = _gradient_and_loss(z, inst, _check_weights(sample_weights, inst.m))
     return g
 
 
-def wf_step(z: Iterate, g: GradientBlocks, eta: float) -> Iterate:
+def wf_step(z: Iterate, g: Iterate, eta: float) -> Iterate:
     """One block-scaled descent step; the input iterate is left untouched.
 
     Blocks may carry leading run axes, (..., s, K) and (..., s, N).
@@ -195,7 +191,7 @@ def wf_step(z: Iterate, g: GradientBlocks, eta: float) -> Iterate:
         raise DegenerateIterateError("zero block norm in update scaling")
     h = z.h - (eta / x_norm2)[..., None] * g.h
     x = z.x - (eta / h_norm2)[..., None] * g.x
-    return Iterate(h=h, x=x, t=z.t + 1)
+    return Iterate(h=h, x=x)
 
 
 def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
@@ -251,14 +247,13 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     runs = np.arange(n_runs)         # row of each active run, ascending
 
     z = Iterate(h=np.broadcast_to(z0.h, (n_runs,) + z0.h.shape[-2:]).copy(),
-                x=np.broadcast_to(z0.x, (n_runs,) + z0.x.shape[-2:]).copy(), t=0)
+                x=np.broadcast_to(z0.x, (n_runs,) + z0.x.shape[-2:]).copy())
     # Only a tolerance test needs the metrics in the loop.
     metrics_in_loop = np.isfinite(settings.tol)
 
     def retire(keep: np.ndarray) -> None:
         nonlocal z, g, loss_t, limit, runs, rows, w
-        z = Iterate(h=z.h[keep], x=z.x[keep], t=z.t)
-        g = GradientBlocks(h=g.h[keep], x=g.x[keep])
+        z, g = (Iterate(h=v.h[keep], x=v.x[keep]) for v in (z, g))
         loss_t, limit, runs = loss_t[keep], limit[keep], runs[keep]
         rows, w = rows.take(keep), _take(w, keep)
 
@@ -354,7 +349,7 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
 
 def _gradient_and_loss(z: Iterate, inst: Union[ProblemInstance, _Rows],
                        w: Optional[np.ndarray]
-                       ) -> Tuple[GradientBlocks, np.ndarray]:
+                       ) -> Tuple[Iterate, np.ndarray]:
     """Gradient blocks and the loss of an iterate with optional leading run
     axes, against one instance or the per-run arrays of ``_Rows``; ``w``
     broadcasts to the residual's shape (..., m).
@@ -381,7 +376,7 @@ def _gradient_and_loss(z: Iterate, inst: Union[ProblemInstance, _Rows],
     grad_h = _rows_product(np.multiply(rc, xa, out=xa), inst.b_rows)
     np.conj(grad_h, out=grad_h)
     grad_x = (np.multiply(rc, bh, out=bh)[..., None, :] @ inst.a)[..., 0, :]
-    return GradientBlocks(h=grad_h, x=grad_x), loss_val
+    return Iterate(h=grad_h, x=grad_x), loss_val
 
 
 def _check_weights(w: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:

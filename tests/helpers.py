@@ -79,7 +79,7 @@ def population_gradient(z, truth):
     hbar_h = np.einsum("ik,ik->i", truth.h.conj(), z.h)
     grad_h = x_norm2[:, None] * z.h - xbar_x[:, None] * truth.h
     grad_x = h_norm2[:, None] * z.x - hbar_h[:, None] * truth.x
-    return bc.GradientBlocks(h=grad_h, x=grad_x)
+    return bc.Iterate(h=grad_h, x=grad_x)
 
 
 def measurement_factors_reference(h, x, b_rows, a):
@@ -103,7 +103,7 @@ def gradient_and_loss_reference(z, inst, w):
     rc = rc[..., None, :]
     grad_h = ((rc * xa) @ inst.b_rows).conj()
     grad_x = ((rc * bh)[..., None, :] @ inst.a)[..., 0, :]
-    return bc.GradientBlocks(h=grad_h, x=grad_x), loss_val
+    return bc.Iterate(h=grad_h, x=grad_x), loss_val
 
 
 def b_row(inst, i, j):

@@ -148,7 +148,9 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, value", [
         ("eta", "0.1"), ("tol", "1e-6"), ("sigma2_e", None), ("trials", None),
         ("loo_samples", None), ("q", 1.0), ("sigma_w_grid", 10.0),
-        ("sigma_w_grid", [1, "y"]), ("out", 3), ("eta", True)])
+        ("sigma_w_grid", [1, "y"]), ("out", 3), ("eta", True), ("q", [True]),
+        ("sigma_w_grid", [True, 10]), ("q", (0.5,)), ("q", {0.5: 1}), ("q", ["0.5"]),
+        ("q", b"0.5"), ("preset", ["noise-sweep"])])
     def test_field_given_a_value_of_another_kind_is_a_config_error(self, key, value):
         cfg = bc.parse_config(overrides={"preset": "noise-sweep"})
         with pytest.raises(ConfigError, match=f"bad value for {key}"):
