@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics
 from .ensemble import GroundTruth, ProblemInstance, _complex_gaussian, measurement_factors
 from .errors import DimensionMismatchError, ParameterError
-from .solver import Iterate, SolverSettings, StateTrace, run_wf
+from .solver import _METRIC_BLOCK, Iterate, SolverSettings, StateTrace, run_wf
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,9 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
     family is aligned to the aligned base iterates in one batched call over
     its runs and iterations, and per-run quantities take the max over the
     family's runs.  With no dropped samples the leave-one-out entries are NaN.
+    The incoherence maxima are taken ``_METRIC_BLOCK`` log points at a time,
+    so the pass holds one block of (s, m) measurement factors; the products
+    are per row, so the values do not depend on the block.
     Needs m >= 2: the scales are powers of log m.
     """
     if not plain or len(plain) != len(flipped):
@@ -190,9 +193,12 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
     with np.errstate(divide="ignore", invalid="ignore"):
         out["norm_ratio_h"] = h_norms / (np.abs(base.alpha_h[:n_t]) * log5m_sqrt)
         out["norm_ratio_x"] = x_norms / (np.abs(base.alpha_x[:n_t]) * log5m_sqrt)
-    bh, xa = measurement_factors(h_t, x_t, inst.b_rows, inst.a)
-    incoh_x = np.abs(xa / np.linalg.norm(x_t, axis=2)[..., None]).max(axis=(1, 2))
-    incoh_h = np.abs(bh / np.linalg.norm(h_t, axis=2)[..., None]).max(axis=(1, 2))
+    incoh_x, incoh_h = np.empty(n_t), np.empty(n_t)
+    for start in range(0, n_t, _METRIC_BLOCK):
+        sl = slice(start, start + _METRIC_BLOCK)
+        bh, xa = measurement_factors(h_t[sl], x_t[sl], inst.b_rows, inst.a)
+        incoh_x[sl] = np.abs(xa / np.linalg.norm(x_t[sl], axis=2)[..., None]).max(axis=(1, 2))
+        incoh_h[sl] = np.abs(bh / np.linalg.norm(h_t[sl], axis=2)[..., None]).max(axis=(1, 2))
 
     h_chk, x_chk, _ = _mutual_align(sign.h[:n_t], sign.x[:n_t], h_t, x_t)
     out["sign_dist_h"] = np.linalg.norm(h_chk - h_t, axis=-1)

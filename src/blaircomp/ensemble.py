@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
 
+_DRAW_SLAB = 8192   # values per rng.normal call in _complex_gaussian
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -162,10 +164,15 @@ def make_instance(s: int, K: int, N: int, m: int,
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    # Circularly symmetric: re/im each carry half the per-entry variance.
+    # Circularly symmetric: re/im each carry half the per-entry variance.  All
+    # real parts are drawn, then all imaginary parts, in slabs of _DRAW_SLAB
+    # values: the stream of two whole-shape draws without their temporaries.
     scale = np.sqrt(variance / 2.0)
     out = np.empty(shape, dtype=complex)
-    out.real = rng.normal(0.0, scale, shape)
-    out.imag = rng.normal(0.0, scale, shape)
+    flat = out.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for start in range(0, part.size, _DRAW_SLAB):
+            slab = part[start:start + _DRAW_SLAB]
+            slab[...] = rng.normal(0.0, scale, slab.size)
     return out
 

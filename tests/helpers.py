@@ -1,5 +1,6 @@
 """Shared oracles for the test suite: brute-force evaluators and grid search."""
 
+import tracemalloc
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
@@ -86,6 +87,27 @@ def measurement_factors_reference(h, x, b_rows, a):
     """b_j^H h_i and x_i^H a_ij with one product per leading index, the
     products ``ensemble.measurement_factors`` must match bit for bit."""
     return h @ b_rows.T, (a @ x.conj()[..., None])[..., 0]
+
+
+def incoherence_reference(trace, inst):
+    """``measure_hypotheses``' incoh_x and incoh_h in one pass over every log
+    point of the base run ``trace``, with one product per log point."""
+    omega = trace.omega[:, :, None]
+    h_t, x_t = trace.h / np.conj(omega), omega * trace.x
+    bh, xa = measurement_factors_reference(h_t, x_t, inst.b_rows, inst.a)
+    return (np.abs(xa / np.linalg.norm(x_t, axis=2)[..., None]).max(axis=(1, 2)),
+            np.abs(bh / np.linalg.norm(h_t, axis=2)[..., None]).max(axis=(1, 2)))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the bytes it had allocated at once, as
+    tracemalloc counts them (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def gradient_and_loss_reference(z, inst, w):

@@ -9,8 +9,8 @@ from blaircomp import metrics
 from blaircomp.diagnostics import _loo_weights
 from blaircomp.errors import ParameterError
 
-from helpers import (brute_force_loss, explicit_sign_flip, measurement_factors_reference,
-                     write_hypotheses_rows)
+from helpers import (brute_force_loss, explicit_sign_flip, incoherence_reference,
+                     traced_peak, write_hypotheses_rows)
 
 
 def _model_terms(inst):
@@ -336,12 +336,9 @@ class TestMeasureHypotheses:
         loo = bc.select_loo_indices(inst.m, n_drop, rng)
         plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, loo, rng)
         report = bc.measure_hypotheses(plain, flipped, inst)
-        omega = plain[0].omega[:, :, None]
-        h_t, x_t = plain[0].h / np.conj(omega), omega * plain[0].x
-        bh, xa = measurement_factors_reference(h_t, x_t, inst.b_rows, inst.a)
-        for got, v, f in ((report.incoh_x, x_t, xa), (report.incoh_h, h_t, bh)):
-            want = np.abs(f / np.linalg.norm(v, axis=2)[..., None]).max(axis=(1, 2))
-            assert got.tobytes() == want.tobytes()
+        want_x, want_h = incoherence_reference(plain[0], inst)
+        assert report.incoh_x.tobytes() == want_x.tobytes()
+        assert report.incoh_h.tobytes() == want_h.tobytes()
         if n_t is not None:
             report = replace(report, **{f.name: getattr(report, f.name)[:n_t]
                                         for f in fields(report)
@@ -352,6 +349,37 @@ class TestMeasureHypotheses:
         assert fast == (tmp_path / "ref.csv").read_bytes()
         assert fast.count(b"\r\n") == 1 + len(report.t) * (9 * s + 4)
         assert (b",nan," in fast) == (n_drop == 0)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("n_t", [1, 32, 33, 71])
+    def test_incoherence_blocks_match_one_pass(self, s, n_t):
+        # One block, an exact 32-point block and ragged last blocks.  A run
+        # logs at least two points, so the one-point case cuts the base run.
+        inst = bc.canonicalize_instance(bc.make_instance(s, 6, 6, 120, seed=[706, s]))
+        z0 = bc.random_init(s, 6, 6, np.random.default_rng(707))
+        settings = bc.SolverSettings(eta=0.1, max_iters=max(n_t - 1, 1), tol=np.inf)
+        plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, [3, 50],
+                                                  np.random.default_rng(708))
+        base = replace(plain[0], _metrics=None, **{name: getattr(plain[0], name)[:n_t]
+                                                   for name in ("t", "loss", "h", "x")})
+        report = bc.measure_hypotheses([base, *plain[1:]], flipped, inst)
+        want_x, want_h = incoherence_reference(base, inst)
+        assert len(report.t) == n_t
+        assert report.incoh_x.tobytes() == want_x.tobytes()
+        assert report.incoh_h.tobytes() == want_h.tobytes()
+
+    def test_peak_memory_stays_below_one_factor_array(self):
+        # 301 log points, over nine 32-point blocks: the incoherence pass
+        # holds one block of (s, m) factors, not the (T, s, m) arrays.
+        s, m = 2, 2000
+        inst = bc.canonicalize_instance(bc.make_instance(s, 4, 4, m, seed=[709, 0]))
+        z0 = bc.random_init(s, 4, 4, np.random.default_rng(710))
+        settings = bc.SolverSettings(eta=0.1, max_iters=300, tol=np.inf)
+        plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, [7, 900],
+                                                  np.random.default_rng(711))
+        report, peak = traced_peak(bc.measure_hypotheses, plain, flipped, inst)
+        assert len(report.t) == 301
+        assert peak < len(report.t) * s * m * np.dtype(complex).itemsize
 
     def test_matches_per_pair_alignment(self, small_suite):
         inst, plain, flipped, report = small_suite

@@ -5,7 +5,7 @@ import blaircomp as bc
 from blaircomp.ensemble import _complex_gaussian
 from blaircomp.errors import DimensionMismatchError, ParameterError
 
-from helpers import brute_force_loss
+from helpers import brute_force_loss, traced_peak
 
 
 class TestPartialDft:
@@ -61,7 +61,8 @@ class TestDesignTensor:
         a = bc.sample_design_tensor(1, 100_000, 1, np.random.default_rng(3))
         assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.02
 
-    @pytest.mark.parametrize("shape", [(7,), (2, 5, 3), (3, 40, 9)])
+    # (3, 4000, 5) ends in a ragged 8192-value draw slab; (4, 4096) fills two
+    @pytest.mark.parametrize("shape", [(7,), (2, 5, 3), (3, 40, 9), (3, 4000, 5), (4, 4096)])
     @pytest.mark.parametrize("seed", [0, 1, 17, 2024])
     def test_complex_gaussian_matches_sum_of_draws(self, shape, seed):
         fast = _complex_gaussian(np.random.default_rng(seed), shape, 0.3)
@@ -69,6 +70,12 @@ class TestDesignTensor:
         scale = np.sqrt(0.3 / 2.0)
         ref = rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
         assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
+
+    def test_draw_peak_memory_is_the_tensor(self):
+        # the draws fill the tensor in slabs, with no whole-shape temporary
+        a, peak = traced_peak(bc.sample_design_tensor, 10, 1000, 20,
+                              np.random.default_rng(5))
+        assert peak <= 1.05 * a.nbytes
 
     def test_seed_determinism(self):
         a1 = bc.sample_design_tensor(2, 5, 3, np.random.default_rng(9))
