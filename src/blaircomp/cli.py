@@ -495,12 +495,13 @@ def _repeated_columns(rows: np.ndarray) -> Dict[int, np.ndarray]:
 # s * (|d| + u + |d| * u) < 1.01 * S * (|d| + u) of s, where u is the unit
 # roundoff of a correctly rounded long double product (x87 extended or
 # IEEE quad).  Rounding S half up thus gives the digits exactly unless S
-# lies within that bound of a half-integer or of the carry to 10**17; such
-# a value takes its digits and X from '%.16e' % |v|, which rounds as
-# '%.17g' does.  The carry window assumes every |d| <= u, as a correctly
-# rounding parser gives; should some |d| exceed u, every value takes that
-# route.  So do all where long double is no wider than double (Windows,
-# macOS on arm64): there the bound passes 1/2 for every value.
+# lies within that bound of a half-integer, or within it of the carry to
+# 10**17 or past it (where X is one more, as for |v| a little above a power
+# of ten); such a value takes its digits and X from '%.16e' % |v|, which
+# rounds as '%.17g' does.  The carry bound assumes every |d| <= u, as a
+# correctly rounding parser gives; should some |d| exceed u, every value
+# takes that route.  So do all where long double is no wider than double
+# (Windows, macOS on arm64): there the bound passes 1/2 for every value.
 _ROUNDOFF = float(np.finfo(np.longdouble).eps) / 2
 _CSV_CHUNK_FIELDS = 8192
 # A field's text in 56 NUL-padded byte slots: 0 the sign, 1-5 a "0.000"
@@ -579,24 +580,16 @@ def _round17(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return _round17_text(a)
     pow10, error = _pow10()
     # X, or X - 1 where a is within 1e-9 of a power of ten (log10 is good
-    # to a few ulp) or rounds up to one
+    # to a few ulp) or rounds up to one; those have s near or past the carry
     X = np.floor(np.log10(a) - 1e-9).astype(np.int64)
     at = _X_MAX + 1 - X
-    wide = a.astype(np.longdouble)
-    s = wide * pow10.take(at)
-    edge = 2.02e17 * _ROUNDOFF
-    high = np.flatnonzero(s >= _CARRY - edge)
-    near = np.zeros(len(a), bool)
-    near[high] = s[high] <= _CARRY + edge
-    up = high[s[high] >= _CARRY]                         # rounds to 10**17
-    X[up] += 1
-    at[up] -= 1
-    s[up] = wide[up] * pow10.take(at[up])
+    s = a.astype(np.longdouble) * pow10.take(at)
     half_up = s + np.longdouble(0.5)
     r = half_up.astype(np.int64)
     frac = (half_up - r).astype(float)
     bound = 1.01 * s.astype(float) * (error.take(at) + _ROUNDOFF)
-    near |= np.abs(frac - 0.5) >= 0.5 - bound
+    # near a half-integer, or where the digits may carry to 10**17
+    near = (np.abs(frac - 0.5) >= 0.5 - bound) | (s >= _CARRY - 2.02e17 * _ROUNDOFF)
     ties = np.flatnonzero(near)
     r[ties], X[ties] = _round17_text(a[ties])
     return r, X
@@ -674,6 +667,8 @@ def _read_config_file(path: str) -> Dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, value = (part.strip() for part in line.split("=", 1))
+                if key in entries:
+                    raise ConfigError(f"{path}:{lineno}: {key} given twice")
                 entries[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc

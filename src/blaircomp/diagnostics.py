@@ -200,24 +200,23 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
         incoh_x[sl] = np.abs(xa / np.linalg.norm(x_t[sl], axis=2)[..., None]).max(axis=(1, 2))
         incoh_h[sl] = np.abs(bh / np.linalg.norm(h_t[sl], axis=2)[..., None]).max(axis=(1, 2))
 
-    h_chk, x_chk, _ = _mutual_align(sign.h[:n_t], sign.x[:n_t], h_t, x_t)
-    out["sign_dist_h"] = np.linalg.norm(h_chk - h_t, axis=-1)
-    out["sign_dist_x"] = np.linalg.norm(x_chk - x_t, axis=-1)
+    chk = metrics.align_pair(sign.h[:n_t], sign.x[:n_t], h_t, x_t)
+    out["sign_dist_h"] = np.linalg.norm(chk.h - h_t, axis=-1)
+    out["sign_dist_x"] = np.linalg.norm(chk.x - x_t, axis=-1)
     if len(plain) > 1:
-        h_hat, x_hat, cost = _mutual_align(np.stack([tr.h[:n_t] for tr in plain[1:]]),
-                                           np.stack([tr.x[:n_t] for tr in plain[1:]]),
-                                           h_t, x_t)
-        out["loo_dist"] = np.sqrt(cost / (2.0 * q ** 2)).max(axis=0)
-        out["loo_signal_h"] = np.abs(np.sum(truth.h.conj() * (h_hat - h_t), axis=-1)
+        hat = metrics.align_pair(np.stack([tr.h[:n_t] for tr in plain[1:]]),
+                                 np.stack([tr.x[:n_t] for tr in plain[1:]]), h_t, x_t)
+        out["loo_dist"] = np.sqrt(hat.cost / (2.0 * q ** 2)).max(axis=0)
+        out["loo_signal_h"] = np.abs(np.sum(truth.h.conj() * (hat.h - h_t), axis=-1)
                                      ).max(axis=0) / q
-        out["loo_signal_x"] = np.abs(np.sum(truth.x.conj() * (x_hat - x_t), axis=-1)
+        out["loo_signal_x"] = np.abs(np.sum(truth.x.conj() * (hat.x - x_t), axis=-1)
                                      ).max(axis=0) / q
-        h_sl, x_sl, _ = _mutual_align(np.stack([tr.h[:n_t] for tr in flipped[1:]]),
-                                      np.stack([tr.x[:n_t] for tr in flipped[1:]]),
-                                      h_chk, x_chk)
-        out["double_diff_h"] = np.linalg.norm(h_t - h_hat - h_chk + h_sl,
+        both = metrics.align_pair(np.stack([tr.h[:n_t] for tr in flipped[1:]]),
+                                  np.stack([tr.x[:n_t] for tr in flipped[1:]]),
+                                  chk.h, chk.x)
+        out["double_diff_h"] = np.linalg.norm(h_t - hat.h - chk.h + both.h,
                                               axis=-1).max(axis=0)
-        out["double_diff_x"] = np.linalg.norm(x_t - x_hat - x_chk + x_sl,
+        out["double_diff_x"] = np.linalg.norm(x_t - hat.x - chk.x + both.x,
                                               axis=-1).max(axis=0)
 
     return HypothesisReport(
@@ -254,14 +253,6 @@ def _loo_weights(m: int, indices: Sequence[int]) -> np.ndarray:
             raise IndexError(f"sample index {l} outside [0, {m})")
         rows[k + 1, l] = 0.0
     return rows
-
-
-def _mutual_align(h_aux: np.ndarray, x_aux: np.ndarray,
-                  h_ref: np.ndarray, x_ref: np.ndarray):
-    """Aligned auxiliary blocks and their costs against broadcast references."""
-    res = metrics.align_pair(h_aux, x_aux, h_ref, x_ref)
-    omega = res.omega[..., None]
-    return h_aux / np.conj(omega), omega * x_aux, res.cost
 
 
 def _e1_unitary(u: np.ndarray) -> np.ndarray:

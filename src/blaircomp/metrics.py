@@ -23,6 +23,8 @@ _NEWTON_PASSES = 60                # cap on the certified pairs' Newton passes
 class AlignmentResult:
     omega: Union[complex, np.ndarray]   # batch-shaped for stacked blocks
     cost: Union[float, np.ndarray]
+    h: np.ndarray                       # h_a / omega*, (..., K) batch-shaped
+    x: np.ndarray                       # omega * x_a, (..., N)
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,8 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
 
     Blocks may be stacked, h_a (..., K) and x_a (..., N) against h_b and x_b
     that broadcast with them; every pair is aligned at once and omega and
-    cost have the batch shape.  1-D blocks give a complex and a float.
+    cost have the batch shape.  1-D blocks give a complex and a float.  The
+    aligned blocks h_a/omega* and omega*x_a come back as ``h`` and ``x``.
 
     Writing w = r*exp(i*theta), the optimal phase for fixed r is
     theta = -arg(c1/r + c2*r) with c1 = h_b^H h_a and c2 = x_b^H x_a.  A
@@ -113,11 +116,11 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
             w = np.where(np.isfinite(step) & (step > 0.0), step, w)
     r = np.sqrt(u_scale * np.where(p > q, 1.0 / w, w))
     omega = (r * np.exp(-1j * np.angle(c1 / r + c2 * r))).reshape(batch)
-    cost = ((np.abs(h_a / np.conj(omega)[..., None] - h_b) ** 2).sum(axis=-1)
-            + (np.abs(omega[..., None] * x_a - x_b) ** 2).sum(axis=-1))
+    h, x = h_a / np.conj(omega)[..., None], omega[..., None] * x_a
+    cost = (np.abs(h - h_b) ** 2).sum(axis=-1) + (np.abs(x - x_b) ** 2).sum(axis=-1)
     if omega.ndim == 0:
-        return AlignmentResult(omega=complex(omega), cost=float(cost))
-    return AlignmentResult(omega=omega, cost=cost)
+        return AlignmentResult(omega=complex(omega), cost=float(cost), h=h, x=x)
+    return AlignmentResult(omega=omega, cost=cost, h=h, x=x)
 
 
 def _scale_slopes(w, lo, hi, rc):
@@ -197,8 +200,8 @@ def snapshot_metrics(z, truth: GroundTruth) -> MetricSnapshot:
     recovered = (omega[..., None, :] @ z.x)[..., 0, :]
     error = np.linalg.norm(recovered - truth.x.sum(axis=-2), axis=-1) / denom
     dist = np.sqrt((res.cost / (2.0 * truth.q ** 2)).sum(axis=-1))
-    alpha_h, beta_h = _components(z.h / np.conj(omega)[..., None], truth.h)
-    alpha_x, beta_x = _components(omega[..., None] * z.x, truth.x)
+    alpha_h, beta_h = _components(res.h, truth.h)
+    alpha_x, beta_x = _components(res.x, truth.x)
     return MetricSnapshot(relative_error=_scalar(error), dist=_scalar(dist),
                           alpha_h=alpha_h, beta_h=beta_h, alpha_x=alpha_x, beta_x=beta_x,
                           rmse_x=beta_x / np.linalg.norm(z.x, axis=-1), omega=omega)

@@ -326,8 +326,6 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
                     settle()
                     if not len(runs):
                         break
-    if not batched and errors[0] is not None:
-        raise errors[0]
 
     traces: List[Optional[StateTrace]] = [None] * n_runs
     for r in range(n_runs):
@@ -344,9 +342,8 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
             m=rows.m, eta=settings.eta,
             stop_reason="tol" if converged[r] else "max_iters",
             _metrics=run or None)
-    if not batched:
-        return traces[0]
-    return RunBatch(runs=traces, errors=errors, s=rows.s)
+    batch = RunBatch(runs=traces, errors=errors, s=rows.s)
+    return batch if batched else batch.traces()[0]
 
 
 def _gradient_and_loss(z: Iterate, inst: Union[ProblemInstance, _Rows],

@@ -13,7 +13,8 @@ import pytest
 import blaircomp as bc
 from blaircomp import cli
 from blaircomp.cli import _noise_sweep_rows, main, trace_header
-from blaircomp.errors import ConfigError, DegenerateAlignmentError, ParameterError
+from blaircomp.errors import (ConfigError, DegenerateAlignmentError, DivergenceError,
+                              ParameterError)
 
 from helpers import (fit_noise_slope_loop, noise_sweep_rows_loop, run_desk_scale,
                      write_csv_rows)
@@ -115,11 +116,36 @@ class TestParseConfig:
 
     def test_comments_and_lists_parse(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("preset = noise-sweep  # reference setting\n"
+        path.write_text("\n# the reference sweep\n   \n"
+                        "preset = noise-sweep  # reference setting\n"
                         "sigma_w_grid = 1,10,100\nq = 1.0\n")
         cfg = bc.parse_config(str(path))
         assert cfg.sigma_w_grid == [1.0, 10.0, 100.0]
         assert cfg.q == [1.0]
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("preset = noise-sweep\nK 12\n")
+        with pytest.raises(ConfigError, match=r"exp\.cfg:2: expected key = value$"):
+            bc.parse_config(str(path))
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_file_rejected(self, tmp_path, name):
+        with pytest.raises(ConfigError, match="^cannot read config file: "):
+            bc.parse_config(str(tmp_path / name))
+
+    def test_key_given_twice_rejected(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("preset = noise-sweep\nK = 12\ntrials = 2\nK=14\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:4: K given twice$"):
+            bc.parse_config(str(path))
+        # a flag does not make the file valid
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--K", "16", "--out", str(out)]) == 2
+        assert "config error: " in capsys.readouterr().err and not out.exists()
+        # once in the file, the key is still overridden by a flag
+        path.write_text("preset = noise-sweep\nK = 12\n")
+        assert bc.parse_config(str(path), overrides={"K": 16}).K == 16
 
     def test_nonpositive_trials_rejected(self):
         with pytest.raises(ConfigError):
@@ -644,6 +670,36 @@ class TestTrialFailure:
         assert "hypotheses_csv" not in report
         assert not list((tmp_path / "d").glob("hypotheses_*.csv"))
 
+    def test_failed_suite_ends_only_its_trial(self, tmp_path, monkeypatch, capsys):
+        # The suite is the call a diagnostics trial's block shares: its
+        # error in trial 1 is that trial's, and trial 0's artifacts stand.
+        real = cli.diag.run_diagnostics_suite
+        calls = []
+
+        def suite(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise DivergenceError("forced divergence in trial 1")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.diag, "run_diagnostics_suite", suite)
+        out = tmp_path / "d"
+        code = main(["diagnostics", "--K", "4", "--m", "40", "--max-iters", "5",
+                     "--loo-samples", "1", "--trials", "2", "--jobs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert ("trial 1: DIVERGED (DivergenceError: forced divergence in trial 1)"
+                in capsys.readouterr().out)
+        with open(out / "stages.json") as fh:
+            failed = json.load(fh)["trials"][1]
+        assert failed["error_type"] == "DivergenceError" and failed["diverged"]
+        with open(out / "report.json") as fh:
+            report = json.load(fh)
+        assert isinstance(report["concentration"][0], dict)
+        assert report["concentration"][1] is None
+        assert report["hypotheses_csv"] == ["hypotheses_0.csv"]
+        assert sorted(p.name for p in out.glob("hypotheses_*.csv")) == ["hypotheses_0.csv"]
+
     def test_main_exits_1_naming_the_type(self, tmp_path, monkeypatch, capsys):
         _fail_trial_1(monkeypatch)
         code = main(["run", "--preset", "custom", "--s", "1", "--K", "4",
@@ -695,17 +751,35 @@ class TestMainEntry:
         ["--preset", "noise-sweep", "--sigma2-e", "-1e-3"],
         ["--preset", "noise-sweep", "--sigma-w-grid", "-1e-3,10"],
         ["--preset", "fig1-convergence", "--K", "4", "--sigma-w-grid", "10"],
+        ["--preset", "noise-sweep", "--s", "0"],
+        ["--preset", "noise-sweep", "--q", "1,1"],
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
             "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
             "sigma_w_grid_repeated", "max_iters", "loo_samples", "seed",
             "jobs_negative", "jobs_zero", "tol_nan", "tol_negative", "K_text",
             "tol_negative_exponent", "sigma2_e_negative_exponent",
-            "sigma_w_grid_negative_first", "sigma_w_grid_single_any_preset"])
+            "sigma_w_grid_negative_first", "sigma_w_grid_single_any_preset",
+            "s_zero", "q_length"])
     def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_needs_a_preset_or_a_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run"])
+        assert exc.value.code == 2
+        assert "need --preset or --config" in capsys.readouterr().err
+
+    def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        code = main(["run", "--preset", "custom", "--s", "1", "--K", "4", "--m", "40",
+                     "--max-iters", "5", "--jobs", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert out.read_text() == "not a directory\n"
 
     def test_diagnostics_needs_two_samples(self, tmp_path, capsys):
         # Its comparison scales are powers of log m, which is 0 at m = 1.

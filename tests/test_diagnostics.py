@@ -73,6 +73,11 @@ class TestSignFlips:
         dev = np.abs(_model_terms(inst_sgn) - _model_terms(canonical_instance))
         assert dev.max() < 1e-12
 
+    @pytest.mark.parametrize("shape", [(2, 59), (1, 60), (60,), (2, 60, 1)])
+    def test_flips_of_another_shape_rejected(self, canonical_instance, shape):
+        with pytest.raises(ParameterError, match="sign flips shape"):
+            bc.apply_sign_flips(canonical_instance, np.ones(shape, dtype=complex))
+
     def test_non_canonical_truth_rejected(self):
         inst = bc.make_instance(2, 6, 6, 60, seed=31)
         with pytest.raises(ParameterError):

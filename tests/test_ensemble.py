@@ -50,13 +50,18 @@ class TestGroundTruth:
         t2 = bc.sample_ground_truth(2, 4, 4, [1, 1], np.random.default_rng(42))
         assert np.array_equal(t1.h, t2.h) and np.array_equal(t1.x, t2.x)
 
-    @pytest.mark.parametrize("bad_q", [[0.0], [-0.1], [1.5]])
+    @pytest.mark.parametrize("bad_q", [[0.0], [-0.1], [1.5], [1.0, 1.0]])
     def test_invalid_norms_rejected(self, bad_q):
         with pytest.raises(ParameterError):
             bc.sample_ground_truth(1, 4, 4, bad_q, np.random.default_rng(0))
 
 
 class TestDesignTensor:
+    @pytest.mark.parametrize("dims", [(0, 4, 2), (1, 0, 2), (1, 4, 0)])
+    def test_empty_tensor_rejected(self, dims):
+        with pytest.raises(ParameterError):
+            bc.sample_design_tensor(*dims, np.random.default_rng(0))
+
     def test_unit_variance(self):
         a = bc.sample_design_tensor(1, 100_000, 1, np.random.default_rng(3))
         assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.02
@@ -141,6 +146,18 @@ class TestMeasurements:
                                                                np.random.default_rng(1)),
                                        t, -1.0)
 
+    def test_node_count_mismatch_rejected(self):
+        t = bc.sample_ground_truth(1, 2, 2, [1.0], np.random.default_rng(0))
+        a = bc.sample_design_tensor(2, 4, 2, np.random.default_rng(1))
+        with pytest.raises(DimensionMismatchError, match="disagree on s"):
+            bc.synthesize_measurements(bc.generate_partial_dft(4, 2), a, t, 0.0)
+
+    def test_noise_needs_a_generator(self):
+        t = bc.sample_ground_truth(1, 2, 2, [1.0], np.random.default_rng(0))
+        a = bc.sample_design_tensor(1, 4, 2, np.random.default_rng(1))
+        with pytest.raises(ParameterError, match="rng required"):
+            bc.synthesize_measurements(bc.generate_partial_dft(4, 2), a, t, 0.5)
+
     @pytest.mark.parametrize("sigma2_e", [np.inf, np.nan])
     def test_non_finite_variance_rejected(self, sigma2_e):
         with pytest.raises(ParameterError):
@@ -166,6 +183,14 @@ class TestInstance:
         with pytest.raises(ParameterError):             # K = 0
             bc.ProblemInstance(b_rows=inst.b_rows[:, :0], a=inst.a, truth=inst.truth,
                                y=inst.y)
+        t = inst.truth
+        for h, x in ((t.h[:, :1], t.x), (t.h, t.x[:, :1]), (t.h[[0, 0]], t.x)):
+            with pytest.raises(DimensionMismatchError, match="ground truth"):
+                bc.ProblemInstance(b_rows=inst.b_rows, a=inst.a, y=inst.y,
+                                   truth=bc.GroundTruth(h=h, x=x, q=t.q))
+        for y in (inst.y[:3], inst.y[None]):
+            with pytest.raises(DimensionMismatchError, match="measurement shape"):
+                bc.ProblemInstance(b_rows=inst.b_rows, a=inst.a, truth=t, y=y)
 
     def test_sizes_read_from_the_arrays(self):
         inst = bc.make_instance(3, 4, 5, 20, seed=1)

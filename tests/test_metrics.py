@@ -109,6 +109,30 @@ class TestAlignPair:
                 assert abs(res.omega[i, j] - one.omega) <= 1e-14 * abs(one.omega)
                 assert abs(res.cost[i, j] - one.cost) <= 1e-14 * max(one.cost, 1.0)
 
+    def test_aligned_blocks_are_the_gauge_action(self):
+        rng = np.random.default_rng(16)
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        h_a, x_a, h_b, x_b = draw(3, 4, 5), draw(3, 4, 6), draw(3, 4, 5), draw(3, 4, 6)
+        for args in ((h_a[0, 0], x_a[0, 0], h_b[0, 0], x_b[0, 0]),   # 1-D blocks
+                     (h_a, x_a, h_b, x_b),                           # stacked blocks
+                     (h_a[0, 0], x_a[0, 0], h_b, x_b)):              # one block, stacked refs
+            res = bc.align_pair(*args)
+            omega = np.asarray(res.omega)[..., None]
+            batch = args[2].shape[:-1]
+            assert res.h.shape == batch + (5,) and res.x.shape == batch + (6,)
+            assert np.array_equal(res.h, args[0] / np.conj(omega))
+            assert np.array_equal(res.x, omega * args[1])
+        one = bc.align_pair(h_a[0, 0], x_a[0, 0], h_b[0, 0], x_b[0, 0])
+        assert isinstance(one.omega, complex) and isinstance(one.cost, float)
+        # the broadcast block gives each reference its per-pair alignment
+        for j in range(4):
+            pair = bc.align_pair(h_a[0, 0], x_a[0, 0], h_b[1, j], x_b[1, j])
+            assert abs(res.omega[1, j] - pair.omega) <= 1e-14 * abs(pair.omega)
+            assert abs(res.cost[1, j] - pair.cost) <= 1e-14 * max(pair.cost, 1.0)
+
     def test_certified_pairs_match_eigvals_oracle(self, monkeypatch):
         # near-aligned pairs over six decades of scale take the Newton path
         # alone, and agree with the all-eigenvalue path it replaced
@@ -339,6 +363,12 @@ class TestIncoherence:
                             q=np.array([3 * np.linalg.norm(h)]))
         assert bc.incoherence(t1, b) == pytest.approx(bc.incoherence(t2, b),
                                                       rel=1e-12)
+
+    def test_zero_channel_rejected(self):
+        t = bc.GroundTruth(h=np.zeros((1, 4), dtype=complex),
+                           x=np.ones((1, 4), dtype=complex) / 2, q=np.array([0.0]))
+        with pytest.raises(DegenerateAlignmentError, match="zero channel"):
+            bc.incoherence(t, bc.generate_partial_dft(16, 4))
 
     def test_gaussian_channels_stay_incoherent(self):
         # mu <= 10 log(m) for Gaussian channels, checked over seeded draws

@@ -470,6 +470,14 @@ class TestRunBatch:
             bc.run_wf([], small_iterate, settings)
         with pytest.raises(DimensionMismatchError):
             bc.loss(stacked, small_instance)
+        h, x = small_iterate.h, small_iterate.x
+        for z0 in (bc.Iterate(h=h[0], x=x[0]), bc.Iterate(h=h[None, None], x=x[None, None]),
+                   bc.Iterate(h=h, x=x[None])):
+            with pytest.raises(DimensionMismatchError, match="z0 must be one iterate"):
+                bc.run_wf(small_instance, z0, settings)
+        for z in (bc.Iterate(h=h[:, :2], x=x), bc.Iterate(h=h, x=x[:1])):
+            with pytest.raises(DimensionMismatchError, match="do not match instance dims"):
+                bc.loss(z, small_instance)
 
     def test_zero_block_in_one_run_raises(self, small_instance, small_iterate):
         h = np.stack([small_iterate.h] * 3)
@@ -531,6 +539,36 @@ class TestRunBatch:
         monkeypatch.setattr(solver, "_gradient_and_loss", real)
         want = bc.run_wf(small_instance, small_iterate, settings)
         for k in (0, 2):
+            _assert_identical_traces(batch.runs[k], want)
+
+    def test_divergence_just_after_a_settled_block_retires_alone(
+            self, monkeypatch, small_instance, small_iterate):
+        # At cadence 1 the log points 0-31 fill the first block, which
+        # settles at iteration 31; row 1's loss then diverges at iteration
+        # 32, with no log point pending.
+        assert solver._METRIC_BLOCK == 32
+        real = solver._gradient_and_loss
+        calls = []      # one call per iteration, from iteration 0
+
+        def diverge_row_1(z, inst, w):
+            g, loss_val = real(z, inst, w)
+            calls.append(len(z.h))
+            if len(calls) == 33:
+                loss_val[1] = np.inf
+            return g, loss_val
+
+        monkeypatch.setattr(solver, "_gradient_and_loss", diverge_row_1)
+        settings = bc.SolverSettings(eta=0.05, max_iters=40)
+        batch = bc.run_wf(small_instance, small_iterate, settings,
+                          sample_weights=np.ones((3, small_instance.m)))
+        assert calls[32:34] == [3, 2]
+        assert batch.runs[1] is None
+        assert type(batch.errors[1]) is DivergenceError
+        assert str(batch.errors[1]) == "loss diverged at iteration 32: inf"
+        monkeypatch.setattr(solver, "_gradient_and_loss", real)
+        want = bc.run_wf(small_instance, small_iterate, settings)
+        for k in (0, 2):
+            assert batch.errors[k] is None
             _assert_identical_traces(batch.runs[k], want)
 
 
