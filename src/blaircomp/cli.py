@@ -516,8 +516,8 @@ _CARRY = np.longdouble(1e17) - np.longdouble(0.5)    # s >= this: X is one more
 @functools.lru_cache(maxsize=None)
 def _pow10() -> Tuple[np.ndarray, np.ndarray]:
     """Long double 10**k, parsed from text, and its exact relative error, at
-    index _X_MAX + 1 - X for k = 16 - X and X = _X_MIN ... _X_MAX + 1."""
-    ks = range(16 - _X_MAX - 1, 16 - _X_MIN + 1)
+    index _X_MAX - X for k = 16 - X and X = _X_MIN ... _X_MAX."""
+    ks = range(16 - _X_MAX, 16 - _X_MIN + 1)
     pow10 = np.array([np.longdouble(f"1e{k}") for k in ks], dtype=np.longdouble)
     errors = []
     for k, p in zip(ks, pow10):
@@ -582,7 +582,7 @@ def _round17(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # X, or X - 1 where a is within 1e-9 of a power of ten (log10 is good
     # to a few ulp) or rounds up to one; those have s near or past the carry
     X = np.floor(np.log10(a) - 1e-9).astype(np.int64)
-    at = _X_MAX + 1 - X
+    at = _X_MAX - X
     s = a.astype(np.longdouble) * pow10.take(at)
     half_up = s + np.longdouble(0.5)
     r = half_up.astype(np.int64)

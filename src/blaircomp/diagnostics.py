@@ -17,7 +17,12 @@ import numpy as np
 from . import metrics
 from .ensemble import GroundTruth, ProblemInstance, _complex_gaussian, measurement_factors
 from .errors import DimensionMismatchError, ParameterError
-from .solver import _METRIC_BLOCK, Iterate, SolverSettings, StateTrace, run_wf
+from .solver import Iterate, SolverSettings, StateTrace, run_wf
+
+# measure_hypotheses' blocks: log points per incoherence block, and
+# leave-one-out rows of each family per alignment call.
+_INCOH_BLOCK = 8
+_LOO_ROWS = 2
 
 
 @dataclass(frozen=True)
@@ -160,13 +165,17 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
 
     ``plain`` and ``flipped`` are the two trace lists of
     ``run_diagnostics_suite``, paired by position.  Base iterates are aligned
-    to ``inst.truth`` with the omega the base run logged.  Each auxiliary
-    family is aligned to the aligned base iterates in one batched call over
-    its runs and iterations, and per-run quantities take the max over the
-    family's runs.  With no dropped samples the leave-one-out entries are NaN.
-    The incoherence maxima are taken ``_METRIC_BLOCK`` log points at a time,
-    so the pass holds one block of (s, m) measurement factors; the products
-    are per row, so the values do not depend on the block.
+    to ``inst.truth`` with the omega the base run logged, and the sign run to
+    the aligned base.  The leave-one-out rows are taken ``_LOO_ROWS`` pairs
+    at a time: one batched call aligns plain row k to the aligned base and
+    flipped row k to the aligned sign run over all iterations, and per-run
+    quantities keep a running max over the rows.  With no dropped samples
+    the leave-one-out entries are NaN.  The incoherence maxima are taken
+    ``_INCOH_BLOCK`` log points at a time, and each block's (s, m)
+    measurement factors are dropped before the next, so the pass's memory
+    does not grow with the number of dropped samples.  Alignments and
+    products are per pair and per row and a max is exact, so the values do
+    not depend on either block size.
     Needs m >= 2: the scales are powers of log m.
     """
     if not plain or len(plain) != len(flipped):
@@ -177,7 +186,6 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
     base, sign = plain[0], flipped[0]
     truth = inst.truth
     n_t = min(len(tr.t) for tr in (*plain, *flipped))
-    q = truth.q
     mu = metrics.incoherence(truth, inst.b_rows)
     m = inst.m
     log_m = np.log(m)
@@ -194,30 +202,21 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
         out["norm_ratio_h"] = h_norms / (np.abs(base.alpha_h[:n_t]) * log5m_sqrt)
         out["norm_ratio_x"] = x_norms / (np.abs(base.alpha_x[:n_t]) * log5m_sqrt)
     incoh_x, incoh_h = np.empty(n_t), np.empty(n_t)
-    for start in range(0, n_t, _METRIC_BLOCK):
-        sl = slice(start, start + _METRIC_BLOCK)
+    for start in range(0, n_t, _INCOH_BLOCK):
+        sl = slice(start, start + _INCOH_BLOCK)
         bh, xa = measurement_factors(h_t[sl], x_t[sl], inst.b_rows, inst.a)
         incoh_x[sl] = np.abs(xa / np.linalg.norm(x_t[sl], axis=2)[..., None]).max(axis=(1, 2))
         incoh_h[sl] = np.abs(bh / np.linalg.norm(h_t[sl], axis=2)[..., None]).max(axis=(1, 2))
+        del bh, xa                    # before the next block's factors
 
     chk = metrics.align_pair(sign.h[:n_t], sign.x[:n_t], h_t, x_t)
     out["sign_dist_h"] = np.linalg.norm(chk.h - h_t, axis=-1)
     out["sign_dist_x"] = np.linalg.norm(chk.x - x_t, axis=-1)
-    if len(plain) > 1:
-        hat = metrics.align_pair(np.stack([tr.h[:n_t] for tr in plain[1:]]),
-                                 np.stack([tr.x[:n_t] for tr in plain[1:]]), h_t, x_t)
-        out["loo_dist"] = np.sqrt(hat.cost / (2.0 * q ** 2)).max(axis=0)
-        out["loo_signal_h"] = np.abs(np.sum(truth.h.conj() * (hat.h - h_t), axis=-1)
-                                     ).max(axis=0) / q
-        out["loo_signal_x"] = np.abs(np.sum(truth.x.conj() * (hat.x - x_t), axis=-1)
-                                     ).max(axis=0) / q
-        both = metrics.align_pair(np.stack([tr.h[:n_t] for tr in flipped[1:]]),
-                                  np.stack([tr.x[:n_t] for tr in flipped[1:]]),
-                                  chk.h, chk.x)
-        out["double_diff_h"] = np.linalg.norm(h_t - hat.h - chk.h + both.h,
-                                              axis=-1).max(axis=0)
-        out["double_diff_x"] = np.linalg.norm(x_t - hat.x - chk.x + both.x,
-                                              axis=-1).max(axis=0)
+    refs = np.stack([h_t, chk.h]), np.stack([x_t, chk.x])
+    for start in range(1, len(plain), _LOO_ROWS):
+        rows = (plain[start:start + _LOO_ROWS], flipped[start:start + _LOO_ROWS])
+        for name, peak in _loo_peaks(rows, n_t, truth, *refs).items():
+            out[name] = peak if start == 1 else np.maximum(out[name], peak)
 
     return HypothesisReport(
         t=np.asarray(base.t[:n_t]),
@@ -226,6 +225,29 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
         incoh_x=incoh_x, incoh_x_scale=float(np.sqrt(log_m)),
         incoh_h=incoh_h, incoh_h_scale=float(mu / np.sqrt(m) * log_m ** 2),
         **out)
+
+
+def _loo_peaks(rows: Tuple[Sequence[StateTrace], Sequence[StateTrace]], n_t: int,
+               truth: GroundTruth, h_ref: np.ndarray, x_ref: np.ndarray) -> dict:
+    """The leave-one-out quantities of one block of paired rows (plain,
+    flipped), maxed over the block's rows.  One ``align_pair`` call aligns
+    the plain rows to (h_ref[0], x_ref[0]), the aligned base, and the flipped
+    rows to (h_ref[1], x_ref[1]), the aligned sign run.  Dividing by q > 0
+    after the max is monotone, so a max over blocks is the max over rows."""
+    res = metrics.align_pair(np.stack([[tr.h[:n_t] for tr in r] for r in rows]),
+                             np.stack([[tr.x[:n_t] for tr in r] for r in rows]),
+                             h_ref[:, None], x_ref[:, None])
+    (hat_h, both_h), (hat_x, both_x) = res.h, res.x
+    (h_t, chk_h), (x_t, chk_x) = h_ref, x_ref
+    q = truth.q
+    return {
+        "loo_dist": np.sqrt(res.cost[0] / (2.0 * q ** 2)).max(axis=0),
+        "loo_signal_h": np.abs(np.sum(truth.h.conj() * (hat_h - h_t), axis=-1)
+                               ).max(axis=0) / q,
+        "loo_signal_x": np.abs(np.sum(truth.x.conj() * (hat_x - x_t), axis=-1)
+                               ).max(axis=0) / q,
+        "double_diff_h": np.linalg.norm(h_t - hat_h - chk_h + both_h, axis=-1).max(axis=0),
+        "double_diff_x": np.linalg.norm(x_t - hat_x - chk_x + both_x, axis=-1).max(axis=0)}
 
 
 def concentration_report(inst: ProblemInstance) -> ConcentrationReport:

@@ -26,8 +26,6 @@ _DIVERGENCE_FACTOR = 1e6
 # Iterations whose log points share one snapshot_metrics call (at least one
 # point per call).  Tolerances are tested once per block, so a run that stops
 # has taken fewer than this many steps past its stop, which are discarded.
-# ``diagnostics.measure_hypotheses`` also takes its incoherence maxima this
-# many log points at a time, so it holds one block of (s, m) factors.
 _METRIC_BLOCK = 32
 
 

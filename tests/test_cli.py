@@ -449,7 +449,7 @@ class TestArtifactWriters:
         is the exact |entry - 10**k| / 10**k rounded to a double; all in
         integers."""
         pow10, error = cli._pow10()
-        ks = range(16 - cli._X_MAX - 1, 16 - cli._X_MIN + 1)
+        ks = range(16 - cli._X_MAX, 16 - cli._X_MIN + 1)
         assert len(pow10) == len(error) == len(ks)
         for k, p, d in zip(ks, pow10, error):
             a, b = (10**k, 1) if k >= 0 else (1, 10**-k)            # 10**k = a / b
@@ -469,7 +469,7 @@ class TestArtifactWriters:
         carry window's premise; every value then takes its digits from
         '%.16e', and the bytes stay the same."""
         pow10, error = (t.copy() for t in cli._pow10())
-        at = cli._X_MAX + 1 - 5                                   # X = 5
+        at = cli._X_MAX - 5                                       # X = 5
         pow10[at] = np.nextafter(np.nextafter(pow10[at], np.inf), np.inf)
         error[at] = 2.5 * cli._ROUNDOFF
         monkeypatch.setattr(cli, "_pow10", lambda: (pow10, error))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
-from blaircomp import metrics
+from blaircomp import diagnostics, metrics
 from blaircomp.diagnostics import _loo_weights
 from blaircomp.errors import ParameterError
 
@@ -231,6 +231,35 @@ class TestLeaveOneOut:
             want = np.max([getattr(r, name) for r in singles], axis=0)
             assert getattr(every, name).tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("n_drop", [1, 2, 3, 5, 12])
+    def test_loo_columns_do_not_depend_on_the_row_blocks(self, single_drops, n_drop):
+        # One row, a whole block of two rows, ragged last blocks and L = m:
+        # each leave-one-out column is the max over the single-drop suites
+        # of the dropped samples, bit for bit.
+        report, singles = single_drops
+        indices = bc.select_loo_indices(len(singles), n_drop, np.random.default_rng(n_drop))
+        every = report(indices)
+        for name in ("loo_dist", "loo_signal_h", "loo_signal_x", "double_diff_h",
+                     "double_diff_x"):
+            want = np.max([getattr(singles[l], name) for l in indices], axis=0)
+            assert getattr(every, name).tobytes() == want.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def single_drops():
+    """The hypotheses of suites on one instance, as a function of the dropped
+    samples, and the reports of every single drop."""
+    inst = bc.canonicalize_instance(bc.make_instance(2, 3, 3, 12, seed=19))
+    z0 = bc.random_init(2, 3, 3, np.random.default_rng(20))
+    settings = bc.SolverSettings(eta=0.1, max_iters=20, tol=np.inf)
+
+    def report(indices):
+        plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, indices,
+                                                  np.random.default_rng(21))
+        return bc.measure_hypotheses(plain, flipped, inst)
+
+    return report, [report([l]) for l in range(inst.m)]
+
 
 @pytest.fixture(scope="module")
 def small_suite():
@@ -358,7 +387,7 @@ class TestMeasureHypotheses:
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("n_t", [1, 32, 33, 71])
     def test_incoherence_blocks_match_one_pass(self, s, n_t):
-        # One block, an exact 32-point block and ragged last blocks.  A run
+        # One block, four exact 8-point blocks and ragged last blocks.  A run
         # logs at least two points, so the one-point case cuts the base run.
         inst = bc.canonicalize_instance(bc.make_instance(s, 6, 6, 120, seed=[706, s]))
         z0 = bc.random_init(s, 6, 6, np.random.default_rng(707))
@@ -374,8 +403,10 @@ class TestMeasureHypotheses:
         assert report.incoh_h.tobytes() == want_h.tobytes()
 
     def test_peak_memory_stays_below_one_factor_array(self):
-        # 301 log points, over nine 32-point blocks: the incoherence pass
-        # holds one block of (s, m) factors, not the (T, s, m) arrays.
+        # 301 log points, over 38 blocks: the incoherence pass holds one
+        # block's bh and xa, a quotient and its modulus, 3.5 blocks of (s, m)
+        # complex factors, with the base run's metrics 3.85.  Still holding
+        # the last block's factors through the next call reads 4.57.
         s, m = 2, 2000
         inst = bc.canonicalize_instance(bc.make_instance(s, 4, 4, m, seed=[709, 0]))
         z0 = bc.random_init(s, 4, 4, np.random.default_rng(710))
@@ -384,7 +415,21 @@ class TestMeasureHypotheses:
                                                   np.random.default_rng(711))
         report, peak = traced_peak(bc.measure_hypotheses, plain, flipped, inst)
         assert len(report.t) == 301
-        assert peak < len(report.t) * s * m * np.dtype(complex).itemsize
+        block = diagnostics._INCOH_BLOCK * s * m * np.dtype(complex).itemsize
+        assert peak < 4.2 * block
+
+    def test_peak_memory_does_not_grow_with_dropped_samples(self):
+        # L = m takes the leave-one-out rows in the same blocks as L = 2.
+        inst = bc.canonicalize_instance(bc.make_instance(2, 4, 4, 200, seed=[712, 0]))
+        z0 = bc.random_init(2, 4, 4, np.random.default_rng(713))
+        settings = bc.SolverSettings(eta=0.1, max_iters=80, tol=np.inf)
+        peaks = []
+        for n_drop in (2, inst.m):
+            loo = bc.select_loo_indices(inst.m, n_drop, np.random.default_rng(714))
+            plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, loo,
+                                                      np.random.default_rng(715))
+            peaks.append(traced_peak(bc.measure_hypotheses, plain, flipped, inst)[1])
+        assert peaks[1] <= 1.2 * peaks[0]
 
     def test_matches_per_pair_alignment(self, small_suite):
         inst, plain, flipped, report = small_suite
