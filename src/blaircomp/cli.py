@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
@@ -39,6 +38,7 @@ _PRESETS: Dict[str, Dict] = {
 PRESET_NAMES = tuple(_PRESETS)
 
 _NOISE_FIT_WINDOW = 10
+_CSV_CHUNK_FIELDS = 8192
 # Design-tensor bytes of the trials that share one lockstep solve.  Past it a
 # stacked block costs more per trial, not less, as it outgrows the cache; a
 # trial above it runs alone.
@@ -353,24 +353,28 @@ def _trial_result(trial: int, solved) -> Dict:
 
 def _noise_sweep_rows(trace, sigma_w_grid: Sequence[float],
                       rng: np.random.Generator, trial: int) -> np.ndarray:
-    """Noisy relative error per logged iteration and sigma_w: the run's logged
-    alignment parameters are perturbed and applied to the recovered sum.
+    """Noisy relative error per sigma_w at the run's last
+    ``_NOISE_FIT_WINDOW`` log points, the ones ``fit_noise_slope`` reads:
+    the logged alignment parameters are perturbed and applied to the
+    recovered sum.
 
-    Rows (trial, t, sigma_w, error), iteration-major.  The noise is the
-    stream that the per-row loop ``noise_sweep_rows_loop`` in the tests'
-    helpers draws (iteration-major, then sigma_w, real before imaginary),
-    taken in a single draw.
+    Rows (trial, t, sigma_w, error), iteration-major.  The noise is drawn
+    for every log point, in a single draw of the stream that the per-row
+    loop ``noise_sweep_rows_loop`` in the tests' helpers draws
+    (iteration-major, then sigma_w, real before imaginary), so the rows
+    kept are that loop's last ones.
     """
     target = np.sum(trace.truth.x, axis=0)
     denom = np.linalg.norm(target)
     grid = np.asarray(sigma_w_grid, dtype=float)
-    noise = (rng.standard_normal((len(trace.t), len(grid), 2, trace.s))
+    window = slice(-_NOISE_FIT_WINDOW, None)
+    noise = (rng.standard_normal((len(trace.t), len(grid), 2, trace.s))[window]
              * np.sqrt(0.5 / grid)[:, None, None])
-    w_hat = trace.omega[:, None, :] + (noise[:, :, 0] + 1j * noise[:, :, 1])
-    err = np.linalg.norm(w_hat @ trace.x - target, axis=-1) / denom   # (T, grid)
+    w_hat = trace.omega[window, None, :] + (noise[:, :, 0] + 1j * noise[:, :, 1])
+    err = np.linalg.norm(w_hat @ trace.x[window] - target, axis=-1) / denom
     rows = np.empty(err.shape + (4,))
     rows[..., 0] = trial
-    rows[..., 1] = trace.t[:, None]
+    rows[..., 1] = trace.t[window, None]
     rows[..., 2] = grid
     rows[..., 3] = err
     return rows.reshape(-1, 4)
@@ -379,8 +383,9 @@ def _noise_sweep_rows(trace, sigma_w_grid: Sequence[float],
 def fit_noise_slope(sigma_w_grid: Sequence[float], tables: Sequence[np.ndarray]) -> Dict:
     """Slope of error(dB) against sigma_w(dB), using the RMS noisy error over
     the last logged iterations of each trial (noise-dominated regime).
-    ``tables`` are the trials' ``_noise_sweep_rows``, (T*G, 4) iteration-major
-    over the G grid values; a line needs two or more, all distinct."""
+    ``tables`` are the trials' rows as ``_noise_sweep_rows`` lays them out,
+    (T*G, 4) iteration-major over the G grid values, for any number T of
+    log points; a line needs two or more grid values, all distinct."""
     grid = np.asarray(sigma_w_grid, dtype=float)
     if len(grid) < 2 or len(np.unique(grid)) < len(grid):
         raise ParameterError("the noise slope needs at least two distinct sigma_w")
@@ -436,206 +441,18 @@ def _write_csv(path: str, header: List[str], tables) -> None:
     """The header, then every row of ``tables`` with each field the text of
     ``'%.17g' % value``, comma separated with CRLF line ends.
 
-    The tables are formatted as one, about ``_CSV_CHUNK_FIELDS`` fields per
-    call.  A column with at most n/2 distinct values (trial, t, sigma_w)
-    has each one formatted once, in one call for all such columns, its
-    text trimmed to the byte slots that some value of it fills; the NULs
-    that pad the other columns are dropped on writing.
+    One ``%`` formats each chunk of about ``_CSV_CHUNK_FIELDS`` fields, so
+    only one chunk's values are Python floats at a time.
     """
-    tables = [t for t in (np.asarray(t, dtype=float) for t in tables) if t.size]
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        if not tables:
-            return
-        rows = np.concatenate(tables)
-        n, c = rows.shape
-        separator = np.zeros((c, _SLOTS - _SEP_SLOT), np.uint8)
-        separator[:, 0] = ord(",")
-        separator[-1, :2] = (ord("\r"), ord("\n"))
-        distinct = _repeated_columns(rows)
-        fresh = [j for j in range(c) if j not in distinct]
-        texts = {}
-        if distinct:
-            text = _field_text(np.concatenate(list(distinct.values())).view(float))
-            splits = np.cumsum([len(d) for d in distinct.values()])[:-1]
-            for j, part in zip(distinct, np.split(text, splits)):
-                part[:, _SEP_SLOT:] = separator[j]
-                texts[j] = part[:, np.bitwise_or.reduce(part, axis=0) != 0]
-        per_chunk = max(1, _CSV_CHUNK_FIELDS // max(1, len(fresh)))
-        for first in range(0, n, per_chunk):
-            block = rows[first:first + per_chunk]
-            columns = {j: text.take(np.searchsorted(distinct[j], block[:, j].view(np.int64)),
-                                    axis=0)
-                       for j, text in texts.items()}
-            if fresh:
-                fields = _field_text(block[:, fresh].ravel()).reshape(len(block),
-                                                                     len(fresh), -1)
-                fields[:, :, _SEP_SLOT:] = separator[fresh]
-                columns.update(zip(fresh, fields.transpose(1, 0, 2)))
-            line = np.concatenate([columns[j] for j in range(c)], axis=1)
-            fh.write(line.tobytes().translate(None, b"\0"))
-
-
-def _repeated_columns(rows: np.ndarray) -> Dict[int, np.ndarray]:
-    """Column -> its distinct values' bit patterns, sorted, for each column
-    with at most n/2 of them; so -0.0 and 0.0 keep their own text."""
-    ordered = rows.view(np.int64).T.copy()
-    ordered.sort(axis=1)
-    step = ordered[:, 1:] != ordered[:, :-1]
-    return {j: ordered[j, np.concatenate(([True], step[j]))]
-            for j in range(rows.shape[1])
-            if 2 * (1 + np.count_nonzero(step[j])) <= len(rows)}
-
-
-# Every CSV field is the text of '%.17g' % value, laid out in numpy.  A
-# finite nonzero |v| with decimal exponent X has the 17 digits round(s),
-# s = |v| * 10**(16 - X), rounded half-even.  S, the long double product of
-# |v| (exact) and 10**(16 - X) * (1 + d) (a table entry parsed from text,
-# its exact relative error |d| recorded), is within
-# s * (|d| + u + |d| * u) < 1.01 * S * (|d| + u) of s, where u is the unit
-# roundoff of a correctly rounded long double product (x87 extended or
-# IEEE quad).  Rounding S half up thus gives the digits exactly unless S
-# lies within that bound of a half-integer, or within it of the carry to
-# 10**17 or past it (where X is one more, as for |v| a little above a power
-# of ten); such a value takes its digits and X from '%.16e' % |v|, which
-# rounds as '%.17g' does.  The carry bound assumes every |d| <= u, as a
-# correctly rounding parser gives; should some |d| exceed u, every value
-# takes that route.  So do all where long double is no wider than double
-# (Windows, macOS on arm64): there the bound passes 1/2 for every value.
-_ROUNDOFF = float(np.finfo(np.longdouble).eps) / 2
-_CSV_CHUNK_FIELDS = 8192
-# A field's text in 56 NUL-padded byte slots: 0 the sign, 1-5 a "0.000"
-# lead, 14 + 2i the i-th of the 17 digits and 15 + 2i a point after it,
-# 48-52 the exponent, 53-54 the separator.  NULs are dropped on writing.
-_SLOTS = 56
-_SEP_SLOT = 53
-_X_MIN, _X_MAX = -324, 308                  # decimal exponents of doubles
-_CARRY = np.longdouble(1e17) - np.longdouble(0.5)    # s >= this: X is one more
-
-
-@functools.lru_cache(maxsize=None)
-def _pow10() -> Tuple[np.ndarray, np.ndarray]:
-    """Long double 10**k, parsed from text, and its exact relative error, at
-    index _X_MAX - X for k = 16 - X and X = _X_MIN ... _X_MAX."""
-    ks = range(16 - _X_MAX, 16 - _X_MIN + 1)
-    pow10 = np.array([np.longdouble(f"1e{k}") for k in ks], dtype=np.longdouble)
-    errors = []
-    for k, p in zip(ks, pow10):
-        num, den = p.as_integer_ratio()
-        a, b = (10**k, 1) if k >= 0 else (1, 10**-k)             # 10**k = a / b
-        errors.append(abs(num * b - a * den) / (a * den))
-    errors = np.array(errors)
-    pow10.flags.writeable = errors.flags.writeable = False  # shared: read-only
-    return pow10, errors
-
-
-@functools.lru_cache(maxsize=None)
-def _csv_tables():
-    """The lookup tables of ``_field_text``, built on first use: the slot
-    words of 4 digits and of the first digit; each (X, sign)'s frame of
-    point, lead and exponent; the masks that keep digits 0..last; and the
-    words 0-5 of 0, -0, inf, -inf and nan."""
-    def words(cells: np.ndarray) -> np.ndarray:       # shared: read-only
-        table = np.ascontiguousarray(cells).view(np.uint64)
-        table.flags.writeable = False
-        return table
-
-    quad = np.zeros((10000, 8), np.uint8)
-    quad[:, ::2] = 48 + (np.arange(10000, dtype=np.uint16)[:, None]
-                         // np.array([1000, 100, 10, 1], np.uint16) % 10)
-    first = np.zeros((10, 8), np.uint8)
-    first[:, 6] = 48 + np.arange(10)
-    X = np.arange(_X_MIN, _X_MAX + 1)
-    frame = np.zeros((len(X), 2, _SLOTS), np.uint8)
-    frame[:, 1, 0] = ord("-")
-    sci = (X < -4) | (X >= 17)
-    e = np.abs(X)
-    frame[sci, :, 15] = ord(".")
-    frame[sci, :, 48] = ord("e")
-    frame[sci, :, 49] = np.where(X[sci] < 0, ord("-"), ord("+"))[:, None]
-    frame[sci, :, 50] = np.where(e[sci] >= 100, 48 + e[sci] // 100, 0)[:, None]
-    frame[sci, :, 51] = (48 + e[sci] // 10 % 10)[:, None]
-    frame[sci, :, 52] = (48 + e[sci] % 10)[:, None]
-    for lead in range(1, 5):                                   # X = -1 ... -4
-        frame[X == -lead, :, 1:2 + lead] = np.frombuffer(
-            b"0." + b"0" * (lead - 1), np.uint8)
-    point = (0 <= X) & (X < 16)
-    frame[point, :, 15 + 2 * X[point]] = ord(".")
-    keep = np.zeros((17, 40), np.uint8)
-    for last in range(17):
-        keep[last, 6:7 + 2 * last] = 0xFF                        # no point after
-    special = np.zeros((5, 48), np.uint8)
-    for i, text in enumerate((b"0", b"-0", b"inf", b"-inf", b"nan")):
-        special[i, 0] = text[0] if text[0] == ord("-") else 0
-        body = text.lstrip(b"-")
-        special[i, 14:14 + 2 * len(body):2] = np.frombuffer(body, np.uint8)
-    return (words(quad).ravel(), words(first).ravel(),
-            words(frame.reshape(-1, _SLOTS)), words(keep), words(special))
-
-
-def _round17(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(r, X) with a ~ r * 10**(X - 16), 10**16 <= r < 10**17: positive
-    finite ``a`` rounded half-even to 17 significant digits."""
-    if 1e16 * _ROUNDOFF >= 0.5 or _pow10()[1].max() > _ROUNDOFF:
-        return _round17_text(a)
-    pow10, error = _pow10()
-    # X, or X - 1 where a is within 1e-9 of a power of ten (log10 is good
-    # to a few ulp) or rounds up to one; those have s near or past the carry
-    X = np.floor(np.log10(a) - 1e-9).astype(np.int64)
-    at = _X_MAX - X
-    s = a.astype(np.longdouble) * pow10.take(at)
-    half_up = s + np.longdouble(0.5)
-    r = half_up.astype(np.int64)
-    frac = (half_up - r).astype(float)
-    bound = 1.01 * s.astype(float) * (error.take(at) + _ROUNDOFF)
-    # near a half-integer, or where the digits may carry to 10**17
-    near = (np.abs(frac - 0.5) >= 0.5 - bound) | (s >= _CARRY - 2.02e17 * _ROUNDOFF)
-    ties = np.flatnonzero(near)
-    r[ties], X[ties] = _round17_text(a[ties])
-    return r, X
-
-
-def _round17_text(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``_round17`` read off ``'%.16e' % value``, one value at a time."""
-    texts = ["%.16e" % v for v in a.tolist()]
-    return (np.array([int(t[0] + t[2:18]) for t in texts], dtype=np.int64),
-            np.array([int(t[19:]) for t in texts], dtype=np.int64))
-
-
-def _field_text(values: np.ndarray) -> np.ndarray:
-    """Each value's ``'%.17g'`` text in NUL-padded byte slots, (n, 56)
-    uint8: the (X, sign) frame, or-ed with the digits; trailing zeros, and
-    a point they leave last, masked to NUL."""
-    quad, first, frame, keep, special = _csv_tables()
-    a = np.abs(values)
-    finite = (a > 0) & (a < np.inf)                    # and not 0 or nan
-    a = np.where(finite, a, 1.0)
-    r, X = _round17(a)
-    slots = frame.take(2 * (X - _X_MIN) + np.signbit(values), axis=0)
-    hi = r // 10 ** 8                                   # digits 0-8, then 9-16
-    lo = r - hi * 10 ** 8
-    top = hi // 10 ** 4
-    g3 = lo // 10 ** 4
-    d0 = top // 10 ** 4
-    slots[:, 1] |= first.take(d0)
-    slots[:, 2] |= quad.take(top - d0 * 10 ** 4)
-    slots[:, 3] |= quad.take(hi - top * 10 ** 4)
-    slots[:, 4] |= quad.take(g3)
-    slots[:, 5] |= quad.take(lo - g3 * 10 ** 4)
-    text = slots.view(np.uint8)
-    zeros = np.flatnonzero(text[:, 46] == ord("0"))
-    if zeros.size:
-        digits = text[zeros, 14:48:2]
-        last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-        Xz = X[zeros]
-        fixed = (0 <= Xz) & (Xz < 17)                   # keeps its integer digits
-        slots[zeros, 1:6] &= keep.take(np.where(fixed, np.maximum(last, Xz), last), axis=0)
-    odd = np.flatnonzero(~finite)
-    if odd.size:
-        v = values[odd]
-        slots[odd, :6] = special[np.where(np.isnan(v), 4,
-                                          2 * np.isinf(v) + np.signbit(v))]
-    return text
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    per_chunk = max(1, _CSV_CHUNK_FIELDS // len(header))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for rows in tables:
+            rows = np.asarray(rows, dtype=float)
+            for first in range(0, len(rows), per_chunk):
+                chunk = rows[first:first + per_chunk]
+                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _write_json(path: str, doc) -> None:

@@ -23,6 +23,10 @@ from .solver import Iterate, SolverSettings, StateTrace, run_wf
 # leave-one-out rows of each family per alignment call.
 _INCOH_BLOCK = 8
 _LOO_ROWS = 2
+# Weight rows per run_wf call of run_diagnostics_suite.  Every step of a call
+# allocates (rows, s, m) complex factors: for all 401 rows at L = m = 400,
+# about 5 MB a step, which set the run's peak memory.
+_SUITE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -138,22 +142,33 @@ def run_diagnostics_suite(inst: ProblemInstance, z0: Iterate,
                           ) -> Tuple[List[StateTrace], List[StateTrace]]:
     """Base run plus the three auxiliary families, all from the same z0.
 
-    Two lockstep ``run_wf`` calls, on ``inst`` and on its sign-flipped
-    ensemble, each with 1+L weight rows: all ones, then one row per dropped
-    sample of ``loo_indices``.  Returns both calls' traces in row order,
-    (base, loo_1..L) and (sign, sign_loo_1..L); row k of both dropped the
-    same sample.  The first failed row, in row order, raises its error.
+    Lockstep ``run_wf`` calls, on ``inst`` and on its sign-flipped
+    ensemble, each family with 1+L weight rows: all ones, then one row per
+    dropped sample of ``loo_indices``.  A family's rows go ``_SUITE_ROWS``
+    to a call, so no call holds per-step factors for more rows than that;
+    rows are independent, so their traces do not depend on the groups.
+    Returns both families' traces in row order, (base, loo_1..L) and
+    (sign, sign_loo_1..L); row k of both dropped the same sample.  The
+    first failed row, in row order, raises its error.
     """
     weights = _loo_weights(inst.m, loo_indices)
-    plain = run_wf(inst, z0, settings, sample_weights=weights).traces()
+    plain = _run_rows(inst, z0, settings, weights)
     inst_sgn = apply_sign_flips(inst, sample_sign_flips(inst.s, inst.m, rng))
-    flipped = run_wf(inst_sgn, z0, settings, sample_weights=weights).traces()
-    return plain, flipped
+    return plain, _run_rows(inst_sgn, z0, settings, weights)
+
+
+def _run_rows(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
+              weights: np.ndarray) -> List[StateTrace]:
+    """The traces of ``run_wf`` on each weight row, ``_SUITE_ROWS`` rows a call."""
+    groups = (weights[first:first + _SUITE_ROWS]
+              for first in range(0, len(weights), _SUITE_ROWS))
+    return [trace for group in groups
+            for trace in run_wf(inst, z0, settings, sample_weights=group).traces()]
 
 
 def select_loo_indices(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of dropped-sample indices (checking all m takes m + 1
-    weight rows in each of the suite's two batched runs)."""
+    weight rows in each of the suite's two families)."""
     count = min(count, m)
     return np.sort(rng.choice(m, size=count, replace=False))
 

@@ -17,7 +17,7 @@ from blaircomp.errors import (ConfigError, DegenerateAlignmentError, DivergenceE
                               ParameterError)
 
 from helpers import (fit_noise_slope_loop, noise_sweep_rows_loop, run_desk_scale,
-                     write_csv_rows)
+                     traced_peak, write_csv_rows)
 
 
 # What parse_config({"preset": preset, **overrides}) resolves to: the fields
@@ -313,15 +313,18 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("s", [1, 3])
     def test_noise_sweep_rows_match_per_row_loop(self, s):
-        inst, _, trace = run_desk_scale(3, s=s, max_iters=40)
+        # The loop's last rows: the fit window of 41 log points, and all 6
+        # of a run shorter than the window.
         grid = [1.0, 10.0, 1e3, 1e5]
-        rows = _noise_sweep_rows(trace, grid, np.random.default_rng(8), 2)
-        ref = noise_sweep_rows_loop(trace, inst.truth, grid,
-                                    np.random.default_rng(8), 2)
-        ref = np.asarray(ref)
-        assert rows.shape == ref.shape
-        np.testing.assert_array_equal(rows[:, :3], ref[:, :3])
-        np.testing.assert_allclose(rows[:, 3], ref[:, 3], rtol=1e-14, atol=0)
+        for max_iters, n_kept in ((40, cli._NOISE_FIT_WINDOW), (5, 6)):
+            inst, _, trace = run_desk_scale(3, s=s, max_iters=max_iters)
+            rows = _noise_sweep_rows(trace, grid, np.random.default_rng(8), 2)
+            ref = noise_sweep_rows_loop(trace, inst.truth, grid,
+                                        np.random.default_rng(8), 2)
+            ref = np.asarray(ref)[-n_kept * len(grid):]
+            assert rows.shape == ref.shape
+            np.testing.assert_array_equal(rows[:, :3], ref[:, :3])
+            np.testing.assert_allclose(rows[:, 3], ref[:, 3], rtol=1e-14, atol=0)
 
     def test_diagnostics_preset_emits_hypotheses(self, tmp_path):
         cfg = bc.parse_config(overrides=dict(
@@ -428,61 +431,14 @@ class TestArtifactWriters:
         assert ((tmp_path / "fast.csv").read_bytes()
                 == (tmp_path / "rows.csv").read_bytes())
 
-    def test_text_route_matches_per_row_writer(self, tmp_path, monkeypatch):
-        """With a long double no wider than double, every value takes its
-        digits from '%.16e'; the bytes stay the same."""
-        values = np.r_[_random_doubles(10**4, 7), _SPECIAL, _TIES,
-                       _with_neighbours([float(f"1e{k}") for k in range(-323, 309)]).ravel()]
-        routed = []
-        text_route = cli._round17_text
-        monkeypatch.setattr(cli, "_ROUNDOFF", np.finfo(float).eps / 2)
-        monkeypatch.setattr(cli, "_round17_text",
-                            lambda a: routed.append(len(a)) or text_route(a))
-        cli._write_csv(str(tmp_path / "fast.csv"), ["v"], [values[:, None]])
-        write_csv_rows(str(tmp_path / "rows.csv"), ["v"], [values[:, None]])
-        assert ((tmp_path / "fast.csv").read_bytes()
-                == (tmp_path / "rows.csv").read_bytes())
-        assert sum(routed) == len(values)
-
-    def test_pow10_entries_are_correctly_rounded(self):
-        """Each entry is the long double nearest 10**k, and its recorded error
-        is the exact |entry - 10**k| / 10**k rounded to a double; all in
-        integers."""
-        pow10, error = cli._pow10()
-        ks = range(16 - cli._X_MAX, 16 - cli._X_MIN + 1)
-        assert len(pow10) == len(error) == len(ks)
-        for k, p, d in zip(ks, pow10, error):
-            a, b = (10**k, 1) if k >= 0 else (1, 10**-k)            # 10**k = a / b
-
-            def gap(v):            # |v - 10**k| * b * den(v), den(v) returned too
-                num, den = v.as_integer_ratio()
-                return abs(num * b - a * den), den
-
-            g, den = gap(p)
-            for toward in (0, np.inf):
-                g_n, den_n = gap(np.nextafter(p, np.longdouble(toward)))
-                assert g * den_n <= g_n * den, k
-            assert d == g / (a * den), k
-
-    def test_inexact_table_routes_every_value_through_text(self, tmp_path, monkeypatch):
-        """A parser that misses 10**k by more than the roundoff breaks the
-        carry window's premise; every value then takes its digits from
-        '%.16e', and the bytes stay the same."""
-        pow10, error = (t.copy() for t in cli._pow10())
-        at = cli._X_MAX - 5                                       # X = 5
-        pow10[at] = np.nextafter(np.nextafter(pow10[at], np.inf), np.inf)
-        error[at] = 2.5 * cli._ROUNDOFF
-        monkeypatch.setattr(cli, "_pow10", lambda: (pow10, error))
-        routed = []
-        text_route = cli._round17_text
-        monkeypatch.setattr(cli, "_round17_text",
-                            lambda a: routed.append(len(a)) or text_route(a))
-        values = np.r_[_random_doubles(10**4, 8), _TIES, 123456.0 + np.arange(100) / 8]
-        cli._write_csv(str(tmp_path / "fast.csv"), ["v"], [values[:, None]])
-        write_csv_rows(str(tmp_path / "rows.csv"), ["v"], [values[:, None]])
-        assert ((tmp_path / "fast.csv").read_bytes()
-                == (tmp_path / "rows.csv").read_bytes())
-        assert sum(routed) == len(values)
+    def test_write_csv_peak_memory_stays_near_one_chunk(self, tmp_path):
+        # Eight chunks of 17-digit values: one '%' over the whole table holds
+        # every field as a Python float, its tuple and its text at once,
+        # about 4 MiB; chunked, the writer holds one chunk's worth.
+        table = np.random.default_rng(9).normal(size=(cli._CSV_CHUNK_FIELDS, 8))
+        _, peak = traced_peak(cli._write_csv, str(tmp_path / "t.csv"),
+                              list("abcdefgh"), [table])
+        assert peak < table.nbytes + 2**20
 
     def test_fit_noise_slope_matches_masked_loop(self):
         rng = np.random.default_rng(4)

@@ -188,6 +188,36 @@ class TestLeaveOneOut:
                                      np.random.default_rng(0))
         assert str(suite.value) == str(alone.value)
 
+    def test_row_groups_match_one_call(self, monkeypatch):
+        # L = 40: each family's 41 rows go in calls of 32 and 9, and give the
+        # traces of all 41 rows in one call, bit for bit.  With a tolerance
+        # the rows stop on their own log points.
+        inst = bc.canonicalize_instance(bc.make_instance(2, 4, 4, 60, seed=23))
+        z0 = bc.random_init(2, 4, 4, np.random.default_rng(24))
+        settings = bc.SolverSettings(eta=0.1, max_iters=150, tol=1e-3)
+        loo = bc.select_loo_indices(inst.m, 40, np.random.default_rng(25))
+        rows = []
+        real = diagnostics.run_wf
+
+        def counted(inst, z0, settings, sample_weights):
+            rows.append(len(sample_weights))
+            return real(inst, z0, settings, sample_weights=sample_weights)
+
+        monkeypatch.setattr(diagnostics, "run_wf", counted)
+        grouped = bc.run_diagnostics_suite(inst, z0, settings, loo,
+                                           np.random.default_rng(26))
+        monkeypatch.setattr(diagnostics, "_SUITE_ROWS", 41)
+        whole = bc.run_diagnostics_suite(inst, z0, settings, loo,
+                                         np.random.default_rng(26))
+        assert rows == [32, 9, 32, 9, 41, 41]
+        stops = set()
+        for got, want in zip([*grouped[0], *grouped[1]], [*whole[0], *whole[1]]):
+            assert got.stop_reason == want.stop_reason
+            stops.add(got.n_iters)
+            for name in ("t", "loss", "h", "x", "relative_error", "omega"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert len(stops) > 1
+
     def test_suite_aligns_only_the_rows_it_reads(self, monkeypatch):
         # With no tolerance the runs align nothing to the truth; the first
         # read of a metric aligns the base run's log points, once.
