@@ -122,8 +122,9 @@ class ExperimentConfig:
         grid = self.sigma_w_grid
         if grid is not None and len(set(grid)) < max(2, len(grid)):
             raise ConfigError("sigma_w_grid needs at least two distinct values")
-        if grid is not None and not all(0 < v < np.inf for v in grid):
-            raise ConfigError("every sigma_w_grid value must be finite and > 0")
+        if grid is not None and not all(0 < v < np.inf and 0.5 / v < np.inf for v in grid):
+            raise ConfigError("every sigma_w_grid value must be finite and > 0, "
+                              "with a finite noise scale sqrt(0.5 / value)")
 
     def solver_settings(self) -> SolverSettings:
         return SolverSettings(eta=self.eta, max_iters=self.max_iters, tol=self.tol,
@@ -235,7 +236,7 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
         for r in results:
             if r.get("hypotheses") is not None:
                 name = f"hypotheses_{r['summary']['trial']}.csv"
-                r["hypotheses"].write_csv(os.path.join(cfg.out, name))
+                _write_hypotheses_csv(os.path.join(cfg.out, name), r["hypotheses"])
                 report.setdefault("hypotheses_csv", []).append(name)
     _write_json(paths["report"], report)
     t_end = time.perf_counter()
@@ -437,15 +438,16 @@ def trace_header(s: int) -> List[str]:
     return header
 
 
-def _write_csv(path: str, header: List[str], tables) -> None:
-    """The header, then every row of ``tables`` with each field the text of
-    ``'%.17g' % value``, comma separated with CRLF line ends.
-
-    One ``%`` formats each chunk of about ``_CSV_CHUNK_FIELDS`` fields, so
-    only one chunk's values are Python floats at a time.
-    """
-    line = ",".join(["%.17g"] * len(header)) + "\r\n"
-    per_chunk = max(1, _CSV_CHUNK_FIELDS // len(header))
+def _write_csv(path: str, header: List[str], tables,
+               line: Optional[str] = None) -> None:
+    """The header, then every row of ``tables`` through the line template
+    ``line``, by default each field as ``'%.17g' % value``, comma separated;
+    CRLF line ends.  One ``%`` formats each chunk of about
+    ``_CSV_CHUNK_FIELDS`` fields, whole templates of them, so only one
+    chunk's values are Python floats at a time."""
+    if line is None:
+        line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    per_chunk = max(1, _CSV_CHUNK_FIELDS // line.count("%"))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for rows in tables:
@@ -453,6 +455,27 @@ def _write_csv(path: str, header: List[str], tables) -> None:
             for first in range(0, len(rows), per_chunk):
                 chunk = rows[first:first + per_chunk]
                 fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def _write_hypotheses_csv(path: str, report: diag.HypothesisReport) -> None:
+    """Per log point, a line per node of each (T, s) field of ``report``, and
+    one at node -1 of each (T,) field with its ``<name>_scale``, if any, in
+    field order.  One log point's template takes a (t, value) pair a line."""
+    lines, columns = [], []
+    for f in fields(report)[1:]:                      # t is the first field
+        value = getattr(report, f.name)
+        if np.ndim(value) == 2:
+            lines += [f"%d,{f.name},{i},%.17g,\r\n" for i in range(value.shape[1])]
+            columns.append(value)
+        elif np.ndim(value) == 1:
+            scale = getattr(report, f.name + "_scale", None)
+            scale = "" if scale is None else "%.17g" % scale
+            lines.append(f"%d,{f.name},-1,%.17g,{scale}\r\n")
+            columns.append(value[:, None])
+    values = np.concatenate(columns, axis=1)                    # (T, lines)
+    pairs = np.stack(np.broadcast_arrays(np.asarray(report.t)[:, None], values), axis=-1)
+    _write_csv(path, ["t", "quantity", "node", "value", "scale"],
+               [pairs.reshape(len(values), 2 * len(lines))], "".join(lines))
 
 
 def _write_json(path: str, doc) -> None:
@@ -476,7 +499,7 @@ def _write_plot_stub(path: str, cfg: ExperimentConfig) -> None:
 def _read_config_file(path: str) -> Dict[str, str]:
     entries: Dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -487,7 +510,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
                 if key in entries:
                     raise ConfigError(f"{path}:{lineno}: {key} given twice")
                 entries[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return entries
 

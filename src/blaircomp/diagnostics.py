@@ -43,7 +43,8 @@ class ConcentrationReport:
 @dataclass
 class HypothesisReport:
     """Measured left-hand sides of the induction hypotheses per iteration,
-    alongside the comparison scales the analysis bounds them with."""
+    alongside the comparison scales the analysis bounds them with, in the
+    row order of ``hypotheses_<trial>.csv``."""
 
     t: np.ndarray                  # (T,)
     loo_dist: np.ndarray           # (T, s) max over dropped samples
@@ -53,42 +54,14 @@ class HypothesisReport:
     sign_dist_x: np.ndarray        # (T, s)
     double_diff_h: np.ndarray      # (T, s)
     double_diff_x: np.ndarray      # (T, s)
-    norm_min: np.ndarray           # (T,) min block norm over nodes
-    norm_max: np.ndarray           # (T,)
     norm_ratio_h: np.ndarray       # (T, s) ||h_i|| / (|alpha_h| sqrt(log^5 m))
     norm_ratio_x: np.ndarray       # (T, s)
+    norm_min: np.ndarray           # (T,) min block norm over nodes
+    norm_max: np.ndarray           # (T,)
     incoh_x: np.ndarray            # (T,) max |a_il^H x~| / ||x~||
-    incoh_x_scale: float           # sqrt(log m)
     incoh_h: np.ndarray            # (T,) max |b_l^H h~| / ||h~||
+    incoh_x_scale: float           # sqrt(log m)
     incoh_h_scale: float           # (mu/sqrt(m)) log^2 m
-
-    def write_csv(self, path: str) -> None:
-        """Long format: one row per iteration per quantity (node -1 = scalar),
-        numbers at 17 significant digits, formatted with a single ``%``.
-
-        Every iteration has the same rows, so one iteration's template, with
-        the quantity, node and scale written in as text, repeats over the
-        file and takes a (t, value) pair per row.
-        """
-        per_node = ["loo_dist", "loo_signal_h", "loo_signal_x", "sign_dist_h",
-                    "sign_dist_x", "double_diff_h", "double_diff_x",
-                    "norm_ratio_h", "norm_ratio_x"]
-        scalars = [("norm_min", ""), ("norm_max", ""),
-                   ("incoh_x", "%.17g" % self.incoh_x_scale),
-                   ("incoh_h", "%.17g" % self.incoh_h_scale)]
-        s = self.loo_dist.shape[1]
-        per_iter = "".join(["%%d,%s,%d,%%.17g,\r\n" % (name, i)
-                            for name in per_node for i in range(s)]
-                           + ["%%d,%s,-1,%%.17g,%s\r\n" % pair for pair in scalars])
-        values = np.concatenate([getattr(self, name) for name in per_node]
-                                + [getattr(self, name)[:, None] for name, _ in scalars],
-                                axis=1)                              # (T, rows)
-        pairs = np.empty(values.shape + (2,), dtype=object)
-        pairs[..., 0] = np.asarray(self.t)[:, None]
-        pairs[..., 1] = values
-        with open(path, "w", newline="") as fh:
-            fh.write("t,quantity,node,value,scale\r\n"
-                     + (per_iter * len(values)) % tuple(pairs.ravel().tolist()))
 
 
 def canonicalize_instance(inst: ProblemInstance) -> ProblemInstance:
@@ -287,7 +260,7 @@ def _loo_weights(m: int, indices: Sequence[int]) -> np.ndarray:
     rows = np.ones((1 + len(indices), m))
     for k, l in enumerate(indices):
         if not 0 <= l < m:
-            raise IndexError(f"sample index {l} outside [0, {m})")
+            raise ParameterError(f"sample index {l} outside [0, {m})")
         rows[k + 1, l] = 0.0
     return rows
 

@@ -305,7 +305,7 @@ def write_csv_rows(path, header, tables):
 
 
 def write_hypotheses_rows(report, path):
-    """``HypothesisReport.write_csv`` one row at a time, each row through its
+    """``cli._write_hypotheses_csv`` one row at a time, each row through its
     own ``%``."""
     per_node = ["loo_dist", "loo_signal_h", "loo_signal_x", "sign_dist_h",
                 "sign_dist_x", "double_diff_h", "double_diff_x",

@@ -134,6 +134,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^cannot read config file: "):
             bc.parse_config(str(tmp_path / name))
 
+    def test_non_utf8_file_is_a_config_error(self, tmp_path, capsys):
+        # one Latin-1 byte, in a comment
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"# caf\xe9\npreset = noise-sweep\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file: ")
+        assert not out.exists()
+
     def test_key_given_twice_rejected(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text("preset = noise-sweep\nK = 12\ntrials = 2\nK=14\n")
@@ -709,13 +719,14 @@ class TestMainEntry:
         ["--preset", "fig1-convergence", "--K", "4", "--sigma-w-grid", "10"],
         ["--preset", "noise-sweep", "--s", "0"],
         ["--preset", "noise-sweep", "--q", "1,1"],
+        ["--preset", "noise-sweep", "--sigma-w-grid", "1e-320,1"],
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
             "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
             "sigma_w_grid_repeated", "max_iters", "loo_samples", "seed",
             "jobs_negative", "jobs_zero", "tol_nan", "tol_negative", "K_text",
             "tol_negative_exponent", "sigma2_e_negative_exponent",
             "sigma_w_grid_negative_first", "sigma_w_grid_single_any_preset",
-            "s_zero", "q_length"])
+            "s_zero", "q_length", "sigma_w_grid_subnormal"])
     def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2

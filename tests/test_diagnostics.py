@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
-from blaircomp import diagnostics, metrics
+from blaircomp import cli, diagnostics, metrics
 from blaircomp.diagnostics import _loo_weights
 from blaircomp.errors import ParameterError
 
@@ -104,7 +104,7 @@ class TestLeaveOneOut:
 
     def test_invalid_index_rejected(self, small_instance):
         for index in (small_instance.m, -1):
-            with pytest.raises(IndexError):
+            with pytest.raises(ParameterError):
                 _loo_weights(small_instance.m, [index])
 
     def test_gradient_additivity(self):
@@ -349,7 +349,7 @@ class TestMeasureHypotheses:
     def test_csv_round_trip(self, small_suite, tmp_path):
         _, _, _, report = small_suite
         path = tmp_path / "hyp.csv"
-        report.write_csv(str(path))
+        cli._write_hypotheses_csv(str(path), report)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         quantities = {row["quantity"] for row in rows}
@@ -364,7 +364,7 @@ class TestMeasureHypotheses:
         # one row fewer than the suite's four leaves every loo column NaN
         inst, plain, flipped, _ = small_suite
         report = bc.measure_hypotheses(plain[:rows], flipped[:rows], inst)
-        report.write_csv(str(tmp_path / "fast.csv"))
+        cli._write_hypotheses_csv(str(tmp_path / "fast.csv"), report)
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "quantity", "node", "value", "scale"])
@@ -407,12 +407,30 @@ class TestMeasureHypotheses:
             report = replace(report, **{f.name: getattr(report, f.name)[:n_t]
                                         for f in fields(report)
                                         if not f.name.endswith("_scale")})
-        report.write_csv(str(tmp_path / "fast.csv"))
+        cli._write_hypotheses_csv(str(tmp_path / "fast.csv"), report)
         write_hypotheses_rows(report, str(tmp_path / "ref.csv"))
         fast = (tmp_path / "fast.csv").read_bytes()
         assert fast == (tmp_path / "ref.csv").read_bytes()
         assert fast.count(b"\r\n") == 1 + len(report.t) * (9 * s + 4)
         assert (b",nan," in fast) == (n_drop == 0)
+
+    def test_csv_writer_peak_memory_is_bounded(self, tmp_path):
+        # A 2000-iteration run at s = 2: one '%' over the whole file holds
+        # every value as a Python float, its tuple and its text at once,
+        # about 7 MiB; chunked, the writer holds its (t, value) table and
+        # one chunk.
+        rng = np.random.default_rng(12)
+        n_t, s = 2001, 2
+        report = bc.HypothesisReport(**{
+            f.name: (np.arange(n_t) if f.name == "t" else float(rng.uniform())
+                     if f.name.endswith("_scale") else
+                     rng.uniform(size=(n_t, s) if f.name.startswith(
+                         ("loo", "sign", "double", "norm_ratio")) else n_t))
+            for f in fields(bc.HypothesisReport)})
+        arrays = sum(v.nbytes for v in asdict(report).values()
+                     if isinstance(v, np.ndarray))
+        _, peak = traced_peak(cli._write_hypotheses_csv, str(tmp_path / "h.csv"), report)
+        assert peak < 3 * arrays + 2**20
 
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("n_t", [1, 32, 33, 71])
