@@ -38,6 +38,9 @@ _PRESETS: Dict[str, Dict] = {
 PRESET_NAMES = tuple(_PRESETS)
 
 _NOISE_FIT_WINDOW = 10
+# The smallest sigma_w: its noise scale sqrt(0.5 / sigma_w) is 1e100, so the
+# squared noisy errors of the fit stay far from overflow.
+_MIN_SIGMA_W = 5e-201
 _CSV_CHUNK_FIELDS = 8192
 # Design-tensor bytes of the trials that share one lockstep solve.  Past it a
 # stacked block costs more per trial, not less, as it outgrows the cache; a
@@ -122,9 +125,9 @@ class ExperimentConfig:
         grid = self.sigma_w_grid
         if grid is not None and len(set(grid)) < max(2, len(grid)):
             raise ConfigError("sigma_w_grid needs at least two distinct values")
-        if grid is not None and not all(0 < v < np.inf and 0.5 / v < np.inf for v in grid):
-            raise ConfigError("every sigma_w_grid value must be finite and > 0, "
-                              "with a finite noise scale sqrt(0.5 / value)")
+        if grid is not None and not all(_MIN_SIGMA_W <= v < np.inf for v in grid):
+            raise ConfigError(f"every sigma_w_grid value must be finite and >= {_MIN_SIGMA_W:g}, "
+                              "so that its noise scale sqrt(0.5 / value) is at most 1e100")
 
     def solver_settings(self) -> SolverSettings:
         return SolverSettings(eta=self.eta, max_iters=self.max_iters, tol=self.tol,

@@ -325,12 +325,19 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
                     if not len(runs):
                         break
 
+    # One column at a time, each dropped from every block once every run has
+    # its copy, so the blocks and the traces overlap by one column at most.
+    finished = [r for r in range(n_runs) if errors[r] is None]
+    blocks = list({id(cols): cols for log in logs for cols, _, _ in log}.values())
+    columns: Dict[int, Dict[str, np.ndarray]] = {r: {} for r in finished}
+    for name in list(blocks[0]) if blocks else ():
+        for r in finished:
+            columns[r][name] = np.concatenate([cols[name][:n, k] for cols, k, n in logs[r]])
+        for cols in blocks:
+            del cols[name]
     traces: List[Optional[StateTrace]] = [None] * n_runs
-    for r in range(n_runs):
-        if errors[r] is not None:
-            continue
-        run = {name: np.concatenate([cols[name][:n, k] for cols, k, n in logs[r]])
-               for name in logs[r][0][0]}
+    for r in finished:
+        run = columns.pop(r)
         t_r, loss_r, h, x = (run.pop(name) for name in ("t", "loss", "h", "x"))
         k = r if len(truths.q) > 1 else 0
         traces[r] = StateTrace(

@@ -720,13 +720,14 @@ class TestMainEntry:
         ["--preset", "noise-sweep", "--s", "0"],
         ["--preset", "noise-sweep", "--q", "1,1"],
         ["--preset", "noise-sweep", "--sigma-w-grid", "1e-320,1"],
+        ["--preset", "noise-sweep", "--sigma-w-grid", "3e-309,1"],
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
             "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
             "sigma_w_grid_repeated", "max_iters", "loo_samples", "seed",
             "jobs_negative", "jobs_zero", "tol_nan", "tol_negative", "K_text",
             "tol_negative_exponent", "sigma2_e_negative_exponent",
             "sigma_w_grid_negative_first", "sigma_w_grid_single_any_preset",
-            "s_zero", "q_length", "sigma_w_grid_subnormal"])
+            "s_zero", "q_length", "sigma_w_grid_subnormal", "sigma_w_grid_overflow"])
     def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2

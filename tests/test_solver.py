@@ -15,7 +15,7 @@ from helpers import (brute_force_gradient, brute_force_hessian_x_block,
                      brute_force_loss, draw_direction, explicit_sign_flip,
                      gradient_and_loss_reference, gradient_inner,
                      hessian_quadratic_form, measurement_factors_reference,
-                     population_gradient)
+                     population_gradient, traced_peak)
 
 
 def _kernel_case(m, layout, weights):
@@ -770,6 +770,53 @@ class TestMetricBlocks:
         assert batch.runs[0].stop_reason == "tol" and batch.runs[0].n_iters == 0
         assert batch.runs[1] is None
         assert str(batch.errors[1]) == str(single.value)
+
+
+def _trace_arrays(trace):
+    """The arrays a trace holds: its columns, the metric columns the loop
+    computed (none are computed here) and its truth."""
+    return [trace.t, trace.loss, trace.h, trace.x, *(trace._metrics or {}).values(),
+            trace.truth.h, trace.truth.x, trace.truth.q]
+
+
+def _staggered_runs():
+    """Eight lockstep runs at a tolerance, each stopping in its own block of
+    log points: the k-th run's weights are 0.8^k, so its steps shrink."""
+    inst = bc.make_instance(1, 4, 4, 80, seed=3)
+    z0 = bc.random_init(1, 4, 4, np.random.default_rng(4))
+    weights = (0.8 ** np.arange(8))[:, None] * np.ones(inst.m)
+    return (inst, z0, bc.SolverSettings(eta=0.1, max_iters=1000, tol=1e-6), weights)
+
+
+class TestTraceAssembly:
+    """run_wf builds its traces one column at a time, dropping each column
+    from the settled blocks once every run has its copy, so the traces and
+    the blocks overlap by one column, not by all of them."""
+
+    @pytest.mark.parametrize("case", ["long_run", "staggered_runs"])
+    def test_peak_stays_near_the_traces(self, case):
+        if case == "long_run":
+            inst = bc.make_instance(2, 16, 16, 40, seed=1)
+            z0 = bc.random_init(2, 16, 16, np.random.default_rng(2))
+            trace, peak = traced_peak(bc.run_wf, inst, z0, bc.SolverSettings(max_iters=2000))
+            traces = [trace]
+            assert len(trace.t) == 2001
+        else:
+            batch, peak = traced_peak(bc.run_wf, *_staggered_runs())
+            traces = batch.runs
+            assert len({tr.n_iters // solver._METRIC_BLOCK for tr in traces}) == 8
+        held = sum(a.nbytes for tr in traces for a in _trace_arrays(tr))
+        # Holding every block until the last copy exists reads about 2x.
+        assert peak < 1.6 * held
+
+    def test_columns_own_their_data(self):
+        # A view into a settled block would keep every run's blocks alive for
+        # as long as one run's trace is kept.
+        batch = bc.run_wf(*_staggered_runs())
+        for trace in batch.runs:
+            assert trace._metrics is not None
+            for a in _trace_arrays(trace):
+                assert a.base is None
 
 
 class TestHessianXBlock:
