@@ -42,9 +42,10 @@ _NOISE_FIT_WINDOW = 10
 # squared noisy errors of the fit stay far from overflow.
 _MIN_SIGMA_W = 5e-201
 _CSV_CHUNK_FIELDS = 8192
-# Design-tensor bytes of the trials that share one lockstep solve.  Past it a
-# stacked block costs more per trial, not less, as it outgrows the cache; a
-# trial above it runs alone.
+# Design-tensor bytes of the trials that share one lockstep solve.  It bounds
+# the memory of a block's stacked designs (without it, four fig1-convergence
+# trials at s=10, K=N=20, m=1000 would stack 12.8 MB), not its time: a 16 MiB
+# cap is no slower.  A trial above it runs alone.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -111,23 +112,22 @@ class ExperimentConfig:
             raise ConfigError("jobs must be >= 1")
         if self.loo_samples < 0:
             raise ConfigError("loo_samples must be >= 0")
-        try:
-            self.solver_settings()
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
         if not 0 <= self.sigma2_e < np.inf:
             raise ConfigError("sigma2_e must be finite and >= 0")
         if self.q is not None and len(self.q) != self.s:
             raise ConfigError(f"q must list {self.s} values")
         if self.q is not None and not all(0 < v <= 1 for v in self.q):
             raise ConfigError("every q value must lie in (0, 1]")
-        # The noise sweep fits a line through one point per sigma_w value.
         grid = self.sigma_w_grid
-        if grid is not None and len(set(grid)) < max(2, len(grid)):
-            raise ConfigError("sigma_w_grid needs at least two distinct values")
         if grid is not None and not all(_MIN_SIGMA_W <= v < np.inf for v in grid):
             raise ConfigError(f"every sigma_w_grid value must be finite and >= {_MIN_SIGMA_W:g}, "
                               "so that its noise scale sqrt(0.5 / value) is at most 1e100")
+        try:
+            self.solver_settings()
+            if grid is not None:        # in range, so each value has a dB value
+                _check_sigma_w_db(grid)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def solver_settings(self) -> SolverSettings:
         return SolverSettings(eta=self.eta, max_iters=self.max_iters, tol=self.tol,
@@ -384,15 +384,22 @@ def _noise_sweep_rows(trace, sigma_w_grid: Sequence[float],
     return rows.reshape(-1, 4)
 
 
+def _check_sigma_w_db(grid: Sequence[float]) -> None:
+    """The noise sweep fits a line through one point per sigma_w value, at
+    its dB value: two values that differ only in their last bits can share
+    one, so the values must be two or more and distinct in dB."""
+    if len(grid) < 2 or len(np.unique(10.0 * np.log10(grid))) < len(grid):
+        raise ParameterError("sigma_w_grid needs at least two values, distinct in dB")
+
+
 def fit_noise_slope(sigma_w_grid: Sequence[float], tables: Sequence[np.ndarray]) -> Dict:
     """Slope of error(dB) against sigma_w(dB), using the RMS noisy error over
     the last logged iterations of each trial (noise-dominated regime).
     ``tables`` are the trials' rows as ``_noise_sweep_rows`` lays them out,
     (T*G, 4) iteration-major over the G grid values, for any number T of
-    log points; a line needs two or more grid values, all distinct."""
+    log points; a line needs two or more grid values, all distinct in dB."""
     grid = np.asarray(sigma_w_grid, dtype=float)
-    if len(grid) < 2 or len(np.unique(grid)) < len(grid):
-        raise ParameterError("the noise slope needs at least two distinct sigma_w")
+    _check_sigma_w_db(grid)
     # (trials * window, G), each column in the (trial, t) order the mean sums
     errs = np.concatenate([rows.reshape(-1, len(grid), 4)[-_NOISE_FIT_WINDOW:, :, 3]
                            for rows in tables])

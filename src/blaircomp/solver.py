@@ -9,7 +9,7 @@ block's squared norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -73,7 +73,8 @@ class StateTrace:
     """Per-logged-iteration history of a solver run plus run metadata.
 
     The sizes, ``final``, ``n_iters`` and ``converged`` are read from the
-    arrays and the stop reason.  The truth metrics are read-only columns.
+    arrays and the stop reason.  The truth metrics are read-only columns,
+    one per ``MetricSnapshot`` field, each with a leading log-point axis.
     ``run_wf`` computes them in its loop only when a tolerance needs them;
     otherwise the first read fills them all, with one ``snapshot_metrics``
     call over every log point.
@@ -98,20 +99,15 @@ class StateTrace:
     final = property(lambda self: Iterate(h=self.h[-1], x=self.x[-1]))   # at n_iters
     q = property(lambda self: self.truth.q)
 
-    relative_error = _metric("relative_error")    # (T,)
-    dist = _metric("dist")                        # (T,)
-    alpha_h = _metric("alpha_h")                  # (T, s) complex
-    beta_h = _metric("beta_h")                    # (T, s)
-    alpha_x = _metric("alpha_x")                  # (T, s) complex
-    beta_x = _metric("beta_x")                    # (T, s)
-    rmse_x = _metric("rmse_x")                    # (T, s)
-    omega = _metric("omega")      # (T, s) complex truth alignment of each node
-
     def _metric_columns(self) -> Dict[str, np.ndarray]:
         if self._metrics is None:
             self._metrics = vars(
                 metrics.snapshot_metrics(Iterate(h=self.h, x=self.x), self.truth))
         return self._metrics
+
+
+for _field in fields(metrics.MetricSnapshot):
+    setattr(StateTrace, _field.name, _metric(_field.name))
 
 
 @dataclass
@@ -241,6 +237,7 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     truths = rows.truth              # every run's; ``rows`` drops runs that retire
     block_len = max(1, _METRIC_BLOCK // settings.cadence)   # in log points
     pending: List[tuple] = []        # (t, loss, h, x) of unsettled log points
+    blocks: List[Dict[str, np.ndarray]] = []              # each settled block's columns
     logs: List[List[tuple]] = [[] for _ in range(n_runs)]  # (columns, k, n) per block
     converged = np.zeros(n_runs, dtype=bool)
     errors: List[Optional[BlaircompError]] = [None] * n_runs
@@ -286,6 +283,7 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
             snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), rows.truth)
             values.update(vars(snap))
             stop = snap.relative_error <= settings.tol
+        blocks.append(values)
         met, first = stop.any(axis=0), stop.argmax(axis=0)
         for k, n in enumerate(np.where(met, first + 1, len(t_b))):
             logs[runs[k]].append((values, k, n))     # its first n points, column k
@@ -328,7 +326,6 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     # One column at a time, each dropped from every block once every run has
     # its copy, so the blocks and the traces overlap by one column at most.
     finished = [r for r in range(n_runs) if errors[r] is None]
-    blocks = list({id(cols): cols for log in logs for cols, _, _ in log}.values())
     columns: Dict[int, Dict[str, np.ndarray]] = {r: {} for r in finished}
     for name in list(blocks[0]) if blocks else ():
         for r in finished:

@@ -461,8 +461,10 @@ class TestArtifactWriters:
             assert (cli.fit_noise_slope(grid, tables)
                     == fit_noise_slope_loop(np.concatenate(tables)))
 
-    @pytest.mark.parametrize("grid", [[10.0], [], [1.0, 10.0, 1.0]],
-                             ids=["one_sigma_w", "no_rows", "repeated_sigma_w"])
+    @pytest.mark.parametrize("grid", [[10.0], [], [1.0, 10.0, 1.0],
+                                      [1e300, 1.0000000000000002e300]],
+                             ids=["one_sigma_w", "no_rows", "repeated_sigma_w",
+                                  "same_db_sigma_w"])
     def test_fit_noise_slope_needs_two_sigma_w(self, grid):
         tables = [np.array([[0, t, sigma_w, 0.1 + 0.01 * t]
                             for t in range(20) for sigma_w in grid]).reshape(-1, 4)]
@@ -721,13 +723,15 @@ class TestMainEntry:
         ["--preset", "noise-sweep", "--q", "1,1"],
         ["--preset", "noise-sweep", "--sigma-w-grid", "1e-320,1"],
         ["--preset", "noise-sweep", "--sigma-w-grid", "3e-309,1"],
+        ["--preset", "noise-sweep", "--sigma-w-grid", "1e300,1.0000000000000002e300"],
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
             "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
             "sigma_w_grid_repeated", "max_iters", "loo_samples", "seed",
             "jobs_negative", "jobs_zero", "tol_nan", "tol_negative", "K_text",
             "tol_negative_exponent", "sigma2_e_negative_exponent",
             "sigma_w_grid_negative_first", "sigma_w_grid_single_any_preset",
-            "s_zero", "q_length", "sigma_w_grid_subnormal", "sigma_w_grid_overflow"])
+            "s_zero", "q_length", "sigma_w_grid_subnormal", "sigma_w_grid_overflow",
+            "sigma_w_grid_same_db"])
     def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2
