@@ -9,7 +9,7 @@ signals are rotated onto the first basis vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -117,17 +117,28 @@ def run_diagnostics_suite(inst: ProblemInstance, z0: Iterate,
 
     Lockstep ``run_wf`` calls, on ``inst`` and on its sign-flipped
     ensemble, each family with 1+L weight rows: all ones, then one row per
-    dropped sample of ``loo_indices``.  A family's rows go ``_SUITE_ROWS``
-    to a call, so no call holds per-step factors for more rows than that;
-    rows are independent, so their traces do not depend on the groups.
-    Returns both families' traces in row order, (base, loo_1..L) and
-    (sign, sign_loo_1..L); row k of both dropped the same sample.  The
-    first failed row, in row order, raises its error.
+    dropped sample of ``loo_indices``.  One stop holds for every row: only
+    the base run tests ``settings.tol``, and every auxiliary row runs with
+    none to the base run's last iteration, so it logs the base run's log
+    points and aligns nothing to the truth in the solver loop.  With a
+    finite tolerance the base runs alone first (a base that stops at t = 0
+    still gives the rows the one step a run takes); with none the stop is
+    ``max_iters`` and the base is row 0 of its family.  A family's rows
+    go ``_SUITE_ROWS`` to a call, so no call holds per-step factors for more
+    rows than that; rows are independent, so their traces do not depend on
+    the groups.  Returns both families' traces in row order, (base,
+    loo_1..L) and (sign, sign_loo_1..L); row k of both dropped the same
+    sample.  The first failed row, in row order, raises its error.
     """
     weights = _loo_weights(inst.m, loo_indices)
-    plain = _run_rows(inst, z0, settings, weights)
+    stop, plain = settings.max_iters, []
+    if np.isfinite(settings.tol):
+        plain = [run_wf(inst, z0, settings)]
+        stop = max(plain[0].n_iters, 1)
+    rows = replace(settings, tol=np.inf, max_iters=stop)
+    plain += _run_rows(inst, z0, rows, weights[len(plain):])
     inst_sgn = apply_sign_flips(inst, sample_sign_flips(inst.s, inst.m, rng))
-    return plain, _run_rows(inst_sgn, z0, settings, weights)
+    return plain, _run_rows(inst_sgn, z0, rows, weights)
 
 
 def _run_rows(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
@@ -142,6 +153,8 @@ def _run_rows(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
 def select_loo_indices(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of dropped-sample indices (checking all m takes m + 1
     weight rows in each of the suite's two families)."""
+    if not (isinstance(count, (int, np.integer)) and count >= 0):
+        raise ParameterError(f"dropped-sample count must be an integer >= 0, got {count}")
     count = min(count, m)
     return np.sort(rng.choice(m, size=count, replace=False))
 
@@ -149,11 +162,14 @@ def select_loo_indices(m: int, count: int, rng: np.random.Generator) -> np.ndarr
 def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace],
                        inst: ProblemInstance) -> HypothesisReport:
     """Evaluate the distance/norm/incoherence quantities the induction
-    hypotheses bound, for every iteration logged in all runs.
+    hypotheses bound, at every log point of the base run.
 
     ``plain`` and ``flipped`` are the two trace lists of
-    ``run_diagnostics_suite``, paired by position.  Base iterates are aligned
-    to ``inst.truth`` with the omega the base run logged, and the sign run to
+    ``run_diagnostics_suite``, paired by position.  Every row of the suite
+    runs to the base run's stop, so the report covers the base run's log
+    points, those of the trial's ``trace.csv``; a row that logged fewer
+    raises ``DimensionMismatchError``.  Base iterates are aligned to
+    ``inst.truth`` with the omega the base run logged, and the sign run to
     the aligned base.  The leave-one-out rows are taken ``_LOO_ROWS`` pairs
     at a time: one batched call aligns plain row k to the aligned base and
     flipped row k to the aligned sign run over all iterations, and per-run
@@ -173,7 +189,10 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
         raise ParameterError(f"the hypothesis scales need log m > 0, got m={inst.m}")
     base, sign = plain[0], flipped[0]
     truth = inst.truth
-    n_t = min(len(tr.t) for tr in (*plain, *flipped))
+    n_t = len(base.t)
+    if min(len(tr.t) for tr in (*plain, *flipped)) < n_t:
+        raise DimensionMismatchError(
+            f"every run needs the base run's {n_t} log points, some logged fewer")
     mu = metrics.incoherence(truth, inst.b_rows)
     m = inst.m
     log_m = np.log(m)
@@ -259,8 +278,8 @@ def _loo_weights(m: int, indices: Sequence[int]) -> np.ndarray:
     ``indices[k]``."""
     rows = np.ones((1 + len(indices), m))
     for k, l in enumerate(indices):
-        if not 0 <= l < m:
-            raise ParameterError(f"sample index {l} outside [0, {m})")
+        if not (isinstance(l, (int, np.integer)) and 0 <= l < m):
+            raise ParameterError(f"sample index {l} is not an integer in [0, {m})")
         rows[k + 1, l] = 0.0
     return rows
 

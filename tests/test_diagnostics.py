@@ -103,9 +103,12 @@ class TestLeaveOneOut:
         assert np.array_equal(trace.final.x, z0.x)
 
     def test_invalid_index_rejected(self, small_instance):
-        for index in (small_instance.m, -1):
+        for index in (small_instance.m, -1, 2.5):
             with pytest.raises(ParameterError):
                 _loo_weights(small_instance.m, [index])
+        for count in (-1, 2.5):
+            with pytest.raises(ParameterError, match="count"):
+                bc.select_loo_indices(small_instance.m, count, np.random.default_rng(0))
 
     def test_gradient_additivity(self):
         inst = bc.make_instance(2, 4, 4, 30, seed=7)
@@ -189,9 +192,10 @@ class TestLeaveOneOut:
         assert str(suite.value) == str(alone.value)
 
     def test_row_groups_match_one_call(self, monkeypatch):
-        # L = 40: each family's 41 rows go in calls of 32 and 9, and give the
-        # traces of all 41 rows in one call, bit for bit.  With a tolerance
-        # the rows stop on their own log points.
+        # L = 40 with a tolerance: the base runs alone, then the 40 plain
+        # and 41 flipped rows go in calls of 32 and 8 and of 32 and 9, and
+        # give the traces of one call per family, bit for bit.  Every row
+        # stops where the base met the tolerance.
         inst = bc.canonicalize_instance(bc.make_instance(2, 4, 4, 60, seed=23))
         z0 = bc.random_init(2, 4, 4, np.random.default_rng(24))
         settings = bc.SolverSettings(eta=0.1, max_iters=150, tol=1e-3)
@@ -199,8 +203,8 @@ class TestLeaveOneOut:
         rows = []
         real = diagnostics.run_wf
 
-        def counted(inst, z0, settings, sample_weights):
-            rows.append(len(sample_weights))
+        def counted(inst, z0, settings, sample_weights=None):
+            rows.append(None if sample_weights is None else len(sample_weights))
             return real(inst, z0, settings, sample_weights=sample_weights)
 
         monkeypatch.setattr(diagnostics, "run_wf", counted)
@@ -209,18 +213,60 @@ class TestLeaveOneOut:
         monkeypatch.setattr(diagnostics, "_SUITE_ROWS", 41)
         whole = bc.run_diagnostics_suite(inst, z0, settings, loo,
                                          np.random.default_rng(26))
-        assert rows == [32, 9, 32, 9, 41, 41]
-        stops = set()
+        assert rows == [None, 32, 8, 32, 9, None, 40, 41]
+        assert grouped[0][0].converged and grouped[0][0].n_iters < settings.max_iters
         for got, want in zip([*grouped[0], *grouped[1]], [*whole[0], *whole[1]]):
             assert got.stop_reason == want.stop_reason
-            stops.add(got.n_iters)
+            assert got.n_iters == grouped[0][0].n_iters
             for name in ("t", "loss", "h", "x", "relative_error", "omega"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        assert len(stops) > 1
+
+    def test_every_row_runs_to_the_base_stop(self):
+        # Rows that would meet the tolerance on their own stop before the
+        # base (the flipped rows near t = 70, the base at t = 90); they run
+        # on to the base's stop instead, so the report covers every point
+        # the base logged.
+        inst = bc.canonicalize_instance(bc.make_instance(2, 4, 4, 60, seed=56))
+        z0 = bc.random_init(2, 4, 4, np.random.default_rng(57))
+        settings = bc.SolverSettings(eta=0.1, max_iters=120, tol=1e-2)
+        loo = bc.select_loo_indices(inst.m, 4, np.random.default_rng(58))
+        plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, loo,
+                                                  np.random.default_rng(59))
+        base = plain[0]
+        assert base.converged and base.n_iters < settings.max_iters
+        for trace in [*plain[1:], *flipped]:
+            assert trace.t.tobytes() == base.t.tobytes()
+            assert trace.stop_reason == "max_iters"
+        report = bc.measure_hypotheses(plain, flipped, inst)
+        assert len(report.t) == len(base.t)
+
+    def test_tolerance_met_at_the_start(self):
+        # tol = 10 holds at z0: the base stops at t = 0, and the rows take
+        # the one step a run needs, whose point the report does not read.
+        # The report is the first log point of a one-step suite's.
+        inst = bc.canonicalize_instance(bc.make_instance(2, 4, 4, 60, seed=13))
+        z0 = bc.random_init(2, 4, 4, np.random.default_rng(14))
+
+        def suite(**kw):
+            plain, flipped = bc.run_diagnostics_suite(
+                inst, z0, bc.SolverSettings(eta=0.1, **kw), [2, 5, 9],
+                np.random.default_rng(15))
+            return plain, bc.measure_hypotheses(plain, flipped, inst)
+
+        plain, report = suite(max_iters=50, tol=10.0)
+        _, one_step = suite(max_iters=1, tol=np.inf)
+        assert [tr.n_iters for tr in plain] == [0, 1, 1, 1]
+        assert report.t.tolist() == [0]
+        for f in fields(report):
+            got, want = getattr(report, f.name), getattr(one_step, f.name)
+            want = want if f.name.endswith("_scale") else want[:1]
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
 
     def test_suite_aligns_only_the_rows_it_reads(self, monkeypatch):
         # With no tolerance the runs align nothing to the truth; the first
-        # read of a metric aligns the base run's log points, once.
+        # read of a metric aligns the base run's log points, once.  With a
+        # tolerance only the base run tests it: the suite aligns the pairs
+        # of the base run alone, and the base keeps their metrics.
         inst = bc.canonicalize_instance(bc.make_instance(2, 4, 4, 60, seed=13))
         z0 = bc.random_init(2, 4, 4, np.random.default_rng(14))
         settings = bc.SolverSettings(eta=0.1, max_iters=20, tol=np.inf)
@@ -240,6 +286,24 @@ class TestLeaveOneOut:
         plain[0].relative_error
         plain[0].omega
         assert calls == {"align_pair": 1, "snapshot_metrics": 1}
+
+        pairs = []
+        real = metrics.align_pair
+
+        def count_pairs(h, *args):
+            pairs.append(h[..., 0].size)
+            return real(h, *args)
+
+        monkeypatch.setattr(metrics, "align_pair", count_pairs)
+        settings = replace(settings, max_iters=60, tol=0.1)
+        base = bc.run_wf(inst, z0, settings)
+        assert base.converged and base.n_iters < settings.max_iters
+        alone = sum(pairs)
+        pairs.clear()
+        plain, flipped = bc.run_diagnostics_suite(inst, z0, settings, [2, 5, 9],
+                                                  np.random.default_rng(15))
+        plain[0].relative_error
+        assert sum(pairs) == alone
 
     def test_all_dropped_samples_give_the_max_over_single_drops(self):
         # loo_samples = m: each leave-one-out column is the max, over l, of
@@ -524,6 +588,15 @@ class TestMeasureHypotheses:
         inst, plain, flipped, _ = small_suite
         with pytest.raises(bc.DimensionMismatchError):
             bc.measure_hypotheses(plain[:cut[0]], flipped[:cut[1]], inst)
+
+    def test_short_row_rejected(self, small_suite):
+        # A row that logged fewer points than the base run cannot cover the
+        # base's log points, so the report does not end early.
+        inst, plain, flipped, _ = small_suite
+        short = replace(plain[1], _metrics=None, **{name: getattr(plain[1], name)[:5]
+                                                    for name in ("t", "loss", "h", "x")})
+        with pytest.raises(bc.DimensionMismatchError, match="log points"):
+            bc.measure_hypotheses([plain[0], short, *plain[2:]], flipped, inst)
 
 
     def test_single_sample_rejected(self):
