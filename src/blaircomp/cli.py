@@ -583,13 +583,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _numbers_as_values(sys.argv[1:] if argv is None else argv)))
     command = args.pop("command")
     config_path = args.pop("config")
-    if command == "diagnostics":
-        args["preset"] = "diagnostics"
-    elif args.get("preset") is None and config_path is None:
+    if command == "run" and args["preset"] is None and config_path is None:
         run_p.error("need --preset or --config")
 
     try:
-        cfg = parse_config(config_path, args)
+        given = _read_config_file(config_path) if config_path is not None else {}
+        given.update((key, value) for key, value in args.items() if value is not None)
+        if command == "diagnostics":    # its preset; a flag or file may only repeat it
+            preset = given.setdefault("preset", "diagnostics")
+            if preset != "diagnostics":
+                raise ConfigError(f"diagnostics runs the diagnostics preset, not {preset!r}")
+        cfg = parse_config(overrides=given)
         result = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import metrics
-from .ensemble import GroundTruth, ProblemInstance, _complex_gaussian, measurement_factors
+from .ensemble import (GroundTruth, ProblemInstance, _complex_gaussian, _is_count,
+                       measurement_factors)
 from .errors import DimensionMismatchError, ParameterError
 from .solver import Iterate, SolverSettings, StateTrace, run_wf
 
@@ -153,7 +154,7 @@ def _run_rows(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
 def select_loo_indices(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of dropped-sample indices (checking all m takes m + 1
     weight rows in each of the suite's two families)."""
-    if not (isinstance(count, (int, np.integer)) and count >= 0):
+    if not _is_count(count, 0):
         raise ParameterError(f"dropped-sample count must be an integer >= 0, got {count}")
     count = min(count, m)
     return np.sort(rng.choice(m, size=count, replace=False))
@@ -278,7 +279,7 @@ def _loo_weights(m: int, indices: Sequence[int]) -> np.ndarray:
     ``indices[k]``."""
     rows = np.ones((1 + len(indices), m))
     for k, l in enumerate(indices):
-        if not (isinstance(l, (int, np.integer)) and 0 <= l < m):
+        if not (_is_count(l, 0) and l < m):
             raise ParameterError(f"sample index {l} is not an integer in [0, {m})")
         rows[k + 1, l] = 0.0
     return rows

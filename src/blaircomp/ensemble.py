@@ -17,6 +17,12 @@ from .errors import DimensionMismatchError, ParameterError
 _DRAW_SLAB = 8192   # values per rng.normal call in _complex_gaussian
 
 
+def _is_count(value, low: int = 1) -> bool:
+    """An int or numpy integer >= low; a bool is not one."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= low)
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Per-node channel/signal pairs with exact norms ``q_i``."""
@@ -153,6 +159,8 @@ def make_instance(s: int, K: int, N: int, m: int,
     Draw order is fixed (ground truth, design tensor, measurement noise) so
     identical seeds reproduce instances bit-for-bit.
     """
+    if not all(_is_count(d) for d in (s, K, N, m)):
+        raise ParameterError(f"dimensions must be integers >= 1, got {(s, K, N, m)}")
     rng = np.random.default_rng(seed)
     if q is None:
         q = np.ones(s)

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .ensemble import (GroundTruth, ProblemInstance, _complex_gaussian, _rows_product,
-                       _Sizes, measurement_factors)
+from .ensemble import (GroundTruth, ProblemInstance, _complex_gaussian, _is_count,
+                       _rows_product, _Sizes, measurement_factors)
 from .errors import (BlaircompError, DegenerateAlignmentError, DegenerateIterateError,
                      DimensionMismatchError, DivergenceError, ParameterError,
                      UndefinedMetricError)
@@ -58,10 +58,10 @@ class SolverSettings:
             raise ParameterError("eta must be finite and > 0")
         if not self.tol > 0.0:
             raise ParameterError("tol must be > 0")
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
-        if self.cadence < 1:
-            raise ParameterError("cadence must be >= 1")
+        if not _is_count(self.max_iters):
+            raise ParameterError("max_iters must be an integer >= 1")
+        if not _is_count(self.cadence):
+            raise ParameterError("cadence must be an integer >= 1")
 
 
 def _metric(name: str) -> property:
@@ -155,6 +155,8 @@ class _Rows(_Sizes):
 
 def random_init(s: int, K: int, N: int, rng: np.random.Generator) -> Iterate:
     """Gaussian starting point with E||h_i||^2 = E||x_i||^2 = 1, unnormalized."""
+    if not all(_is_count(d) for d in (s, K, N)):
+        raise ParameterError(f"dimensions must be integers >= 1, got {(s, K, N)}")
     return Iterate(h=_complex_gaussian(rng, (s, K), 1.0 / K),
                    x=_complex_gaussian(rng, (s, N), 1.0 / N))
 

@@ -311,15 +311,23 @@ class TestRunExperiment:
                 and timings["jobs"] == 1)
 
     def test_noise_sweep_report(self, tmp_path):
-        cfg = bc.parse_config(overrides=dict(
-            preset="noise-sweep", trials=1, seed=9, max_iters=200,
-            sigma_w_grid="1,100,10000", out=str(tmp_path / "ns"), jobs=1))
-        result = bc.run_experiment(cfg)
-        assert result["ok"]
-        sweep = result["report"]["noise_sweep"]
-        assert len(sweep["points"]) == 3
-        assert -1.5 < sweep["slope_db_per_db"] < -0.5
-        assert os.path.exists(result["paths"]["noise"])
+        def reject(name):
+            raise AssertionError(f"{name} in report.json")
+
+        # The smallest accepted sigma_w, 5e-201, has noise scale 1e100: its
+        # squared noisy errors stay finite, so the report is strict JSON.
+        for k, grid in enumerate(["1,100,10000", "5e-201,1"]):
+            cfg = bc.parse_config(overrides=dict(
+                preset="noise-sweep", trials=1, seed=9, max_iters=200,
+                sigma_w_grid=grid, out=str(tmp_path / f"ns{k}"), jobs=1))
+            result = bc.run_experiment(cfg)
+            assert result["ok"]
+            sweep = result["report"]["noise_sweep"]
+            assert len(sweep["points"]) == len(cfg.sigma_w_grid)
+            assert -1.5 < sweep["slope_db_per_db"] < -0.5
+            assert os.path.exists(result["paths"]["noise"])
+            with open(result["paths"]["report"]) as fh:
+                json.loads(fh.read(), parse_constant=reject)
 
     @pytest.mark.parametrize("s", [1, 3])
     def test_noise_sweep_rows_match_per_row_loop(self, s):
@@ -579,6 +587,29 @@ def _fail_every_trial(monkeypatch):
     monkeypatch.setattr(cli, "make_instance", make_instance)
 
 
+def _main_with_both_trials_failed(capsys, how, argv):
+    """``main(argv)`` with both trials failing: ``forced`` at the instance
+    build, or ``diverged`` for real, under noise of variance 1e300, which
+    overflows the loss at iteration 1.  It exits 1 with a line per trial;
+    returns the report, which report.json holds."""
+    results = []
+    real = cli.run_experiment
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if how == "forced":
+            _fail_every_trial(monkeypatch)
+        else:
+            argv = [*argv, "--sigma2-e", "1e300"]
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg: results.append(real(cfg)) or results[-1])
+        assert main(argv) == 1
+    label = {"forced": "FAILED", "diverged": "DIVERGED"}[how]
+    assert capsys.readouterr().out.count(f": {label} (") == 2
+    (result,) = results
+    with open(result["paths"]["report"]) as fh:
+        assert json.load(fh) == result["report"]
+    return result["report"]
+
+
 class TestTrialFailure:
     # jobs=2 relies on forked workers inheriting the patched module.
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
@@ -612,31 +643,27 @@ class TestTrialFailure:
         keep = ref_cols["trial"] != 1.0
         np.testing.assert_array_equal(cols["loss"], ref_cols["loss"][keep])
 
-    def test_noise_sweep_with_every_trial_failed(self, tmp_path, monkeypatch):
-        _fail_every_trial(monkeypatch)
-        cfg = bc.parse_config(overrides=dict(preset="noise-sweep", trials=2, jobs=1,
-                                             out=str(tmp_path / "ns")))
-        result = bc.run_experiment(cfg)
-        assert not result["ok"]
-        with open(result["paths"]["noise"], "rb") as fh:
-            assert fh.read() == b"trial,t,sigma_w,noisy_relative_error\r\n"
-        assert "noise_sweep" not in result["report"]
-        with open(result["paths"]["report"]) as fh:
-            assert "noise_sweep" not in json.load(fh)
+    def test_noise_sweep_with_every_trial_failed(self, tmp_path, capsys):
+        for how in ("forced", "diverged"):
+            out = tmp_path / how
+            report = _main_with_both_trials_failed(capsys, how, [
+                "run", "--preset", "noise-sweep", "--trials", "2", "--jobs", "1",
+                "--out", str(out)])
+            assert (out / "noise_sweep.csv").read_bytes() == \
+                b"trial,t,sigma_w,noisy_relative_error\r\n"
+            assert "noise_sweep" not in report
 
-    def test_diagnostics_with_every_trial_failed(self, tmp_path, monkeypatch):
-        _fail_every_trial(monkeypatch)
-        cfg = bc.parse_config(overrides=dict(preset="diagnostics", K=4, m=40,
-                                             max_iters=5, loo_samples=1, trials=2,
-                                             jobs=1, out=str(tmp_path / "d")))
-        result = bc.run_experiment(cfg)
-        assert not result["ok"]
-        with open(result["paths"]["report"]) as fh:
-            report = json.load(fh)
-        assert report == result["report"]
-        assert report["concentration"] == [None] * cfg.trials
-        assert "hypotheses_csv" not in report
-        assert not list((tmp_path / "d").glob("hypotheses_*.csv"))
+    def test_diagnostics_with_every_trial_failed(self, tmp_path, capsys):
+        # Two diagnostics trials are two blocks: at jobs=2 they run in a
+        # pool, which the forced failure's patch reaches only through fork.
+        for how, jobs in (("forced", "1"), ("diverged", "2")):
+            out = tmp_path / how
+            report = _main_with_both_trials_failed(capsys, how, [
+                "diagnostics", "--K", "4", "--m", "40", "--max-iters", "5",
+                "--loo-samples", "1", "--trials", "2", "--jobs", jobs, "--out", str(out)])
+            assert report["concentration"] == [None, None]
+            assert "hypotheses_csv" not in report
+            assert not list(out.glob("hypotheses_*.csv"))
 
     def test_failed_suite_ends_only_its_trial(self, tmp_path, monkeypatch, capsys):
         # The suite is the call a diagnostics trial's block shares: its
@@ -802,9 +829,25 @@ class TestMainEntry:
         assert "unknown preset" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path, capsys):
-        code = main(["run", "--preset", "custom", "--s", "1", "--K", "4",
-                     "--N", "4", "--m", "60", "--eta", "1e6", "--max-iters",
-                     "20", "--trials", "1", "--seed", "2", "--jobs", "1",
-                     "--out", str(tmp_path / "div")])
-        assert code == 1
-        assert "DIVERGED" in capsys.readouterr().out
+        for k, (flags, trials) in enumerate([
+                ("--K 4 --N 4 --m 60 --eta 1e6 --max-iters 20 --seed 2", 1),
+                # noise of variance 1e300 overflows the loss at iteration 1
+                ("--K 2 --N 2 --m 4 --eta 0.1 --max-iters 5 --sigma2-e 1e300", 2)]):
+            code = main(["run", "--preset", "custom", "--s", "1", *flags.split(),
+                         "--trials", str(trials), "--jobs", "1",
+                         "--out", str(tmp_path / f"div{k}")])
+            assert code == 1
+            assert capsys.readouterr().out.count("DIVERGED") == trials
+
+    def test_diagnostics_runs_only_its_preset(self, tmp_path, capsys):
+        path = tmp_path / "components.cfg"
+        path.write_text("preset = components\n")
+        for given in (["--preset", "fig1-convergence", "--K", "4", "--m", "40"],
+                      ["--config", str(path)]):
+            out = tmp_path / "d"
+            code = main(["diagnostics", *given, "--max-iters", "5", "--loo-samples", "1",
+                         "--out", str(out)])
+            assert code == 2
+            assert "config error: diagnostics runs the diagnostics preset" in \
+                capsys.readouterr().err
+            assert not out.exists()

@@ -103,10 +103,10 @@ class TestLeaveOneOut:
         assert np.array_equal(trace.final.x, z0.x)
 
     def test_invalid_index_rejected(self, small_instance):
-        for index in (small_instance.m, -1, 2.5):
+        for index in (small_instance.m, -1, 2.5, True):
             with pytest.raises(ParameterError):
                 _loo_weights(small_instance.m, [index])
-        for count in (-1, 2.5):
+        for count in (-1, 2.5, True):
             with pytest.raises(ParameterError, match="count"):
                 bc.select_loo_indices(small_instance.m, count, np.random.default_rng(0))
 

@@ -172,6 +172,24 @@ class TestInstance:
         assert np.array_equal(i1.y, i2.y)
         assert np.array_equal(i1.truth.h, i2.truth.h)
 
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True], ids=["fraction", "float", "bool"])
+    @pytest.mark.parametrize("position", range(4), ids=["s", "K", "N", "m"])
+    def test_non_integer_dimension_rejected(self, position, bad):
+        dims = [1, 4, 4, 40]
+        dims[position] = bad
+        with pytest.raises(ParameterError, match="integers >= 1"):
+            bc.make_instance(*dims, seed=0)
+        if position < 3:                                # m is not random_init's
+            with pytest.raises(ParameterError, match="integers >= 1"):
+                bc.random_init(*dims[:3], np.random.default_rng(0))
+
+    def test_numpy_integer_dimensions_accepted(self):
+        dims = (np.int64(2), np.int32(4), np.int64(3), np.int64(20))
+        inst = bc.make_instance(*dims, seed=5)
+        assert np.array_equal(inst.y, bc.make_instance(2, 4, 3, 20, seed=5).y)
+        z0 = bc.random_init(*dims[:3], np.random.default_rng(1))
+        assert np.array_equal(z0.x, bc.random_init(2, 4, 3, np.random.default_rng(1)).x)
+
     def test_shape_validation(self):
         inst = bc.make_instance(1, 2, 2, 4, seed=0)
         with pytest.raises(DimensionMismatchError):

@@ -278,12 +278,18 @@ class TestSolverSettings:
     @pytest.mark.parametrize("bad", [
         dict(eta=0.0), dict(eta=-0.1), dict(eta=np.nan), dict(eta=np.inf),
         dict(tol=0.0), dict(tol=-1.0), dict(tol=np.nan),
-        dict(max_iters=0), dict(cadence=0),
+        dict(max_iters=0), dict(cadence=0), dict(max_iters=2.5), dict(cadence=1.5),
+        dict(max_iters=True), dict(cadence=True),
     ], ids=["eta_zero", "eta_negative", "eta_nan", "eta_inf", "tol_zero",
-            "tol_negative", "tol_nan", "max_iters", "cadence"])
+            "tol_negative", "tol_nan", "max_iters", "cadence", "max_iters_float",
+            "cadence_float", "max_iters_bool", "cadence_bool"])
     def test_bad_value_rejected(self, bad):
         with pytest.raises(ParameterError):
             bc.SolverSettings(**bad)
+
+    def test_numpy_integers_accepted(self):
+        settings = bc.SolverSettings(max_iters=np.int64(5), cadence=np.int32(2))
+        assert (settings.max_iters, settings.cadence) == (5, 2)
 
 
 class TestRunWf:
