@@ -116,8 +116,9 @@ class ExperimentConfig:
             raise ConfigError("sigma2_e must be finite and >= 0")
         if self.q is not None and len(self.q) != self.s:
             raise ConfigError(f"q must list {self.s} values")
-        if self.q is not None and not all(0 < v <= 1 for v in self.q):
-            raise ConfigError("every q value must lie in (0, 1]")
+        if self.q is not None and not all(1e-100 <= v <= 1 for v in self.q):
+            raise ConfigError("every q value must lie in [1e-100, 1], "
+                              "so that 1 / q**2 is at most 1e200")
         grid = self.sigma_w_grid
         if grid is not None and not all(_MIN_SIGMA_W <= v < np.inf for v in grid):
             raise ConfigError(f"every sigma_w_grid value must be finite and >= {_MIN_SIGMA_W:g}, "
@@ -542,10 +543,11 @@ def _coerce(key: str, value):
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    """``--config``, then one flag per config key, read as text."""
+def _add_common_flags(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
+    """``--config``, then one flag per given config key, read as text."""
     parser.add_argument("--config", help="key = value config file")
-    for key, kind in _KEY_TYPES.items():
+    for key in keys:
+        kind = _KEY_TYPES[key]
         extra = ({"choices": PRESET_NAMES} if key == "preset" else
                  {"help": "comma separated list"} if kind is list else {})
         parser.add_argument("--" + key.replace("_", "-"), **extra)
@@ -574,10 +576,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Blind over-the-air computation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run an experiment preset")
-    _add_common_flags(run_p)
+    _add_common_flags(run_p, list(_KEY_TYPES))
     diag_p = sub.add_parser("diagnostics",
                             help="leave-one-out / sign-flip diagnostics suite")
-    _add_common_flags(diag_p)
+    _add_common_flags(diag_p, [key for key in _KEY_TYPES if key != "preset"])
 
     args = vars(parser.parse_args(
         _numbers_as_values(sys.argv[1:] if argv is None else argv)))
@@ -589,7 +591,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         given = _read_config_file(config_path) if config_path is not None else {}
         given.update((key, value) for key, value in args.items() if value is not None)
-        if command == "diagnostics":    # its preset; a flag or file may only repeat it
+        if command == "diagnostics":    # its preset; a config file may only repeat it
             preset = given.setdefault("preset", "diagnostics")
             if preset != "diagnostics":
                 raise ConfigError(f"diagnostics runs the diagnostics preset, not {preset!r}")

@@ -96,8 +96,8 @@ def sample_ground_truth(s: int, K: int, N: int, q: Sequence[float],
     q = np.asarray(q, dtype=float)
     if q.shape != (s,):
         raise ParameterError(f"q must have length s={s}")
-    if np.any(q <= 0.0) or np.any(q > 1.0):
-        raise ParameterError("all q_i must lie in (0, 1]")
+    if not np.all((q >= 1e-100) & (q <= 1.0)):     # 1 / q**2 stays at most 1e200
+        raise ParameterError("all q_i must lie in [1e-100, 1]")
     h = _complex_gaussian(rng, (s, K), 1.0 / K)
     x = _complex_gaussian(rng, (s, N), 1.0 / N)
     h *= (q / np.linalg.norm(h, axis=1))[:, None]

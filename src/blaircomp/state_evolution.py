@@ -98,28 +98,24 @@ def extract_perturbations(trace) -> PerturbationSeries:
     """Invert the approximate recursions on consecutive logged iterations,
     with the trace's own q and step size eta.
 
-    Works on the component magnitudes (measured alpha may be complex).  Only
-    meaningful when the trace was logged at cadence 1.
+    Works on the magnitudes (measured alpha may be complex) of a cadence-1
+    trace; delta is alpha minus ``population_se_step``'s prediction.
     """
-    q = np.asarray(trace.q, dtype=float)
-    eta = trace.eta
-    a_h = np.abs(np.asarray(trace.alpha_h))
-    a_x = np.abs(np.asarray(trace.alpha_x))
-    b_h = np.asarray(trace.beta_h)
-    b_x = np.asarray(trace.beta_x)
+    if np.any(np.diff(trace.t) != 1):
+        raise ParameterError("perturbations need a trace logged at every iteration")
+    now = _measured_state(trace)
+    pred = population_se_step(now)      # row t predicts row t + 1
+    a_h, b_h, a_x, b_x = now.alpha_h, now.beta_h, now.alpha_x, now.beta_x
+    eta, eta_q = now.eta, now.eta * now.q[None, :]
     den_h = a_h ** 2 + b_h ** 2     # multiplies the x-update terms
     den_x = a_x ** 2 + b_x ** 2
 
-    phi_h = _safe_div((b_h[1:] / _nan_zero(b_h[:-1]) - (1.0 - eta)) * den_x[:-1],
-                      eta * q[None, :])
-    phi_x = _safe_div((b_x[1:] / _nan_zero(b_x[:-1]) - (1.0 - eta)) * den_h[:-1],
-                      eta * q[None, :])
-    delta_h = a_h[1:] - ((1.0 - eta) * a_h[:-1]
-                         + eta * q[None, :] * a_x[:-1] / den_x[:-1])
-    delta_x = a_x[1:] - ((1.0 - eta) * a_x[:-1]
-                         + eta * q[None, :] * a_h[:-1] / den_h[:-1])
-    psi_h = _safe_div(delta_h * den_x[:-1], eta * q[None, :] * _nan_zero(a_h[:-1]))
-    psi_x = _safe_div(delta_x * den_h[:-1], eta * q[None, :] * _nan_zero(a_x[:-1]))
+    phi_h = _safe_div((b_h[1:] / _nan_zero(b_h[:-1]) - (1.0 - eta)) * den_x[:-1], eta_q)
+    phi_x = _safe_div((b_x[1:] / _nan_zero(b_x[:-1]) - (1.0 - eta)) * den_h[:-1], eta_q)
+    delta_h = a_h[1:] - pred.alpha_h[:-1]
+    delta_x = a_x[1:] - pred.alpha_x[:-1]
+    psi_h = _safe_div(delta_h * den_x[:-1], eta_q * _nan_zero(a_h[:-1]))
+    psi_x = _safe_div(delta_x * den_h[:-1], eta_q * _nan_zero(a_x[:-1]))
     return PerturbationSeries(psi_h=psi_h, psi_x=psi_x, phi_h=phi_h, phi_x=phi_x,
                               delta_h=delta_h, delta_x=delta_x)
 
@@ -133,28 +129,21 @@ def detect_stages(trace, gamma: float = 0.1, t1_threshold: float = 1.0,
     iterations where the normalized signal components clear 1/log^5(m)-scale
     and constant thresholds respectively.
     """
-    q = np.asarray(trace.q, dtype=float)
+    now = _measured_state(trace)
+    q, a_h, b_h, a_x, b_x = now.q, now.alpha_h, now.beta_h, now.alpha_x, now.beta_x
     kappa = float(np.max(q) / np.min(q))
-    s = q.size
-    a_h = np.abs(np.asarray(trace.alpha_h))
-    a_x = np.abs(np.asarray(trace.alpha_x))
-    b_h = np.asarray(trace.beta_h)
-    b_x = np.asarray(trace.beta_x)
     t_idx = np.asarray(trace.t)
 
-    thr = gamma / (2.0 * kappa * np.sqrt(s))
+    thr = gamma / (2.0 * kappa * np.sqrt(q.size))
     in_region = ((np.abs(a_h - q[None, :]) <= thr) & (b_h <= thr)
                  & (np.abs(a_x - q[None, :]) <= thr) & (b_x <= thr)).all(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):   # m = 1: never reached
         t1_scale = t1_threshold / np.log(trace.m) ** 5
-    t1_ok = ((a_h / q[None, :]).min(axis=1) >= t1_scale) \
-        & ((a_x / q[None, :]).min(axis=1) >= t1_scale)
-    t2_ok = ((a_h / q[None, :]).min(axis=1) > t2_threshold) \
-        & ((a_x / q[None, :]).min(axis=1) > t2_threshold)
+    signal = (np.minimum(a_h, a_x) / q[None, :]).min(axis=1)   # weakest |alpha_i|/q_i
 
     T_gamma = _first_true(in_region, t_idx)
-    T_1 = _first_true(t1_ok, t_idx)
-    T_2 = _first_true(t2_ok, t_idx)
+    T_1 = _first_true(signal >= t1_scale, t_idx)
+    T_2 = _first_true(signal > t2_threshold, t_idx)
 
     window = np.ones(len(t_idx), dtype=bool) if T_gamma is None else (t_idx <= T_gamma)
     growth_h = _fit_log_ratio(t_idx[window], a_h[window], b_h[window])
@@ -162,6 +151,12 @@ def detect_stages(trace, gamma: float = 0.1, t1_threshold: float = 1.0,
     return StageReport(T_gamma=T_gamma, T_1=T_1, T_2=T_2, gamma=gamma,
                        t1_threshold=t1_threshold, t2_threshold=t2_threshold,
                        growth_rate_h=growth_h, growth_rate_x=growth_x)
+
+
+def _measured_state(trace) -> SEState:
+    """The trace's component magnitudes as (T, s) arrays."""
+    return SEState(np.abs(trace.alpha_h), np.asarray(trace.beta_h), np.abs(trace.alpha_x),
+                   np.asarray(trace.beta_x), np.asarray(trace.q, dtype=float), trace.eta)
 
 
 def _first_true(mask: np.ndarray, t_idx: np.ndarray) -> Optional[int]:

@@ -356,6 +356,19 @@ def trace_from_population(hist, q, m, eta):
                      q=q, m=m, eta=eta)
 
 
+def recursion_deltas(trace):
+    """alpha_{t+1} - [(1 - eta) alpha_t + eta q alpha'_t / (alpha'_t^2 + beta'_t^2)]
+    per block, with alpha' and beta' the partner block's magnitudes."""
+    q = np.asarray(trace.q, dtype=float)
+    eta = trace.eta
+    a_h, a_x = np.abs(trace.alpha_h), np.abs(trace.alpha_x)
+    den_h = a_h ** 2 + np.asarray(trace.beta_h) ** 2
+    den_x = a_x ** 2 + np.asarray(trace.beta_x) ** 2
+    delta_h = a_h[1:] - ((1.0 - eta) * a_h[:-1] + eta * q[None, :] * a_x[:-1] / den_x[:-1])
+    delta_x = a_x[1:] - ((1.0 - eta) * a_x[:-1] + eta * q[None, :] * a_h[:-1] / den_h[:-1])
+    return delta_h, delta_x
+
+
 def run_desk_scale(seed, s=2, K=8, N=8, m=400, eta=0.1, max_iters=500, tol=1e-6):
     """The standard small convergence configuration used across tests."""
     inst = bc.make_instance(s, K, N, m, seed=[1000, seed])

@@ -236,8 +236,10 @@ class TestKeysFromFields:
             main([command, "--help"])
         assert exc.value.code == 0
         listed = re.findall(r"^\s+(--[\w-]+)", capsys.readouterr().out, re.M)
+        # diagnostics runs its own preset, so it has no --preset flag
         assert listed == ["--config"] + [_flag(field.name) for field
-                                         in dataclasses.fields(bc.ExperimentConfig)]
+                                         in dataclasses.fields(bc.ExperimentConfig)
+                                         if command == "run" or field.name != "preset"]
 
 
 def _tiny_cfg(out, **kw):
@@ -751,6 +753,7 @@ class TestMainEntry:
         ["--preset", "noise-sweep", "--sigma-w-grid", "1e-320,1"],
         ["--preset", "noise-sweep", "--sigma-w-grid", "3e-309,1"],
         ["--preset", "noise-sweep", "--sigma-w-grid", "1e300,1.0000000000000002e300"],
+        ["--preset", "noise-sweep", "--q", "1e-160"],
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
             "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
             "sigma_w_grid_repeated", "max_iters", "loo_samples", "seed",
@@ -758,7 +761,7 @@ class TestMainEntry:
             "tol_negative_exponent", "sigma2_e_negative_exponent",
             "sigma_w_grid_negative_first", "sigma_w_grid_single_any_preset",
             "s_zero", "q_length", "sigma_w_grid_subnormal", "sigma_w_grid_overflow",
-            "sigma_w_grid_same_db"])
+            "sigma_w_grid_same_db", "q_underflow"])
     def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2
@@ -840,14 +843,17 @@ class TestMainEntry:
             assert capsys.readouterr().out.count("DIVERGED") == trials
 
     def test_diagnostics_runs_only_its_preset(self, tmp_path, capsys):
-        path = tmp_path / "components.cfg"
+        out = tmp_path / "d"
+        tail = ["--max-iters", "5", "--loo-samples", "1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:      # diagnostics has no --preset flag
+            main(["diagnostics", "--preset", "fig1-convergence", "--K", "4", "--m", "40",
+                  *tail])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --preset" in capsys.readouterr().err
+        assert not out.exists()
+        path = tmp_path / "components.cfg"       # a config file may name a preset
         path.write_text("preset = components\n")
-        for given in (["--preset", "fig1-convergence", "--K", "4", "--m", "40"],
-                      ["--config", str(path)]):
-            out = tmp_path / "d"
-            code = main(["diagnostics", *given, "--max-iters", "5", "--loo-samples", "1",
-                         "--out", str(out)])
-            assert code == 2
-            assert "config error: diagnostics runs the diagnostics preset" in \
-                capsys.readouterr().err
-            assert not out.exists()
+        assert main(["diagnostics", "--config", str(path), *tail]) == 2
+        assert "config error: diagnostics runs the diagnostics preset" in \
+            capsys.readouterr().err
+        assert not out.exists()

@@ -50,7 +50,9 @@ class TestGroundTruth:
         t2 = bc.sample_ground_truth(2, 4, 4, [1, 1], np.random.default_rng(42))
         assert np.array_equal(t1.h, t2.h) and np.array_equal(t1.x, t2.x)
 
-    @pytest.mark.parametrize("bad_q", [[0.0], [-0.1], [1.5], [1.0, 1.0]])
+    # 1e-160 squares below the normal double range; the bound is 1e-100
+    @pytest.mark.parametrize("bad_q", [[0.0], [-0.1], [1.5], [1.0, 1.0], [1e-160],
+                                       [float("nan")]])
     def test_invalid_norms_rejected(self, bad_q):
         with pytest.raises(ParameterError):
             bc.sample_ground_truth(1, 4, 4, bad_q, np.random.default_rng(0))

@@ -4,7 +4,7 @@ import pytest
 import blaircomp as bc
 from blaircomp.errors import ParameterError
 
-from helpers import FakeTrace, run_desk_scale, trace_from_population
+from helpers import FakeTrace, recursion_deltas, run_desk_scale, trace_from_population
 
 
 def _state(alpha_h, beta_h, alpha_x, beta_x, q=1.0, eta=0.1):
@@ -96,6 +96,27 @@ class TestExtractPerturbations:
                           q=np.array([1.0]), m=100, eta=0.1)
         pert = bc.extract_perturbations(trace)
         assert np.isnan(pert.phi_h).all()
+
+    def test_delta_follows_the_paper_recursion(self):
+        # Pins population_se_step's alpha update: delta is measured alpha
+        # minus the unbalanced recursion, bit for bit, at unequal q.
+        inst = bc.make_instance(2, 8, 8, 400, q=[1.0, 0.7], seed=[1000, 0])
+        z0 = bc.random_init(2, 8, 8, np.random.default_rng([2000, 0]))
+        trace = bc.run_wf(inst, z0, bc.SolverSettings(eta=0.1, max_iters=300, tol=1e-8))
+        pert = bc.extract_perturbations(trace)
+        delta_h, delta_x = recursion_deltas(trace)
+        assert len(trace.t) > 100 and np.isfinite(delta_h).all()
+        assert delta_h.tobytes() == pert.delta_h.tobytes()
+        assert delta_x.tobytes() == pert.delta_x.tobytes()
+
+    def test_sparse_cadence_rejected(self):
+        # at cadence 5 each step would compare alpha five iterations apart
+        inst = bc.make_instance(2, 8, 8, 400, seed=[1000, 0])
+        z0 = bc.random_init(2, 8, 8, np.random.default_rng([2000, 0]))
+        trace = bc.run_wf(inst, z0, bc.SolverSettings(eta=0.1, max_iters=100, cadence=5))
+        assert np.array_equal(np.diff(trace.t), np.full(20, 5))
+        with pytest.raises(ParameterError, match="every iteration"):
+            bc.extract_perturbations(trace)
 
     def test_desk_scale_perturbations_small_and_shrinking(self):
         # Perturbations over Stage I sit well below O(1) at m = 400 and
