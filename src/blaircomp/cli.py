@@ -20,7 +20,7 @@ from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args,
 import numpy as np
 
 from . import diagnostics as diag
-from . import state_evolution
+from . import ensemble, state_evolution
 from .ensemble import make_instance
 from .errors import BlaircompError, ConfigError, DivergenceError, ParameterError
 from .solver import Iterate, SolverSettings, random_init, run_wf
@@ -98,36 +98,29 @@ class ExperimentConfig:
             raise ConfigError(f"missing required fields: {', '.join(missing)}")
         if self.m is not None and self.m_factor is not None:
             raise ConfigError("set exactly one of m / m_factor, not both")
-        if min(self.s, self.K, self.N, self.resolved_m()) < 1:
-            raise ConfigError("dimensions must be positive")
-        if self.K > self.resolved_m():
-            raise ConfigError(f"need K <= m, got K={self.K}, m={self.resolved_m()}")
-        if self.preset == "diagnostics" and self.resolved_m() < 2:
-            raise ConfigError("diagnostics needs m >= 2: its bounds scale with log m")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.jobs is not None and self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.loo_samples < 0:
-            raise ConfigError("loo_samples must be >= 0")
-        if not 0 <= self.sigma2_e < np.inf:
-            raise ConfigError("sigma2_e must be finite and >= 0")
-        if self.q is not None and len(self.q) != self.s:
-            raise ConfigError(f"q must list {self.s} values")
-        if self.q is not None and not all(1e-100 <= v <= 1 for v in self.q):
-            raise ConfigError("every q value must lie in [1e-100, 1], "
-                              "so that 1 / q**2 is at most 1e200")
         grid = self.sigma_w_grid
         if grid is not None and not all(_MIN_SIGMA_W <= v < np.inf for v in grid):
             raise ConfigError(f"every sigma_w_grid value must be finite and >= {_MIN_SIGMA_W:g}, "
                               "so that its noise scale sqrt(0.5 / value) is at most 1e100")
-        try:
+        try:    # the library's own checks of the values a trial passes it
+            ensemble._check_sizes(self.s, self.K, self.N, self.resolved_m())
+            ensemble._check_dft_shape(self.resolved_m(), self.K)
+            if self.q is not None:
+                ensemble._check_norms(self.q, self.s)
+            ensemble._check_noise_variance(self.sigma2_e)
+            diag._check_loo_count(self.loo_samples)
+            if self.preset == "diagnostics":
+                diag._check_log_m(self.resolved_m())
             self.solver_settings()
             if grid is not None:        # in range, so each value has a dB value
                 _check_sigma_w_db(grid)
-        except ParameterError as exc:
+        except BlaircompError as exc:   # a ParameterError or DimensionMismatchError
             raise ConfigError(str(exc)) from exc
 
     def solver_settings(self) -> SolverSettings:
@@ -510,7 +503,7 @@ def _write_plot_stub(path: str, cfg: ExperimentConfig) -> None:
 def _read_config_file(path: str) -> Dict[str, str]:
     entries: Dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

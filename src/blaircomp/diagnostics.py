@@ -154,10 +154,19 @@ def _run_rows(inst: ProblemInstance, z0: Iterate, settings: SolverSettings,
 def select_loo_indices(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample of dropped-sample indices (checking all m takes m + 1
     weight rows in each of the suite's two families)."""
-    if not _is_count(count, 0):
-        raise ParameterError(f"dropped-sample count must be an integer >= 0, got {count}")
+    _check_loo_count(count)
     count = min(count, m)
     return np.sort(rng.choice(m, size=count, replace=False))
+
+
+def _check_loo_count(count) -> None:
+    if not _is_count(count, 0):
+        raise ParameterError(f"dropped-sample count must be an integer >= 0, got {count}")
+
+
+def _check_log_m(m: int) -> None:
+    if m < 2:
+        raise ParameterError(f"the hypothesis scales need log m > 0, got m={m}")
 
 
 def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace],
@@ -186,8 +195,7 @@ def measure_hypotheses(plain: Sequence[StateTrace], flipped: Sequence[StateTrace
     if not plain or len(plain) != len(flipped):
         raise DimensionMismatchError(
             f"need two equal, non-empty trace lists, got {len(plain)} and {len(flipped)}")
-    if inst.m < 2:
-        raise ParameterError(f"the hypothesis scales need log m > 0, got m={inst.m}")
+    _check_log_m(inst.m)
     base, sign = plain[0], flipped[0]
     truth = inst.truth
     n_t = len(base.t)

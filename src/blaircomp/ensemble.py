@@ -23,6 +23,31 @@ def _is_count(value, low: int = 1) -> bool:
             and value >= low)
 
 
+def _check_sizes(*sizes) -> None:
+    if not all(_is_count(d) for d in sizes):
+        raise ParameterError(f"dimensions must be integers >= 1, got {sizes}")
+
+
+def _check_dft_shape(m, K) -> None:
+    _check_sizes(m, K)
+    if K > m:
+        raise DimensionMismatchError(f"need K <= m, got K={K}, m={m}")
+
+
+def _check_norms(q, s: int) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    if q.shape != (s,):
+        raise ParameterError(f"q must have length s={s}")
+    if not np.all((q >= 1e-100) & (q <= 1.0)):     # 1 / q**2 stays at most 1e200
+        raise ParameterError("every q value must lie in [1e-100, 1]")
+    return q
+
+
+def _check_noise_variance(sigma2_e) -> None:
+    if not 0.0 <= sigma2_e < np.inf:          # also rejects NaN
+        raise ParameterError("sigma2_e must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Per-node channel/signal pairs with exact norms ``q_i``."""
@@ -69,8 +94,7 @@ class ProblemInstance(_Sizes):
         if (self.b_rows.ndim, self.a.ndim) != (2, 3) or self.a.shape[1] != len(self.b_rows):
             raise DimensionMismatchError(f"b_rows {self.b_rows.shape} and design tensor "
                                          f"{self.a.shape} are not (m, K) and (s, m, N)")
-        if min(self.s, self.K, self.N, self.m) < 1:
-            raise ParameterError("all dimensions must be >= 1")
+        _check_sizes(self.s, self.K, self.N, self.m)
         if self.truth.h.shape != (self.s, self.K) or self.truth.x.shape != (self.s, self.N):
             raise DimensionMismatchError("ground truth shapes inconsistent with dims")
         if self.y.shape != (self.m,):
@@ -83,8 +107,7 @@ def generate_partial_dft(m: int, K: int) -> np.ndarray:
     Entry (j, k) is exp(-2*pi*i*j*k/m)/sqrt(m); columns are orthonormal and
     every row has squared norm K/m.
     """
-    if not 1 <= K <= m:
-        raise DimensionMismatchError(f"need 1 <= K <= m, got K={K}, m={m}")
+    _check_dft_shape(m, K)
     j = np.arange(m)[:, None]
     k = np.arange(K)[None, :]
     return np.exp(-2j * np.pi * j * k / m) / np.sqrt(m)
@@ -93,11 +116,8 @@ def generate_partial_dft(m: int, K: int) -> np.ndarray:
 def sample_ground_truth(s: int, K: int, N: int, q: Sequence[float],
                         rng: np.random.Generator) -> GroundTruth:
     """Draw complex Gaussian pairs and rescale so ||h_i|| = ||x_i|| = q_i exactly."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (s,):
-        raise ParameterError(f"q must have length s={s}")
-    if not np.all((q >= 1e-100) & (q <= 1.0)):     # 1 / q**2 stays at most 1e200
-        raise ParameterError("all q_i must lie in [1e-100, 1]")
+    _check_sizes(s, K, N)
+    q = _check_norms(q, s)
     h = _complex_gaussian(rng, (s, K), 1.0 / K)
     x = _complex_gaussian(rng, (s, N), 1.0 / N)
     h *= (q / np.linalg.norm(h, axis=1))[:, None]
@@ -107,8 +127,7 @@ def sample_ground_truth(s: int, K: int, N: int, q: Sequence[float],
 
 def sample_design_tensor(s: int, m: int, N: int, rng: np.random.Generator) -> np.ndarray:
     """s*m design vectors in C^N with i.i.d. CN(0, 1) entries."""
-    if min(s, m, N) < 1:
-        raise ParameterError("all dimensions must be >= 1")
+    _check_sizes(s, m, N)
     return _complex_gaussian(rng, (s, m, N), 1.0)
 
 
@@ -116,8 +135,7 @@ def synthesize_measurements(b_rows: np.ndarray, a: np.ndarray, truth: GroundTrut
                             sigma2_e: float, rng: Optional[np.random.Generator] = None
                             ) -> np.ndarray:
     """y_j = sum_i b_j^H h_i x_i^H a_ij + e_j with e_j circularly symmetric."""
-    if not 0.0 <= sigma2_e < np.inf:          # also rejects NaN
-        raise ParameterError("noise variance must be finite and >= 0")
+    _check_noise_variance(sigma2_e)
     s, m, _ = a.shape
     if truth.h.shape[0] != s:
         raise DimensionMismatchError("design tensor and ground truth disagree on s")
@@ -159,8 +177,7 @@ def make_instance(s: int, K: int, N: int, m: int,
     Draw order is fixed (ground truth, design tensor, measurement noise) so
     identical seeds reproduce instances bit-for-bit.
     """
-    if not all(_is_count(d) for d in (s, K, N, m)):
-        raise ParameterError(f"dimensions must be integers >= 1, got {(s, K, N, m)}")
+    _check_sizes(s, K, N, m)     # before np.ones(s), in the signature's order
     rng = np.random.default_rng(seed)
     if q is None:
         q = np.ones(s)

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .ensemble import (GroundTruth, ProblemInstance, _complex_gaussian, _is_count,
-                       _rows_product, _Sizes, measurement_factors)
+from .ensemble import (GroundTruth, ProblemInstance, _check_sizes, _complex_gaussian,
+                       _is_count, _rows_product, _Sizes, measurement_factors)
 from .errors import (BlaircompError, DegenerateAlignmentError, DegenerateIterateError,
                      DimensionMismatchError, DivergenceError, ParameterError,
                      UndefinedMetricError)
@@ -155,8 +155,7 @@ class _Rows(_Sizes):
 
 def random_init(s: int, K: int, N: int, rng: np.random.Generator) -> Iterate:
     """Gaussian starting point with E||h_i||^2 = E||x_i||^2 = 1, unnormalized."""
-    if not all(_is_count(d) for d in (s, K, N)):
-        raise ParameterError(f"dimensions must be integers >= 1, got {(s, K, N)}")
+    _check_sizes(s, K, N)
     return Iterate(h=_complex_gaussian(rng, (s, K), 1.0 / K),
                    x=_complex_gaussian(rng, (s, N), 1.0 / N))
 
@@ -272,9 +271,11 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
             return
         t_b, loss_b, h_b, x_b = map(np.asarray, zip(*pending))
         pending.clear()
-        bad = _zero_block(h_b, x_b).any(axis=0)
+        zero = _zero_block(h_b, x_b)                                  # (B, A)
+        bad = zero.any(axis=0)
         if bad.any():
-            fail(bad, lambda k: DegenerateAlignmentError("cannot align a zero block"))
+            fail(bad, lambda k: DegenerateAlignmentError(
+                f"cannot align a zero block at iteration {t_b[zero[:, k].argmax()]}"))
             if not len(runs):
                 return
             loss_b, h_b, x_b = loss_b[:, ~bad], h_b[:, ~bad], x_b[:, ~bad]
@@ -305,9 +306,10 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
             if t > 0:
                 try:
                     z = wf_step(z, g, settings.eta)
-                except DegenerateIterateError as exc:
+                except DegenerateIterateError:
                     settle()         # a pending metric error or tolerance stop wins
-                    fail(_zero_block(z.h, z.x), lambda k: exc)
+                    fail(_zero_block(z.h, z.x), lambda k: DegenerateIterateError(
+                        f"zero block norm in update scaling at iteration {t - 1}"))
                     if not len(runs):
                         break
                     z = wf_step(z, g, settings.eta)

@@ -13,8 +13,8 @@ import pytest
 import blaircomp as bc
 from blaircomp import cli
 from blaircomp.cli import _noise_sweep_rows, main, trace_header
-from blaircomp.errors import (ConfigError, DegenerateAlignmentError, DivergenceError,
-                              ParameterError)
+from blaircomp.errors import (ConfigError, DegenerateAlignmentError,
+                              DimensionMismatchError, DivergenceError, ParameterError)
 
 from helpers import (fit_noise_slope_loop, noise_sweep_rows_loop, run_desk_scale,
                      traced_peak, write_csv_rows)
@@ -50,6 +50,43 @@ _RESOLVED = [
     ("diagnostics", {"m_factor": 20}, (2, 8, 8, None, 20, 0.1, 80, _INF, None)),
     ("diagnostics", {"K": 6, "N": 3}, (2, 6, 3, None, 50, 0.1, 80, _INF, None)),
 ]
+
+
+def _traces_at_m_1():
+    """``measure_hypotheses``' arguments on a one-sample instance."""
+    inst = bc.make_instance(1, 1, 1, 1, seed=0)
+    trace = bc.run_wf(inst, bc.random_init(1, 1, 1, np.random.default_rng(0)),
+                      bc.SolverSettings(max_iters=1))
+    return [trace], [trace], inst
+
+
+# Each input rule the config boundary runs from the library: overrides that
+# break it, and a library call that the same value fails.
+_CUSTOM = {"preset": "custom", "s": 1, "K": 4, "m": 40}
+_LIBRARY_RULES = {
+    "sizes": ({**_CUSTOM, "s": 0}, lambda: bc.make_instance(0, 4, 4, 40)),
+    "m_factor_sizes": ({**_CUSTOM, "m": None, "m_factor": 0},
+                       lambda: bc.make_instance(1, 4, 4, 0)),
+    "K_above_m": ({**_CUSTOM, "K": 30, "m": 20}, lambda: bc.generate_partial_dft(20, 30)),
+    "q_length": ({**_CUSTOM, "q": [1.0, 1.0]},
+                 lambda: bc.sample_ground_truth(1, 4, 4, [1.0, 1.0],
+                                                np.random.default_rng(0))),
+    "q_range": ({**_CUSTOM, "q": [1e-160]},
+                lambda: bc.sample_ground_truth(1, 4, 4, [1e-160], np.random.default_rng(0))),
+    "q_nan": ({**_CUSTOM, "q": [float("nan")]},
+              lambda: bc.make_instance(1, 4, 4, 40, q=[float("nan")])),
+    "sigma2_e": ({**_CUSTOM, "sigma2_e": -1.0},
+                 lambda: bc.make_instance(1, 4, 4, 40, sigma2_e=-1.0)),
+    "sigma2_e_inf": ({**_CUSTOM, "sigma2_e": float("inf")},
+                     lambda: bc.synthesize_measurements(
+                         bc.generate_partial_dft(4, 2), np.ones((1, 4, 2), complex),
+                         bc.sample_ground_truth(1, 2, 2, [1.0], np.random.default_rng(0)),
+                         float("inf"))),
+    "loo_samples": ({**_CUSTOM, "loo_samples": -1},
+                    lambda: bc.select_loo_indices(40, -1, np.random.default_rng(0))),
+    "diagnostics_m": ({"preset": "diagnostics", "s": 1, "K": 1, "m": 1},
+                      lambda: bc.measure_hypotheses(*_traces_at_m_1())),
+}
 
 
 class TestParseConfig:
@@ -115,13 +152,17 @@ class TestParseConfig:
         assert cfg.K == 6 and cfg.seed == 3
 
     def test_comments_and_lists_parse(self, tmp_path):
+        text = ("\n# the reference sweep\n   \n"
+                "preset = noise-sweep  # reference setting\n"
+                "sigma_w_grid = 1,10,100\nq = 1.0\n")
         path = tmp_path / "exp.cfg"
-        path.write_text("\n# the reference sweep\n   \n"
-                        "preset = noise-sweep  # reference setting\n"
-                        "sigma_w_grid = 1,10,100\nq = 1.0\n")
-        cfg = bc.parse_config(str(path))
-        assert cfg.sigma_w_grid == [1.0, 10.0, 100.0]
-        assert cfg.q == [1.0]
+        for head in (b"", b"\xef\xbb\xbf"):     # a UTF-8 byte-order mark is not text
+            path.write_bytes(head + text.encode())
+            cfg = bc.parse_config(str(path))
+            assert cfg.sigma_w_grid == [1.0, 10.0, 100.0]
+            assert cfg.q == [1.0]
+        path.write_bytes(b"\xef\xbb\xbfpreset = custom\ns = 1\nK = 4\nm = 40\n")
+        assert bc.parse_config(str(path)).preset == "custom"
 
     def test_line_without_equals_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -194,6 +235,15 @@ class TestParseConfig:
         if value is not None and not isinstance(value, str):   # else unset or text
             with pytest.raises(ConfigError, match=f"bad value for {key}"):
                 bc.parse_config(overrides={"preset": "noise-sweep", key: value})
+
+    @pytest.mark.parametrize("rule", _LIBRARY_RULES)
+    def test_config_error_is_the_library_error(self, rule):
+        overrides, call = _LIBRARY_RULES[rule]
+        with pytest.raises((ParameterError, DimensionMismatchError)) as library:
+            call()
+        with pytest.raises(ConfigError) as config:
+            bc.parse_config(overrides=overrides)
+        assert str(config.value) == str(library.value)
 
 
 # A value for each config key that differs from its default and is valid on
@@ -793,13 +843,20 @@ class TestMainEntry:
         assert not out.exists()
 
     def test_import_does_not_load_process_pool(self):
+        # Neither importing the package nor parsing a config loads the process
+        # pool or numpy.random beyond what a bare ``import numpy`` loads: numpy
+        # 1.24 imports numpy.random eagerly, numpy 2 on first use.
         src = os.path.dirname(os.path.dirname(bc.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        probe = ("import sys, blaircomp; "
-                 "print('concurrent.futures.process' in sys.modules)")
+        probe = ("import sys, numpy; base = set(sys.modules); import blaircomp; "
+                 "blaircomp.parse_config(overrides={'preset': 'components', "
+                 "'q': '1,0.5,0.5,1', 'sigma2_e': '0.01'}); "
+                 "blaircomp.parse_config(overrides={'preset': 'diagnostics'}); "
+                 "print(sorted(name for name in set(sys.modules) - base "
+                 "if name.startswith(('concurrent.futures.process', 'numpy.random'))))")
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "[]"
 
     def test_diagnostics_subcommand(self, tmp_path):
         code = main(["diagnostics", "--K", "4", "--m", "40", "--max-iters", "8",

@@ -179,11 +179,17 @@ class TestInstance:
     def test_non_integer_dimension_rejected(self, position, bad):
         dims = [1, 4, 4, 40]
         dims[position] = bad
-        with pytest.raises(ParameterError, match="integers >= 1"):
-            bc.make_instance(*dims, seed=0)
-        if position < 3:                                # m is not random_init's
-            with pytest.raises(ParameterError, match="integers >= 1"):
-                bc.random_init(*dims[:3], np.random.default_rng(0))
+        s, K, N, m = dims
+        calls = [lambda: bc.make_instance(*dims, seed=0),
+                 lambda: bc.random_init(s, K, N, np.random.default_rng(0)),
+                 lambda: bc.sample_ground_truth(s, K, N, [1.0], np.random.default_rng(0)),
+                 lambda: bc.generate_partial_dft(m, K),
+                 lambda: bc.sample_design_tensor(s, m, N, np.random.default_rng(0))]
+        takes = [(0, 1, 2, 3), (0, 1, 2), (0, 1, 2), (1, 3), (0, 2, 3)]   # positions
+        for call, positions in zip(calls, takes):
+            if position in positions:
+                with pytest.raises(ParameterError, match="integers >= 1"):
+                    call()
 
     def test_numpy_integer_dimensions_accepted(self):
         dims = (np.int64(2), np.int32(4), np.int64(3), np.int64(20))
@@ -191,6 +197,10 @@ class TestInstance:
         assert np.array_equal(inst.y, bc.make_instance(2, 4, 3, 20, seed=5).y)
         z0 = bc.random_init(*dims[:3], np.random.default_rng(1))
         assert np.array_equal(z0.x, bc.random_init(2, 4, 3, np.random.default_rng(1)).x)
+        assert np.array_equal(bc.generate_partial_dft(dims[3], dims[1]),
+                              bc.generate_partial_dft(20, 4))
+        a = bc.sample_design_tensor(dims[0], dims[3], dims[2], np.random.default_rng(2))
+        assert np.array_equal(a, bc.sample_design_tensor(2, 20, 3, np.random.default_rng(2)))
 
     def test_shape_validation(self):
         inst = bc.make_instance(1, 2, 2, 4, seed=0)

@@ -518,6 +518,7 @@ class TestRunBatch:
         batch = bc.run_wf(small_instance, z0, settings)
         assert batch.runs[1] is None
         assert isinstance(batch.errors[1], DegenerateAlignmentError)
+        assert str(batch.errors[1]) == "cannot align a zero block at iteration 0"
         for k in (0, 2):
             assert batch.errors[k] is None
             _assert_identical_traces(batch.runs[k],
@@ -542,6 +543,7 @@ class TestRunBatch:
                           sample_weights=np.ones((3, small_instance.m)))
         assert batch.runs[1] is None
         assert isinstance(batch.errors[1], DegenerateIterateError)
+        assert str(batch.errors[1]) == "zero block norm in update scaling at iteration 2"
         monkeypatch.setattr(solver, "_gradient_and_loss", real)
         want = bc.run_wf(small_instance, small_iterate, settings)
         for k in (0, 2):
