@@ -178,9 +178,9 @@ def make_instance(s: int, K: int, N: int, m: int,
     identical seeds reproduce instances bit-for-bit.
     """
     _check_sizes(s, K, N, m)     # before np.ones(s), in the signature's order
+    q = _check_norms(np.ones(s) if q is None else q, s)    # before the draws
+    _check_noise_variance(sigma2_e)
     rng = np.random.default_rng(seed)
-    if q is None:
-        q = np.ones(s)
     b_rows = generate_partial_dft(m, K)
     truth = sample_ground_truth(s, K, N, q, rng)
     a = sample_design_tensor(s, m, N, rng)

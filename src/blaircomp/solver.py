@@ -197,16 +197,20 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     """Iterate Wirtinger flow, recording the iterate and its loss at the
     configured cadence.
 
-    Stops at max_iters, at the relative-error tolerance, or with a
-    DivergenceError naming the offending iteration if the loss becomes
-    non-finite or grows a millionfold.  Divergence is checked at every step;
-    the tolerance test runs on blocks of log points, and a run that meets a
-    tolerance ends at the first log point that meets it, its later steps
-    discarded.  With a tolerance set, each block's truth metrics come from
-    one ``snapshot_metrics`` call, kept in the trace; with none set, the
-    trace computes them on first read.  A divergence or a degenerate step
-    settles the pending block first, so an earlier tolerance stop wins, as
-    testing every log point as it comes would have it.
+    Stops at max_iters, at the relative-error tolerance, or with an error
+    naming the first iteration where the run fails: a DivergenceError if
+    the loss becomes non-finite or grows a millionfold, else, if the
+    iterate holds a zero block, a DegenerateAlignmentError at a log point
+    (its truth alignment would fail) or a DegenerateIterateError elsewhere
+    (``wf_step`` cannot scale by it).  Both are checked right after each
+    gradient, the divergence from iteration 1 on.  The tolerance test runs
+    on blocks of log points, and a run that meets a tolerance ends at the
+    first log point that meets it, its later steps discarded.  With a
+    tolerance set, each block's truth metrics come from one
+    ``snapshot_metrics`` call, kept in the trace; with none set, the trace
+    computes them on first read.  A failure settles the pending block
+    first, so an earlier tolerance stop wins, as testing every log point as
+    it comes would have it.
 
     A run axis comes from any of: a sequence of R instances (same
     dimensions and access rows), z0 stacked (R, s, K/N), or
@@ -215,18 +219,17 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     are stacked (R, s, K/N), so each iteration takes one forward/gradient
     pass and one ``wf_step`` for all active runs, and the call returns a
     RunBatch.  A run that meets a tolerance or fails is masked out and logs
-    nothing more; a failure (divergence, a zero block in the step or at a
-    log point, where the truth alignment would fail, or a zero target sum,
-    which leaves the relative error undefined and is checked before the
-    first step) ends only its own run and is returned as that row's error,
-    so no metric read can raise.  A call without a run axis returns the
-    StateTrace or raises.
+    nothing more; a failure (one of the above, or a zero target sum, which
+    leaves the relative error undefined and is checked before the first
+    step) ends only its own run and is returned as that row's error, so no
+    metric read can raise.  A call without a run axis returns the
+    StateTrace or raises.  Sample weights must be finite and >= 0.
     """
     rows = _stack_instances(inst)
     if z0.h.ndim not in (2, 3) or z0.x.ndim != z0.h.ndim:
         raise DimensionMismatchError(
             "z0 must be one iterate, h (s, K) and x (s, N), or a stack (R, s, K/N)")
-    w = _run_weights(sample_weights, rows.m)
+    w = _check_weights(sample_weights, rows.m, per_run=True)
     lengths = {len(rows.a), 1 if w is None else len(w)}
     if z0.h.ndim == 3:
         lengths |= {len(z0.h), len(z0.x)}
@@ -265,20 +268,11 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     def settle() -> None:
         """Append the pending points to each active run's own log, with their
         metrics from one call when the tolerance is set; every run that meets
-        it at one of them ends at the first such point.  A zero block ends
-        its run, as the truth alignment of that point would fail."""
+        it at one of them ends at the first such point."""
         if not pending:
             return
         t_b, loss_b, h_b, x_b = map(np.asarray, zip(*pending))
         pending.clear()
-        zero = _zero_block(h_b, x_b)                                  # (B, A)
-        bad = zero.any(axis=0)
-        if bad.any():
-            fail(bad, lambda k: DegenerateAlignmentError(
-                f"cannot align a zero block at iteration {t_b[zero[:, k].argmax()]}"))
-            if not len(runs):
-                return
-            loss_b, h_b, x_b = loss_b[:, ~bad], h_b[:, ~bad], x_b[:, ~bad]
         values = dict(t=np.broadcast_to(t_b[:, None], loss_b.shape),
                       loss=loss_b, h=h_b, x=x_b)
         stop = np.zeros(loss_b.shape, dtype=bool)                     # (B, A)
@@ -304,23 +298,20 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
             fail(undefined, lambda k: UndefinedMetricError("target vector sums to zero"))
         for t in range(settings.max_iters + 1 if len(runs) else 0):
             if t > 0:
-                try:
-                    z = wf_step(z, g, settings.eta)
-                except DegenerateIterateError:
-                    settle()         # a pending metric error or tolerance stop wins
-                    fail(_zero_block(z.h, z.x), lambda k: DegenerateIterateError(
-                        f"zero block norm in update scaling at iteration {t - 1}"))
-                    if not len(runs):
-                        break
-                    z = wf_step(z, g, settings.eta)
+                z = wf_step(z, g, settings.eta)
                 g, loss_t = _gradient_and_loss(z, rows, w)
-                if not (loss_t <= limit).all():
-                    settle()         # an earlier tolerance stop wins
+            log = t % settings.cadence == 0 or t == settings.max_iters
+            if _zero_block(z.h, z.x).any() or (t > 0 and not (loss_t <= limit).all()):
+                settle()             # an earlier tolerance stop wins
+                if t > 0:
                     fail(~(loss_t <= limit), lambda k: DivergenceError(
                         f"loss diverged at iteration {t}: {float(loss_t[k])!r}"))
-                    if not len(runs):
-                        break
-            if t % settings.cadence == 0 or t == settings.max_iters:
+                error, text = ((DegenerateAlignmentError, "cannot align a zero block") if log
+                               else (DegenerateIterateError, "zero block norm in update scaling"))
+                fail(_zero_block(z.h, z.x), lambda k: error(f"{text} at iteration {t}"))
+                if not len(runs):
+                    break
+            if log:
                 pending.append((t, loss_t, z.h, z.x))
                 if len(pending) == block_len or t == settings.max_iters:
                     settle()
@@ -384,24 +375,20 @@ def _gradient_and_loss(z: Iterate, inst: Union[ProblemInstance, _Rows],
     return Iterate(h=grad_h, x=grad_x), loss_val
 
 
-def _check_weights(w: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:
+def _check_weights(w: Optional[np.ndarray], m: int,
+                   per_run: bool = False) -> Optional[np.ndarray]:
+    """None, or sample weights of shape (m,) as floats; with ``per_run``, the
+    (R, m) weight rows of ``run_wf``, where (m,) is one row.  Each weight
+    must be finite and >= 0; a zero drops its sample."""
     if w is None:
         return None
     w = np.asarray(w, dtype=float)
-    if w.shape != (m,):
-        raise DimensionMismatchError(f"sample weights shape {w.shape} != ({m},)")
-    return w
-
-
-def _run_weights(w: Optional[np.ndarray], m: int) -> Optional[np.ndarray]:
-    """None, or the (R, m) weight rows of ``run_wf``; (m,) is one row."""
-    if w is None:
-        return None
-    w = np.asarray(w, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[-1] != m or w.size == 0:
-        raise DimensionMismatchError(
-            f"sample weights shape {w.shape} is neither ({m},) nor (R, {m})")
-    return w.reshape(-1, m)
+    if w.shape[-1:] != (m,) or w.ndim > 1 + per_run or w.size == 0:
+        want = f"is neither ({m},) nor (R, {m})" if per_run else f"!= ({m},)"
+        raise DimensionMismatchError(f"sample weights shape {w.shape} {want}")
+    if not np.all((w >= 0.0) & (w < np.inf)):      # also rejects NaN
+        raise ParameterError("sample weights must be finite and >= 0")
+    return w.reshape(-1, m) if per_run else w
 
 
 def _stack_instances(inst: Union[ProblemInstance, Sequence[ProblemInstance]]) -> _Rows:

@@ -191,6 +191,17 @@ class TestInstance:
                 with pytest.raises(ParameterError, match="integers >= 1"):
                     call()
 
+    @pytest.mark.parametrize("bad", [dict(sigma2_e=-1.0), dict(q=[2.0])],
+                             ids=["sigma2_e", "q"])
+    def test_cheap_rules_run_before_the_draws(self, monkeypatch, bad):
+        calls = []
+        for name in ("generate_partial_dft", "sample_design_tensor"):
+            monkeypatch.setattr(bc.ensemble, name,
+                                lambda *args, name=name: calls.append(name))
+        with pytest.raises(ParameterError):
+            bc.make_instance(1, 4, 4, 400, seed=0, **bad)
+        assert calls == []
+
     def test_numpy_integer_dimensions_accepted(self):
         dims = (np.int64(2), np.int32(4), np.int64(3), np.int64(20))
         inst = bc.make_instance(*dims, seed=5)

@@ -118,6 +118,21 @@ class TestWirtingerGradient:
             bc.wirtinger_gradient(small_iterate, small_instance,
                                   sample_weights=np.ones(shape))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("entry", ["loss", "wirtinger_gradient", "run_wf"])
+    def test_bad_weight_values_rejected(self, small_instance, small_iterate, entry,
+                                        value):
+        w = np.ones(small_instance.m)
+        w[3] = value
+        call = {"loss": lambda: bc.loss(small_iterate, small_instance, w),
+                "wirtinger_gradient": lambda: bc.wirtinger_gradient(
+                    small_iterate, small_instance, w),
+                "run_wf": lambda: bc.run_wf(small_instance, small_iterate,
+                                            bc.SolverSettings(max_iters=3),
+                                            sample_weights=np.stack([np.ones_like(w), w]))}
+        with pytest.raises(ParameterError, match="finite and >= 0"):
+            call[entry]()
+
     def test_finite_difference_identity(self):
         for trial in range(5):
             rng = np.random.default_rng([300, trial])
@@ -778,6 +793,41 @@ class TestMetricBlocks:
         assert batch.runs[0].stop_reason == "tol" and batch.runs[0].n_iters == 0
         assert batch.runs[1] is None
         assert str(batch.errors[1]) == str(single.value)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_tolerance_before_a_zero_block(self, monkeypatch, rows):
+        # From the truth the relative error meets tol at t = 0; the run's x
+        # block is zeroed at iteration 3, in the first metric block.  The
+        # tolerance comes first at any block size.  With two rows the
+        # other starts at random, and at block size 1 it is the only run
+        # left by iteration 3, so nothing is zeroed.
+        inst = bc.make_instance(1, 4, 4, 60, sigma2_e=1e-2, seed=3)
+        start = bc.random_init(1, 4, 4, np.random.default_rng(5))
+        z0 = bc.Iterate(h=inst.truth.h.copy(), x=inst.truth.x.copy())
+        if rows == 2:
+            z0 = bc.Iterate(h=np.stack([z0.h, start.h]), x=np.stack([z0.x, start.x]))
+        settings = bc.SolverSettings(eta=0.01, max_iters=20, tol=1e-12)
+        real = solver._gradient_and_loss
+        calls = []      # one call per iteration, from iteration 0
+
+        def zero_row_0(z, inst, w):
+            calls.append(len(z.h))
+            if len(calls) == 4 and len(z.h) == rows:
+                z.x[0, 0] = 0.0
+            return real(z, inst, w)
+
+        monkeypatch.setattr(solver, "_gradient_and_loss", zero_row_0)
+        got = {}
+        for block in (1, 32):
+            monkeypatch.setattr(solver, "_METRIC_BLOCK", block)
+            calls.clear()
+            got[block] = bc.run_wf(inst, z0, settings)
+        assert calls[3] == rows      # row 0 was zeroed at block size 32
+        # traces() raises a failed row's error
+        runs = {block: out.traces() if rows == 2 else [out] for block, out in got.items()}
+        assert runs[1][0].stop_reason == "tol" and runs[1][0].n_iters == 0
+        for run, ref in zip(runs[32], runs[1]):
+            _assert_identical_traces(run, ref)
 
 
 def _trace_arrays(trace):
