@@ -25,8 +25,10 @@ from .solver import Iterate, SolverSettings, StateTrace, run_wf
 _INCOH_BLOCK = 8
 _LOO_ROWS = 2
 # Weight rows per run_wf call of run_diagnostics_suite.  Every step of a call
-# allocates (rows, s, m) complex factors: for all 401 rows at L = m = 400,
-# about 5 MB a step, which set the run's peak memory.
+# allocates two (rows, s, m) complex factors, 10.3 MB for all 401 rows at
+# s = 2, L = m = 400.  There (K = N = 8, 80 iterations, a shared 2-core host)
+# 32-row groups made a repeat suite call take 1.3 s at 73 MB peak RSS, and
+# one 401-row call 1.8-2.0 s at 96 MB; first calls took 2.1-2.3 s either way.
 _SUITE_ROWS = 32
 
 

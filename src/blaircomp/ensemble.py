@@ -15,6 +15,12 @@ import numpy as np
 from .errors import DimensionMismatchError, ParameterError
 
 _DRAW_SLAB = 8192   # values per rng.normal call in _complex_gaussian
+# The block norms the metrics can align: every truth norm q lies in
+# [1e-75, 1], and run_wf ends a run whose iterate leaves the range.  Inside
+# it, squared norms, their products and their ratios stay normal floats, so
+# align_pair's scale search stays in the float range against references of
+# norm at most 1.
+_NORM_RANGE = (1e-75, 1e75)
 
 
 def _is_count(value, low: int = 1) -> bool:
@@ -38,9 +44,16 @@ def _check_norms(q, s: int) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (s,):
         raise ParameterError(f"q must have length s={s}")
-    if not np.all((q >= 1e-100) & (q <= 1.0)):     # 1 / q**2 stays at most 1e200
-        raise ParameterError("every q value must lie in [1e-100, 1]")
+    if not np.all((q >= _NORM_RANGE[0]) & (q <= 1.0)):
+        raise ParameterError("every q value must lie in [1e-75, 1]")
     return q
+
+
+def _norms_in_range(norm2):
+    """Where the squared block norms ``norm2`` are those of norms in
+    ``_NORM_RANGE``; zero, NaN and infinity are not."""
+    low, high = _NORM_RANGE
+    return (norm2 >= low * low) & (norm2 <= high * high)
 
 
 def _check_noise_variance(sigma2_e) -> None:

@@ -12,11 +12,14 @@ from typing import Union
 
 import numpy as np
 
-from .ensemble import GroundTruth, _rows_product
+from .ensemble import GroundTruth, _norms_in_range, _rows_product
 from .errors import DegenerateAlignmentError, UndefinedMetricError
 
 _SUBDIAGONAL = np.eye(6, k=-1)     # the ones of a sextic's companion matrix
 _NEWTON_PASSES = 60                # cap on the certified pairs' Newton passes
+# align_pair's error for a block outside ensemble._NORM_RANGE; run_wf adds the iteration
+_RANGE_ERROR = ("cannot align a zero block or a block of norm outside [1e-75, 1e75] "
+                "(its alignment coefficients can overflow)")
 
 
 @dataclass(frozen=True)
@@ -74,15 +77,20 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
     companion-matrix eigenvalues, and keep the one, or w = 1, with the
     lowest G.  Every pair then gets two Newton steps on G', since a
     near-double root keeps only half its digits in the eigenvalues.  The
-    reported cost re-evaluates the objective at w.  Scale coefficients or
-    sextic coefficients that overflow raise DegenerateAlignmentError.
+    reported cost re-evaluates the objective at w.
+
+    A block h_a or x_a whose norm is zero or outside [1e-75, 1e75]
+    (``ensemble._NORM_RANGE``) raises DegenerateAlignmentError; inside it,
+    against references of norm in [1e-75, 1], every coefficient stays
+    finite.  Against other references, scale or sextic coefficients that
+    overflow raise it too.
     """
     # Sums that overflow surface below as non-finite coefficients.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a2 = (np.abs(h_a) ** 2).sum(axis=-1)
         b2 = (np.abs(x_a) ** 2).sum(axis=-1)
-        if not (a2.all() and b2.all()):
-            raise DegenerateAlignmentError("cannot align a zero block")
+        if not (_norms_in_range(a2).all() and _norms_in_range(b2).all()):
+            raise DegenerateAlignmentError(_RANGE_ERROR)
         c1 = (np.conj(h_b) * h_a).sum(axis=-1)
         c2 = (np.conj(x_b) * x_a).sum(axis=-1)
         # The root finding runs on the flattened batch, since numpy's cost

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import metrics
 from .ensemble import (GroundTruth, ProblemInstance, _check_sizes, _complex_gaussian,
-                       _is_count, _rows_product, _Sizes, measurement_factors)
+                       _is_count, _norms_in_range, _rows_product, _Sizes,
+                       measurement_factors)
 from .errors import (BlaircompError, DegenerateAlignmentError, DegenerateIterateError,
                      DimensionMismatchError, DivergenceError, ParameterError,
                      UndefinedMetricError)
@@ -198,17 +199,18 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     configured cadence.
 
     Stops at max_iters, at the relative-error tolerance, or with an error
-    naming the first iteration where the run fails: a DivergenceError if
-    the loss becomes non-finite or grows a millionfold, else, if the
-    iterate holds a zero block, a DegenerateAlignmentError at a log point
-    (its truth alignment would fail) or a DegenerateIterateError elsewhere
-    (``wf_step`` cannot scale by it).  Both are checked right after each
-    gradient, the divergence from iteration 1 on.  The tolerance test runs
-    on blocks of log points, and a run that meets a tolerance ends at the
-    first log point that meets it, its later steps discarded.  With a
-    tolerance set, each block's truth metrics come from one
-    ``snapshot_metrics`` call, kept in the trace; with none set, the trace
-    computes them on first read.  A failure settles the pending block
+    naming the first iteration where the run fails: a DivergenceError if the
+    loss becomes non-finite or grows a millionfold, else a
+    DegenerateAlignmentError if the iterate holds a block whose norm is zero
+    or outside [1e-75, 1e75] (``ensemble._NORM_RANGE``), which
+    ``align_pair`` rejects.  Both are checked right after each gradient, the
+    divergence from iteration 1 on, so ``wf_step`` never meets a zero block
+    and every logged iterate aligns to a truth of norms in [1e-75, 1].  The
+    tolerance test runs on blocks of log points, and a run that meets a
+    tolerance ends at the first log point that meets it, its later steps
+    discarded.  With a tolerance set, each block's truth metrics come from
+    one ``snapshot_metrics`` call, kept in the trace; with none set, the
+    trace computes them on first read.  A failure settles the pending block
     first, so an earlier tolerance stop wins, as testing every log point as
     it comes would have it.
 
@@ -300,18 +302,16 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
             if t > 0:
                 z = wf_step(z, g, settings.eta)
                 g, loss_t = _gradient_and_loss(z, rows, w)
-            log = t % settings.cadence == 0 or t == settings.max_iters
-            if _zero_block(z.h, z.x).any() or (t > 0 and not (loss_t <= limit).all()):
+            if not _in_range(z) or (t > 0 and not (loss_t <= limit).all()):
                 settle()             # an earlier tolerance stop wins
                 if t > 0:
                     fail(~(loss_t <= limit), lambda k: DivergenceError(
                         f"loss diverged at iteration {t}: {float(loss_t[k])!r}"))
-                error, text = ((DegenerateAlignmentError, "cannot align a zero block") if log
-                               else (DegenerateIterateError, "zero block norm in update scaling"))
-                fail(_zero_block(z.h, z.x), lambda k: error(f"{text} at iteration {t}"))
+                fail(~_in_range(z, per_run=True), lambda k: DegenerateAlignmentError(
+                    f"{metrics._RANGE_ERROR} at iteration {t}"))
                 if not len(runs):
                     break
-            if log:
+            if t % settings.cadence == 0 or t == settings.max_iters:
                 pending.append((t, loss_t, z.h, z.x))
                 if len(pending) == block_len or t == settings.max_iters:
                     settle()
@@ -417,8 +417,12 @@ def _take(v: Optional[np.ndarray], keep: np.ndarray) -> Optional[np.ndarray]:
     return v if v is None or len(v) == 1 else v[keep]
 
 
-def _zero_block(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Whether the iterate (..., s, K/N) has a block of zero norm, the one
-    ``wf_step`` cannot scale by and ``align_pair`` cannot align."""
-    return ~((np.abs(h) ** 2).sum(axis=-1).all(axis=-1)
-             & (np.abs(x) ** 2).sum(axis=-1).all(axis=-1))
+def _in_range(z: Iterate, per_run: bool = False):
+    """Whether every block of the iterate (R, s, K/N) has a norm that
+    ``align_pair`` accepts, from squared norms computed as it computes
+    them; with ``per_run``, one flag per run."""
+    norm2 = np.concatenate([(np.abs(v) ** 2).sum(axis=-1) for v in (z.h, z.x)], axis=-1)
+    if per_run:
+        return _norms_in_range(norm2).all(axis=-1)
+    # The range is an interval, so the extremes decide; min and max pass a NaN on.
+    return _norms_in_range(norm2.min()) & _norms_in_range(norm2.max())

@@ -804,6 +804,7 @@ class TestMainEntry:
         ["--preset", "noise-sweep", "--sigma-w-grid", "3e-309,1"],
         ["--preset", "noise-sweep", "--sigma-w-grid", "1e300,1.0000000000000002e300"],
         ["--preset", "noise-sweep", "--q", "1e-160"],
+        ["--preset", "noise-sweep", "--q", "1e-76"],
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
             "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
             "sigma_w_grid_repeated", "max_iters", "loo_samples", "seed",
@@ -811,7 +812,7 @@ class TestMainEntry:
             "tol_negative_exponent", "sigma2_e_negative_exponent",
             "sigma_w_grid_negative_first", "sigma_w_grid_single_any_preset",
             "s_zero", "q_length", "sigma_w_grid_subnormal", "sigma_w_grid_overflow",
-            "sigma_w_grid_same_db", "q_underflow"])
+            "sigma_w_grid_same_db", "q_underflow", "q_below_norm_range"])
     def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2

@@ -50,12 +50,16 @@ class TestGroundTruth:
         t2 = bc.sample_ground_truth(2, 4, 4, [1, 1], np.random.default_rng(42))
         assert np.array_equal(t1.h, t2.h) and np.array_equal(t1.x, t2.x)
 
-    # 1e-160 squares below the normal double range; the bound is 1e-100
+    # 1e-160 squares below the normal double range; the bound is 1e-75, the
+    # low end of the block norms the metrics align, and a truth there aligns
     @pytest.mark.parametrize("bad_q", [[0.0], [-0.1], [1.5], [1.0, 1.0], [1e-160],
-                                       [float("nan")]])
+                                       [float("nan")], [1e-76]])
     def test_invalid_norms_rejected(self, bad_q):
         with pytest.raises(ParameterError):
             bc.sample_ground_truth(1, 4, 4, bad_q, np.random.default_rng(0))
+        edge = bc.sample_ground_truth(1, 4, 4, [1e-75], np.random.default_rng(0))
+        snap = bc.snapshot_metrics(bc.Iterate(h=1.01 * edge.h, x=1.01 * edge.x), edge)
+        assert 0.0 < snap.dist < 0.1 and 0.0 < snap.relative_error < 0.1
 
 
 class TestDesignTensor:

@@ -533,16 +533,43 @@ class TestRunBatch:
         batch = bc.run_wf(small_instance, z0, settings)
         assert batch.runs[1] is None
         assert isinstance(batch.errors[1], DegenerateAlignmentError)
-        assert str(batch.errors[1]) == "cannot align a zero block at iteration 0"
+        assert str(batch.errors[1]) == f"{metrics._RANGE_ERROR} at iteration 0"
         for k in (0, 2):
             assert batch.errors[k] is None
             _assert_identical_traces(batch.runs[k],
                                      bc.run_wf(small_instance, z0s[k], settings))
 
+    def test_scaled_starts_retire_alone(self):
+        # Row 1 starts at (10^a h, 10^b x), across both edges of the block
+        # norm range [1e-75, 1e75].  Whatever its outcome, the call returns,
+        # rows 0 and 2 run as alone, every finished trace's metrics read,
+        # and row 1 ends the same way with the tolerance on or off.
+        inst = bc.make_instance(1, 4, 4, 40, seed=1)
+        z = bc.random_init(1, 4, 4, np.random.default_rng(2))
+        outcomes = {}
+        for tol in (1e-6, np.inf):
+            settings = bc.SolverSettings(max_iters=5, tol=tol)
+            alone = bc.run_wf(inst, z, settings)
+            for a, b in itertools.product((-200, -80, -74, 0, 74, 80, 200), repeat=2):
+                z0 = bc.Iterate(h=np.stack([z.h, 10.0 ** a * z.h, z.h]),
+                                x=np.stack([z.x, 10.0 ** b * z.x, z.x]))
+                batch = bc.run_wf(inst, z0, settings)
+                for k in (0, 2):
+                    _assert_identical_traces(batch.runs[k], alone)
+                for trace in batch.runs:
+                    if trace is not None:
+                        for column in dataclasses.fields(metrics.MetricSnapshot):
+                            getattr(trace, column.name)
+                error = batch.errors[1]
+                outcomes.setdefault((a, b), []).append(
+                    batch.runs[1].n_iters if error is None else (type(error), str(error)))
+        assert all(at_tol == at_inf for at_tol, at_inf in outcomes.values())
+
     def test_zero_block_in_the_step_retires_alone(self, monkeypatch, small_instance,
                                                   small_iterate):
         # Logging every 5th iteration, row 1 reaches a zero x block at
-        # iteration 2, off the log points: only the step can see it.
+        # iteration 2, off the log points: it ends there with the error and
+        # message a log point gives.
         real = solver._gradient_and_loss
         calls = []      # one call per iteration, from iteration 0
 
@@ -557,8 +584,8 @@ class TestRunBatch:
         batch = bc.run_wf(small_instance, small_iterate, settings,
                           sample_weights=np.ones((3, small_instance.m)))
         assert batch.runs[1] is None
-        assert isinstance(batch.errors[1], DegenerateIterateError)
-        assert str(batch.errors[1]) == "zero block norm in update scaling at iteration 2"
+        assert isinstance(batch.errors[1], DegenerateAlignmentError)
+        assert str(batch.errors[1]) == f"{metrics._RANGE_ERROR} at iteration 2"
         monkeypatch.setattr(solver, "_gradient_and_loss", real)
         want = bc.run_wf(small_instance, small_iterate, settings)
         for k in (0, 2):
