@@ -4,8 +4,8 @@ from .ensemble import (GroundTruth, ProblemInstance, generate_partial_dft,
                        make_instance, sample_design_tensor, sample_ground_truth,
                        synthesize_measurements)
 from .errors import (BlaircompError, ConfigError, DegenerateAlignmentError,
-                     DegenerateIterateError, DimensionMismatchError,
-                     DivergenceError, ParameterError, UndefinedMetricError)
+                     DimensionMismatchError, DivergenceError, ParameterError,
+                     UndefinedMetricError)
 from .metrics import (AlignmentResult, MetricSnapshot, align_pair, incoherence,
                       snapshot_metrics)
 from .solver import (Iterate, RunBatch, SolverSettings, StateTrace, loss, random_init,

@@ -15,12 +15,16 @@ import numpy as np
 from .errors import DimensionMismatchError, ParameterError
 
 _DRAW_SLAB = 8192   # values per rng.normal call in _complex_gaussian
-# The block norms the metrics can align: every truth norm q lies in
-# [1e-75, 1], and run_wf ends a run whose iterate leaves the range.  Inside
-# it, squared norms, their products and their ratios stay normal floats, so
-# align_pair's scale search stays in the float range against references of
-# norm at most 1.
-_NORM_RANGE = (1e-75, 1e75)
+# The block norms the metrics can align; run_wf ends a run whose iterate
+# leaves the range.  Every truth norm q lies in [10 * low, 1], since a block
+# rescaled to norm q can round just below it.  Inside the range, squared
+# norms, their products and their ratios stay normal floats, so align_pair's
+# scale search stays in the float range against references of norm at most 1.
+_NORM_RANGE = (1e-76, 1e76)
+# The error of a block outside the range; run_wf adds the iteration.
+_RANGE_ERROR = (f"cannot align a zero block or a block of norm outside "
+                f"[{_NORM_RANGE[0]:g}, {_NORM_RANGE[1]:g}] "
+                f"(its alignment coefficients can overflow)")
 
 
 def _is_count(value, low: int = 1) -> bool:
@@ -42,18 +46,24 @@ def _check_dft_shape(m, K) -> None:
 
 def _check_norms(q, s: int) -> np.ndarray:
     q = np.asarray(q, dtype=float)
+    low = 10 * _NORM_RANGE[0]
     if q.shape != (s,):
         raise ParameterError(f"q must have length s={s}")
-    if not np.all((q >= _NORM_RANGE[0]) & (q <= 1.0)):
-        raise ParameterError("every q value must lie in [1e-75, 1]")
+    if not np.all((q >= low) & (q <= 1.0)):
+        raise ParameterError(f"every q value must lie in [{low:g}, 1]")
     return q
 
 
-def _norms_in_range(norm2):
-    """Where the squared block norms ``norm2`` are those of norms in
-    ``_NORM_RANGE``; zero, NaN and infinity are not."""
-    low, high = _NORM_RANGE
-    return (norm2 >= low * low) & (norm2 <= high * high)
+def _block_norms2(h: np.ndarray, x: np.ndarray):
+    """The squared norms of blocks h (..., K) and x (..., N), one per vector
+    on the last axis, and whether each is that of a norm in ``_NORM_RANGE``;
+    zero, NaN and infinity are not.  The range is an interval, so each
+    batch's extremes decide: min and max pass a NaN on, and an empty batch
+    passes."""
+    low, high = (v * v for v in _NORM_RANGE)
+    h2, x2 = ((np.abs(v) ** 2).sum(axis=-1) for v in (h, x))
+    return h2, x2, all(v.min(initial=high) >= low and v.max(initial=low) <= high
+                       for v in (h2, x2))
 
 
 def _check_noise_variance(sigma2_e) -> None:

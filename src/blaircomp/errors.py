@@ -13,17 +13,13 @@ class ParameterError(BlaircompError, ValueError):
     """A numeric parameter is outside its admissible range."""
 
 
-class DegenerateIterateError(BlaircompError, ValueError):
-    """``wf_step`` would divide by a zero block norm.  Only a direct call
-    raises it: ``run_wf`` ends a run before its step meets a zero block."""
-
-
 class DegenerateAlignmentError(BlaircompError, ValueError):
     """Alignment is undefined: ``align_pair`` (and the metrics built on it)
-    met a block whose norm is zero or outside [1e-75, 1e75], or alignment
-    coefficients that overflow; ``run_wf`` ends a run with it at the first
-    iterate that holds such a block; ``incoherence`` raises it for a zero
-    channel in the ground truth."""
+    or a direct ``wf_step`` call met a block whose norm is zero or outside
+    ``ensemble._NORM_RANGE``, or ``align_pair`` met alignment coefficients
+    that overflow; ``run_wf`` ends a run with it at the first iterate that
+    holds such a block; ``incoherence`` raises it for a zero channel in the
+    ground truth."""
 
 
 class UndefinedMetricError(BlaircompError, ValueError):

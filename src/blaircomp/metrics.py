@@ -12,14 +12,11 @@ from typing import Union
 
 import numpy as np
 
-from .ensemble import GroundTruth, _norms_in_range, _rows_product
+from .ensemble import _RANGE_ERROR, GroundTruth, _block_norms2, _rows_product
 from .errors import DegenerateAlignmentError, UndefinedMetricError
 
 _SUBDIAGONAL = np.eye(6, k=-1)     # the ones of a sextic's companion matrix
 _NEWTON_PASSES = 60                # cap on the certified pairs' Newton passes
-# align_pair's error for a block outside ensemble._NORM_RANGE; run_wf adds the iteration
-_RANGE_ERROR = ("cannot align a zero block or a block of norm outside [1e-75, 1e75] "
-                "(its alignment coefficients can overflow)")
 
 
 @dataclass(frozen=True)
@@ -79,17 +76,16 @@ def align_pair(h_a: np.ndarray, x_a: np.ndarray,
     near-double root keeps only half its digits in the eigenvalues.  The
     reported cost re-evaluates the objective at w.
 
-    A block h_a or x_a whose norm is zero or outside [1e-75, 1e75]
-    (``ensemble._NORM_RANGE``) raises DegenerateAlignmentError; inside it,
-    against references of norm in [1e-75, 1], every coefficient stays
-    finite.  Against other references, scale or sextic coefficients that
-    overflow raise it too.
+    A block h_a or x_a whose norm is zero or outside ``ensemble._NORM_RANGE``
+    (``ensemble._block_norms2``, the test ``wf_step`` and ``run_wf`` make)
+    raises DegenerateAlignmentError; inside it, against references of norm
+    in [1e-75, 1], every coefficient stays finite.  Against other
+    references, scale or sextic coefficients that overflow raise it too.
     """
     # Sums that overflow surface below as non-finite coefficients.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a2 = (np.abs(h_a) ** 2).sum(axis=-1)
-        b2 = (np.abs(x_a) ** 2).sum(axis=-1)
-        if not (_norms_in_range(a2).all() and _norms_in_range(b2).all()):
+        a2, b2, aligns = _block_norms2(h_a, x_a)
+        if not aligns:
             raise DegenerateAlignmentError(_RANGE_ERROR)
         c1 = (np.conj(h_b) * h_a).sum(axis=-1)
         c2 = (np.conj(x_b) * x_a).sum(axis=-1)

@@ -16,12 +16,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import metrics
-from .ensemble import (GroundTruth, ProblemInstance, _check_sizes, _complex_gaussian,
-                       _is_count, _norms_in_range, _rows_product, _Sizes,
+from .ensemble import (_RANGE_ERROR, GroundTruth, ProblemInstance, _block_norms2,
+                       _check_sizes, _complex_gaussian, _is_count, _rows_product, _Sizes,
                        measurement_factors)
-from .errors import (BlaircompError, DegenerateAlignmentError, DegenerateIterateError,
-                     DimensionMismatchError, DivergenceError, ParameterError,
-                     UndefinedMetricError)
+from .errors import (BlaircompError, DegenerateAlignmentError, DimensionMismatchError,
+                     DivergenceError, ParameterError, UndefinedMetricError)
 
 _DIVERGENCE_FACTOR = 1e6
 # Iterations whose log points share one snapshot_metrics call (at least one
@@ -181,12 +180,14 @@ def wirtinger_gradient(z: Iterate, inst: ProblemInstance,
 def wf_step(z: Iterate, g: Iterate, eta: float) -> Iterate:
     """One block-scaled descent step; the input iterate is left untouched.
 
-    Blocks may carry leading run axes, (..., s, K) and (..., s, N).
+    Blocks may carry leading run axes, (..., s, K) and (..., s, N).  A
+    block whose norm is zero or outside ``ensemble._NORM_RANGE`` raises
+    DegenerateAlignmentError, as ``align_pair`` does; ``run_wf`` ends a run
+    before its step meets one.
     """
-    x_norm2 = (np.abs(z.x) ** 2).sum(axis=-1)
-    h_norm2 = (np.abs(z.h) ** 2).sum(axis=-1)
-    if not (x_norm2.all() and h_norm2.all()):
-        raise DegenerateIterateError("zero block norm in update scaling")
+    h_norm2, x_norm2, aligns = _block_norms2(z.h, z.x)
+    if not aligns:
+        raise DegenerateAlignmentError(_RANGE_ERROR)
     h = z.h - (eta / x_norm2)[..., None] * g.h
     x = z.x - (eta / h_norm2)[..., None] * g.x
     return Iterate(h=h, x=x)
@@ -202,17 +203,17 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     naming the first iteration where the run fails: a DivergenceError if the
     loss becomes non-finite or grows a millionfold, else a
     DegenerateAlignmentError if the iterate holds a block whose norm is zero
-    or outside [1e-75, 1e75] (``ensemble._NORM_RANGE``), which
-    ``align_pair`` rejects.  Both are checked right after each gradient, the
-    divergence from iteration 1 on, so ``wf_step`` never meets a zero block
-    and every logged iterate aligns to a truth of norms in [1e-75, 1].  The
-    tolerance test runs on blocks of log points, and a run that meets a
-    tolerance ends at the first log point that meets it, its later steps
-    discarded.  With a tolerance set, each block's truth metrics come from
-    one ``snapshot_metrics`` call, kept in the trace; with none set, the
-    trace computes them on first read.  A failure settles the pending block
-    first, so an earlier tolerance stop wins, as testing every log point as
-    it comes would have it.
+    or outside ``ensemble._NORM_RANGE``, by the test ``wf_step`` and
+    ``align_pair`` make.  Both are checked right after each gradient, the
+    divergence from iteration 1 on, so ``wf_step`` never meets a block it
+    rejects and every logged iterate aligns to a truth of norms in
+    [1e-75, 1].  The tolerance test runs on blocks of log points, and a run
+    that meets a tolerance ends at the first log point that meets it, its
+    later steps discarded.  With a tolerance set, each block's truth
+    metrics come from one ``snapshot_metrics`` call, kept in the trace; with
+    none set, the trace computes them on first read.  A failure settles the
+    pending block first, so an earlier tolerance stop wins, as testing every
+    log point as it comes would have it.
 
     A run axis comes from any of: a sequence of R instances (same
     dimensions and access rows), z0 stacked (R, s, K/N), or
@@ -302,13 +303,14 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
             if t > 0:
                 z = wf_step(z, g, settings.eta)
                 g, loss_t = _gradient_and_loss(z, rows, w)
-            if not _in_range(z) or (t > 0 and not (loss_t <= limit).all()):
+            if not _block_norms2(z.h, z.x)[2] or (t > 0 and not (loss_t <= limit).all()):
                 settle()             # an earlier tolerance stop wins
                 if t > 0:
                     fail(~(loss_t <= limit), lambda k: DivergenceError(
                         f"loss diverged at iteration {t}: {float(loss_t[k])!r}"))
-                fail(~_in_range(z, per_run=True), lambda k: DegenerateAlignmentError(
-                    f"{metrics._RANGE_ERROR} at iteration {t}"))
+                aligns = [_block_norms2(h, x)[2] for h, x in zip(z.h, z.x)]
+                fail(~np.array(aligns, dtype=bool), lambda k: DegenerateAlignmentError(
+                    f"{_RANGE_ERROR} at iteration {t}"))
                 if not len(runs):
                     break
             if t % settings.cadence == 0 or t == settings.max_iters:
@@ -415,14 +417,3 @@ def _stack_instances(inst: Union[ProblemInstance, Sequence[ProblemInstance]]) ->
 def _take(v: Optional[np.ndarray], keep: np.ndarray) -> Optional[np.ndarray]:
     """Rows ``keep`` of per-run values; a single shared row stays as it is."""
     return v if v is None or len(v) == 1 else v[keep]
-
-
-def _in_range(z: Iterate, per_run: bool = False):
-    """Whether every block of the iterate (R, s, K/N) has a norm that
-    ``align_pair`` accepts, from squared norms computed as it computes
-    them; with ``per_run``, one flag per run."""
-    norm2 = np.concatenate([(np.abs(v) ** 2).sum(axis=-1) for v in (z.h, z.x)], axis=-1)
-    if per_run:
-        return _norms_in_range(norm2).all(axis=-1)
-    # The range is an interval, so the extremes decide; min and max pass a NaN on.
-    return _norms_in_range(norm2.min()) & _norms_in_range(norm2.max())

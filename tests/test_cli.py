@@ -280,6 +280,26 @@ class TestKeysFromFields:
         assert _main_config(monkeypatch, ["run", *flags]) == from_file
         assert getattr(from_file, field.name) != getattr(bc.ExperimentConfig(), field.name)
 
+    def test_file_and_flags_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # An unsorted grid, so the slope fit orders sigma_w itself.
+        path = tmp_path / "sweep.cfg"
+        path.write_text("preset = noise-sweep\nK = 12\ntrials = 3\nseed = 4\n"
+                        "cadence = 3\nsigma_w_grid = 100, 1, 10\n")
+        seen, real = [], cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or real(cfg))
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main(["run", "--config", str(path), "--out", str(one)]) == 0
+        assert main(["run", "--preset", "noise-sweep", "--K", "12", "--trials", "3",
+                     "--seed", "4", "--cadence", "3", "--sigma-w-grid", "100,1,10",
+                     "--out", str(two)]) == 0
+        assert seen[0] == dataclasses.replace(seen[1], out=str(one))
+        assert seen[0].sigma_w_grid == [100.0, 1.0, 10.0]
+        for name in ("trace.csv", "stages.json", "report.json", "plot.gp",
+                     "noise_sweep.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        # the header, then each trial's last 10 log points per sigma_w: 1 + 3 x 10 x 3
+        assert len((one / "noise_sweep.csv").read_bytes().splitlines()) == 91
+
     @pytest.mark.parametrize("command", ["run", "diagnostics"])
     def test_help_lists_one_flag_per_field(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -69,16 +69,16 @@ class TestAlignPair:
         with pytest.raises(DegenerateAlignmentError):
             bc.align_pair(np.zeros(4, dtype=complex), truth.x[0],
                           truth.h[0], truth.x[0])
-        # Block norms just inside [1e-75, 1e75] align to references of norm
+        # Block norms just inside [1e-76, 1e76] align to references of norm
         # 1 or 1e-75 with finite results; just outside they are rejected.
         h, x = truth.h[0], truth.x[0]        # unit norms
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for ref in (1.0, 1e-75):
-                for a, b in itertools.product((1.01e-75, 0.99e75), repeat=2):
+                for a, b in itertools.product((1.01e-76, 0.99e76), repeat=2):
                     res = bc.align_pair(a * h, b * x, ref * h, ref * x)
                     assert np.isfinite(res.omega) and np.isfinite(res.cost)
-                for a, b in ((0.99e-75, 1.0), (1.0, 1.01e75)):
+                for a, b in ((0.99e-76, 1.0), (1.0, 1.01e76)):
                     with pytest.raises(DegenerateAlignmentError, match="zero block"):
                         bc.align_pair(a * h, b * x, ref * h, ref * x)
 

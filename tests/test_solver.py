@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
-from blaircomp import metrics, solver
+from blaircomp import ensemble, metrics, solver
 from blaircomp.ensemble import measurement_factors
-from blaircomp.errors import (DegenerateAlignmentError, DegenerateIterateError,
-                              DimensionMismatchError, DivergenceError,
-                              ParameterError, UndefinedMetricError)
+from blaircomp.errors import (DegenerateAlignmentError, DimensionMismatchError,
+                              DivergenceError, ParameterError, UndefinedMetricError)
 
 from helpers import (brute_force_gradient, brute_force_hessian_x_block,
                      brute_force_loss, draw_direction, explicit_sign_flip,
@@ -280,13 +279,29 @@ class TestWfStep:
         bc.wf_step(small_iterate, g, 0.1)
         assert np.array_equal(small_iterate.h, h0)
 
-    def test_zero_norm_block_rejected(self):
+    def test_zero_norm_block_rejected(self, small_iterate):
         z = bc.Iterate(h=np.zeros((1, 2), dtype=complex),
                        x=np.ones((1, 2), dtype=complex))
         g = bc.Iterate(h=np.zeros((1, 2), dtype=complex),
                        x=np.zeros((1, 2), dtype=complex))
-        with pytest.raises(DegenerateIterateError):
+        with pytest.raises(DegenerateAlignmentError, match="zero block"):
             bc.wf_step(z, g, 0.1)
+        # A block of norm just outside ensemble._NORM_RANGE raises, as
+        # align_pair does; just inside, wf_step takes a finite step.
+        low, high = ensemble._NORM_RANGE
+        g = bc.Iterate(h=np.ones_like(small_iterate.h), x=np.ones_like(small_iterate.x))
+        for norm, inside in ((1.01 * low, True), (0.99 * low, False),
+                             (0.99 * high, True), (1.01 * high, False)):
+            for block in ("h", "x"):
+                z = bc.Iterate(h=small_iterate.h.copy(), x=small_iterate.x.copy())
+                v = getattr(z, block)
+                v[0] *= norm / np.linalg.norm(v[0])
+                if inside:
+                    z1 = bc.wf_step(z, g, 0.1)
+                    assert np.isfinite(z1.h).all() and np.isfinite(z1.x).all()
+                else:
+                    with pytest.raises(DegenerateAlignmentError, match="zero block"):
+                        bc.wf_step(z, g, 0.1)
 
 
 class TestSolverSettings:
@@ -505,7 +520,7 @@ class TestRunBatch:
         h[2, 1] = 0.0
         z = bc.Iterate(h=h, x=np.stack([small_iterate.x] * 3))
         g = bc.Iterate(h=np.ones_like(z.h), x=np.ones_like(z.x))
-        with pytest.raises(DegenerateIterateError):
+        with pytest.raises(DegenerateAlignmentError, match="zero block"):
             bc.wf_step(z, g, 0.1)
         # A zero start block fails the truth alignment of the first log
         # point, in every run that starts there.
@@ -533,15 +548,28 @@ class TestRunBatch:
         batch = bc.run_wf(small_instance, z0, settings)
         assert batch.runs[1] is None
         assert isinstance(batch.errors[1], DegenerateAlignmentError)
-        assert str(batch.errors[1]) == f"{metrics._RANGE_ERROR} at iteration 0"
+        assert str(batch.errors[1]) == f"{ensemble._RANGE_ERROR} at iteration 0"
         for k in (0, 2):
             assert batch.errors[k] is None
             _assert_identical_traces(batch.runs[k],
                                      bc.run_wf(small_instance, z0s[k], settings))
 
+    def test_starts_near_a_truth_at_the_lowest_q_run(self):
+        # sample_ground_truth rescales each block to norm q, which rounds
+        # just below q for some draws; at q = 1e-75, the lowest accepted,
+        # runs started at the truth and 1 % off it still run, and their
+        # metrics read.
+        settings = bc.SolverSettings(max_iters=3)
+        scales = np.array([0.99, 1.0, 1.01])[:, None, None]
+        for seed in range(200):
+            inst = bc.make_instance(1, 4, 4, 40, q=[1e-75], seed=seed)
+            z0 = bc.Iterate(h=scales * inst.truth.h, x=scales * inst.truth.x)
+            for trace in bc.run_wf(inst, z0, settings).traces():
+                assert trace.n_iters == 3 and np.isfinite(trace.relative_error).all()
+
     def test_scaled_starts_retire_alone(self):
         # Row 1 starts at (10^a h, 10^b x), across both edges of the block
-        # norm range [1e-75, 1e75].  Whatever its outcome, the call returns,
+        # norm range [1e-76, 1e76].  Whatever its outcome, the call returns,
         # rows 0 and 2 run as alone, every finished trace's metrics read,
         # and row 1 ends the same way with the tolerance on or off.
         inst = bc.make_instance(1, 4, 4, 40, seed=1)
@@ -585,7 +613,7 @@ class TestRunBatch:
                           sample_weights=np.ones((3, small_instance.m)))
         assert batch.runs[1] is None
         assert isinstance(batch.errors[1], DegenerateAlignmentError)
-        assert str(batch.errors[1]) == f"{metrics._RANGE_ERROR} at iteration 2"
+        assert str(batch.errors[1]) == f"{ensemble._RANGE_ERROR} at iteration 2"
         monkeypatch.setattr(solver, "_gradient_and_loss", real)
         want = bc.run_wf(small_instance, small_iterate, settings)
         for k in (0, 2):
