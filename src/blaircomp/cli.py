@@ -52,7 +52,8 @@ _BLOCK_BYTES = 1 << 20
 @dataclass
 class ExperimentConfig:
     """The experiment settings.  Each field is a config-file key and a CLI
-    flag (``_`` written ``-``), its value coerced to the field's type."""
+    flag (``_`` written ``-``), its value coerced to the field's type.  N,
+    unless given, is K, however the config is built."""
 
     preset: str = "custom"
     s: Optional[int] = None
@@ -72,6 +73,10 @@ class ExperimentConfig:
     cadence: int = SolverSettings.cadence
     loo_samples: int = 8
     jobs: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.N is None:
+            self.N = self.K
 
     def resolved_m(self) -> int:
         return self.m if self.m is not None else self.m_factor * self.K
@@ -160,11 +165,11 @@ def _has_kind(value, kind: type) -> bool:
 
 def parse_config(path: Optional[str] = None,
                  overrides: Optional[Dict] = None) -> ExperimentConfig:
-    """Key=value config file plus overrides, which win, laid over the
-    preset's values; giving m or m_factor drops both of the preset's.
+    """Key=value config file plus overrides, which win unless None, laid
+    over the preset's values; giving m or m_factor drops both of the preset's.
 
-    Unknown keys are rejected.  Each value is coerced to its field's type,
-    N is K unless given, and the result is validated.
+    Unknown keys are rejected.  Each value is coerced to its field's type
+    and the result is validated.
     """
     given = _read_config_file(path) if path is not None else {}
     given.update((key, value) for key, value in (overrides or {}).items()
@@ -179,8 +184,6 @@ def parse_config(path: Optional[str] = None,
         base = {key: value for key, value in base.items() if key not in ("m", "m_factor")}
     cfg = ExperimentConfig(**{key: _coerce(key, value)
                               for key, value in {**base, **given}.items()})
-    if cfg.N is None:
-        cfg.N = cfg.K
     cfg.validate()
     return cfg
 
@@ -191,20 +194,20 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
     Emits trace.csv (fixed 5 + 5s column schema), stages.json (config echo,
     per-trial summaries and stage reports), report.json (preset-specific
     summary), a gnuplot stub, per-preset extras, and timings.json (wall clock,
-    pool size and the time spent writing the other artifacts: the only
-    artifact that changes between reruns).  Returns
-    a summary dict with artifact paths; ``ok`` is False when any trial failed.
+    worker processes used and the time spent writing the other artifacts:
+    the only artifact that changes between reruns).  Returns a summary dict
+    with artifact paths; ``ok`` is False when any trial failed.
     """
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
     t_start = time.perf_counter()
 
-    jobs = cfg.resolved_jobs()
     blocks = _trial_blocks(cfg)
-    if jobs > 1 and len(blocks) > 1:
+    workers = min(cfg.resolved_jobs(), len(blocks))
+    if workers > 1:
         # Imported here, so that importing the package does not load it.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_run_trial, [cfg] * len(blocks), *zip(*blocks)))
     else:
         solved = [_run_trial(cfg, first, n) for first, n in blocks]
@@ -237,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
                 report.setdefault("hypotheses_csv", []).append(name)
     _write_json(paths["report"], report)
     t_end = time.perf_counter()
-    _write_json(paths["timings"], {"wall_clock_s": t_end - t_start, "jobs": jobs,
+    _write_json(paths["timings"], {"wall_clock_s": t_end - t_start, "jobs": workers,
                                    "artifacts_s": t_end - t_write})
 
     ok = all(r["summary"]["error"] is None for r in results)
@@ -536,11 +539,10 @@ def _coerce(key: str, value):
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
-    """``--config``, then one flag per given config key, read as text."""
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config``, then one flag per ``ExperimentConfig`` field, as text."""
     parser.add_argument("--config", help="key = value config file")
-    for key in keys:
-        kind = _KEY_TYPES[key]
+    for key, kind in _KEY_TYPES.items():
         extra = ({"choices": PRESET_NAMES} if key == "preset" else
                  {"help": "comma separated list"} if kind is list else {})
         parser.add_argument("--" + key.replace("_", "-"), **extra)
@@ -564,31 +566,24 @@ def _numbers_as_values(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``blaircomp run``, every preset, named by ``--preset`` or the
+    ``--config`` file.  Exits 1 if a trial failed, 2 on bad input or i/o."""
     parser = argparse.ArgumentParser(
         prog="blaircomp",
         description="Blind over-the-air computation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run an experiment preset")
-    _add_common_flags(run_p, list(_KEY_TYPES))
-    diag_p = sub.add_parser("diagnostics",
-                            help="leave-one-out / sign-flip diagnostics suite")
-    _add_common_flags(diag_p, [key for key in _KEY_TYPES if key != "preset"])
+    _add_common_flags(run_p)
 
     args = vars(parser.parse_args(
         _numbers_as_values(sys.argv[1:] if argv is None else argv)))
-    command = args.pop("command")
+    del args["command"]
     config_path = args.pop("config")
-    if command == "run" and args["preset"] is None and config_path is None:
+    if args["preset"] is None and config_path is None:
         run_p.error("need --preset or --config")
 
     try:
-        given = _read_config_file(config_path) if config_path is not None else {}
-        given.update((key, value) for key, value in args.items() if value is not None)
-        if command == "diagnostics":    # its preset; a config file may only repeat it
-            preset = given.setdefault("preset", "diagnostics")
-            if preset != "diagnostics":
-                raise ConfigError(f"diagnostics runs the diagnostics preset, not {preset!r}")
-        cfg = parse_config(overrides=given)
+        cfg = parse_config(config_path, args)
         result = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

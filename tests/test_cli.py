@@ -300,16 +300,22 @@ class TestKeysFromFields:
         # the header, then each trial's last 10 log points per sigma_w: 1 + 3 x 10 x 3
         assert len((one / "noise_sweep.csv").read_bytes().splitlines()) == 91
 
-    @pytest.mark.parametrize("command", ["run", "diagnostics"])
-    def test_help_lists_one_flag_per_field(self, command, capsys):
+    def test_help_lists_one_flag_per_field(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
+            main(["run", "--help"])
         assert exc.value.code == 0
         listed = re.findall(r"^\s+(--[\w-]+)", capsys.readouterr().out, re.M)
-        # diagnostics runs its own preset, so it has no --preset flag
         assert listed == ["--config"] + [_flag(field.name) for field
-                                         in dataclasses.fields(bc.ExperimentConfig)
-                                         if command == "run" or field.name != "preset"]
+                                         in dataclasses.fields(bc.ExperimentConfig)]
+
+
+def _assert_reprints(path):
+    """The CSV at ``path``, read back by ``read_trace_csv`` and printed again
+    one field at a time with '%.17g', is the same bytes."""
+    cols = bc.read_trace_csv(path)
+    write_csv_rows(path + ".rows", list(cols), [np.column_stack(list(cols.values()))])
+    with open(path, "rb") as f1, open(path + ".rows", "rb") as f2:
+        assert f1.read() == f2.read(), path
 
 
 def _tiny_cfg(out, **kw):
@@ -346,6 +352,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(cols["loss"], trace.loss)
         np.testing.assert_array_equal(cols["relative_error"],
                                       trace.relative_error)
+        _assert_reprints(result["paths"]["trace"])
 
     def test_byte_identical_reruns(self, tmp_path):
         r1 = bc.run_experiment(_tiny_cfg(tmp_path / "a"))
@@ -368,6 +375,27 @@ class TestRunExperiment:
             with open(serial["paths"][name], "rb") as f1, \
                     open(pooled["paths"][name], "rb") as f2:
                 assert f1.read() == f2.read(), name
+
+    @pytest.mark.parametrize("case, workers", [
+        # one block, which runs in the main process
+        (dict(preset="noise-sweep", trials=2, jobs=2, max_iters=20), 1),
+        # test_worker_pool_matches_serial's three blocks
+        (dict(preset="custom", s=2, K=4, N=16, m=1200, max_iters=30, trials=3, jobs=4), 3),
+    ], ids=["one_block", "three_blocks"])
+    def test_timings_record_the_workers_used(self, tmp_path, case, workers):
+        cfg = bc.parse_config(overrides=dict(case, out=str(tmp_path / "w")))
+        with open(bc.run_experiment(cfg)["paths"]["timings"]) as fh:
+            assert json.load(fh)["jobs"] == workers
+
+    def test_N_defaults_to_K_in_a_config_built_in_python(self, tmp_path):
+        settings = dict(preset="custom", s=1, K=4, m=40, max_iters=5, jobs=1,
+                        out=str(tmp_path / "n"))
+        cfg = bc.ExperimentConfig(**settings)
+        assert cfg.N == 4 and cfg == bc.parse_config(overrides=settings)
+        result = bc.run_experiment(cfg)
+        assert result["ok"]
+        with open(result["paths"]["stages"]) as fh:
+            assert json.load(fh)["config"]["N"] == 4
 
     def test_stages_json_structure(self, tmp_path):
         result = bc.run_experiment(_tiny_cfg(tmp_path / "r3"))
@@ -398,6 +426,7 @@ class TestRunExperiment:
             assert len(sweep["points"]) == len(cfg.sigma_w_grid)
             assert -1.5 < sweep["slope_db_per_db"] < -0.5
             assert os.path.exists(result["paths"]["noise"])
+            _assert_reprints(result["paths"]["noise"])
             with open(result["paths"]["report"]) as fh:
                 json.loads(fh.read(), parse_constant=reject)
 
@@ -731,8 +760,9 @@ class TestTrialFailure:
         for how, jobs in (("forced", "1"), ("diverged", "2")):
             out = tmp_path / how
             report = _main_with_both_trials_failed(capsys, how, [
-                "diagnostics", "--K", "4", "--m", "40", "--max-iters", "5",
-                "--loo-samples", "1", "--trials", "2", "--jobs", jobs, "--out", str(out)])
+                "run", "--preset", "diagnostics", "--K", "4", "--m", "40",
+                "--max-iters", "5", "--loo-samples", "1", "--trials", "2", "--jobs", jobs,
+                "--out", str(out)])
             assert report["concentration"] == [None, None]
             assert "hypotheses_csv" not in report
             assert not list(out.glob("hypotheses_*.csv"))
@@ -751,9 +781,9 @@ class TestTrialFailure:
 
         monkeypatch.setattr(cli.diag, "run_diagnostics_suite", suite)
         out = tmp_path / "d"
-        code = main(["diagnostics", "--K", "4", "--m", "40", "--max-iters", "5",
-                     "--loo-samples", "1", "--trials", "2", "--jobs", "1",
-                     "--out", str(out)])
+        code = main(["run", "--preset", "diagnostics", "--K", "4", "--m", "40",
+                     "--max-iters", "5", "--loo-samples", "1", "--trials", "2",
+                     "--jobs", "1", "--out", str(out)])
         assert code == 1
         assert ("trial 1: DIVERGED (DivergenceError: forced divergence in trial 1)"
                 in capsys.readouterr().out)
@@ -857,8 +887,9 @@ class TestMainEntry:
     def test_diagnostics_needs_two_samples(self, tmp_path, capsys):
         # Its comparison scales are powers of log m, which is 0 at m = 1.
         out = tmp_path / "d"
-        code = main(["diagnostics", "--s", "1", "--K", "1", "--N", "1", "--m", "1",
-                     "--max-iters", "3", "--loo-samples", "1", "--out", str(out)])
+        code = main(["run", "--preset", "diagnostics", "--s", "1", "--K", "1", "--N", "1",
+                     "--m", "1", "--max-iters", "3", "--loo-samples", "1",
+                     "--out", str(out)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
@@ -879,16 +910,16 @@ class TestMainEntry:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
-    def test_diagnostics_subcommand(self, tmp_path):
-        code = main(["diagnostics", "--K", "4", "--m", "40", "--max-iters", "8",
-                     "--loo-samples", "2", "--seed", "1", "--jobs", "1",
+    def test_run_diagnostics_preset(self, tmp_path):
+        code = main(["run", "--preset", "diagnostics", "--K", "4", "--m", "40",
+                     "--max-iters", "8", "--loo-samples", "2", "--seed", "1", "--jobs", "1",
                      "--out", str(tmp_path / "d")])
         assert code == 0
         assert os.path.exists(tmp_path / "d" / "hypotheses_0.csv")
 
     def test_diagnostics_without_dropped_samples(self, tmp_path):
-        code = main(["diagnostics", "--K", "4", "--m", "40", "--max-iters", "8",
-                     "--loo-samples", "0", "--seed", "1", "--jobs", "1",
+        code = main(["run", "--preset", "diagnostics", "--K", "4", "--m", "40",
+                     "--max-iters", "8", "--loo-samples", "0", "--seed", "1", "--jobs", "1",
                      "--out", str(tmp_path / "d")])
         assert code == 0
         with open(tmp_path / "d" / "hypotheses_0.csv", newline="") as fh:
@@ -920,18 +951,18 @@ class TestMainEntry:
             assert code == 1
             assert capsys.readouterr().out.count("DIVERGED") == trials
 
-    def test_diagnostics_runs_only_its_preset(self, tmp_path, capsys):
+    def test_diagnostics_runs_only_its_preset(self, tmp_path, monkeypatch, capsys):
+        # The diagnostics preset runs through ``run``; there is no
+        # ``diagnostics`` command, whatever flags follow it.
+        monkeypatch.chdir(tmp_path)                 # where the default out would go
         out = tmp_path / "d"
         tail = ["--max-iters", "5", "--loo-samples", "1", "--out", str(out)]
-        with pytest.raises(SystemExit) as exc:      # diagnostics has no --preset flag
-            main(["diagnostics", "--preset", "fig1-convergence", "--K", "4", "--m", "40",
-                  *tail])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --preset" in capsys.readouterr().err
-        assert not out.exists()
-        path = tmp_path / "components.cfg"       # a config file may name a preset
+        path = tmp_path / "components.cfg"
         path.write_text("preset = components\n")
-        assert main(["diagnostics", "--config", str(path), *tail]) == 2
-        assert "config error: diagnostics runs the diagnostics preset" in \
-            capsys.readouterr().err
-        assert not out.exists()
+        for argv in (["--preset", "fig1-convergence", "--K", "4", "--m", "40", *tail],
+                     ["--config", str(path), *tail], ["--K", "4", "--m", "40"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["diagnostics", *argv])
+            assert exc.value.code == 2
+            assert "invalid choice: 'diagnostics'" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["components.cfg"]
