@@ -275,28 +275,44 @@ def _trial_blocks(cfg: ExperimentConfig) -> List[Tuple[int, int]]:
 
 def _run_trial(cfg: ExperimentConfig, first_trial: int, n_trials: int) -> List[Dict]:
     """Summaries and per-trial results of trials first_trial, ...,
-    first_trial + n_trials - 1, solved in one lockstep ``run_wf`` call.
+    first_trial + n_trials - 1, solved in one lockstep ``run_wf`` call, a
+    noise-sweep trial's rows drawn from its auxiliary stream; or, for a
+    diagnostics trial (a block of its own), canonicalized here and run in
+    its suite, whose auxiliary runs draw from that stream.
 
     Each trial's instance, start and auxiliary stream come from
-    (seed, trial), so its numbers do not depend on its block.  A package
-    error ends only its own trial: the summary records its type and message,
-    the trial logs no trace rows, and the other trials go on.
+    (seed, trial), so its numbers do not depend on its block.  A failed run
+    ends only its own trial: the summary records its error's type and
+    message, the trial logs no trace rows, and the other trials go on.  A
+    package error raised outside the runs, which only a diagnostics suite
+    raises, ends every trial of the block.
     """
     trials = range(first_trial, first_trial + n_trials)
-    # trial -> its error, or its (trace, results)
-    solved: Dict[int, object] = {}
-    built = []
-    for trial in trials:
-        try:
-            built.append((trial, *_build_trial(cfg, trial)))
-        except BlaircompError as exc:
-            solved[trial] = exc
-    if built:
-        try:
-            solved.update(_solve_block(cfg, built))
-        except BlaircompError as exc:     # the call the block shares failed
-            solved.update((b[0], exc) for b in built)
-    return [_trial_result(trial, solved[trial]) for trial in trials]
+    settings = cfg.solver_settings()
+    try:
+        built = [_build_trial(cfg, trial) for trial in trials]
+        if cfg.preset == "diagnostics":
+            (inst, z0, aux_rng), = built
+            inst = diag.canonicalize_instance(inst)
+            loo = diag.select_loo_indices(inst.m, cfg.loo_samples, aux_rng)
+            plain, flipped = diag.run_diagnostics_suite(inst, z0, settings, loo, aux_rng)
+            solved = [(plain[0], {"hypotheses": diag.measure_hypotheses(plain, flipped, inst),
+                                  "concentration": asdict(diag.concentration_report(inst))})]
+        else:
+            insts, z0s, aux_rngs = zip(*built)
+            batch = run_wf(insts, Iterate(h=np.stack([z.h for z in z0s]),
+                                          x=np.stack([z.x for z in z0s])), settings)
+            solved = []
+            for trial, aux_rng, trace, error in zip(trials, aux_rngs, batch.runs,
+                                                    batch.errors):
+                extras = {}
+                if error is None and cfg.preset == "noise-sweep":
+                    extras["noise_rows"] = _noise_sweep_rows(trace, cfg.sigma_w_grid,
+                                                             aux_rng, trial)
+                solved.append((trace if error is None else error, extras))
+    except BlaircompError as exc:         # raised outside the runs
+        solved = [(exc, {})] * n_trials
+    return [_trial_result(trial, *outcome) for trial, outcome in zip(trials, solved)]
 
 
 def _build_trial(cfg: ExperimentConfig, trial: int):
@@ -308,48 +324,21 @@ def _build_trial(cfg: ExperimentConfig, trial: int):
     return inst, z0, np.random.default_rng(aux_seed)
 
 
-def _solve_block(cfg: ExperimentConfig, built: List[tuple]) -> Dict[int, object]:
-    """Each built trial's error, or its trace and per-preset results: the
-    trials in one ``run_wf`` call, a noise-sweep trial's rows drawn from its
-    auxiliary stream; or a diagnostics trial canonicalized here and run in
-    its suite, whose auxiliary runs draw from that stream."""
-    settings = cfg.solver_settings()
-    if cfg.preset == "diagnostics":
-        (trial, inst, z0, aux_rng), = built
-        inst = diag.canonicalize_instance(inst)
-        loo = diag.select_loo_indices(inst.m, cfg.loo_samples, aux_rng)
-        plain, flipped = diag.run_diagnostics_suite(inst, z0, settings, loo, aux_rng)
-        result = {"hypotheses": diag.measure_hypotheses(plain, flipped, inst),
-                  "concentration": asdict(diag.concentration_report(inst))}
-        return {trial: (plain[0], result)}
-    trials, insts, z0s, aux_rngs = zip(*built)
-    batch = run_wf(insts, Iterate(h=np.stack([z.h for z in z0s]),
-                                  x=np.stack([z.x for z in z0s])), settings)
-    solved: Dict[int, object] = dict(zip(trials, batch.errors))
-    for trial, aux_rng, trace in zip(trials, aux_rngs, batch.runs):
-        if solved[trial] is None:
-            result = {}
-            if cfg.preset == "noise-sweep":
-                result["noise_rows"] = _noise_sweep_rows(trace, cfg.sigma_w_grid,
-                                                         aux_rng, trial)
-            solved[trial] = (trace, result)
-    return solved
-
-
-def _trial_result(trial: int, solved) -> Dict:
-    """The trial's summary, trace rows and per-preset results."""
+def _trial_result(trial: int, error_or_trace, extras: Dict) -> Dict:
+    """The trial's summary and trace rows, with its per-preset ``extras``:
+    of its error, no rows and no extras; of its trace, the stop, the last
+    logged error and loss, the stage report and one row per log point."""
     summary = {"trial": trial, "diverged": False, "error": None, "error_type": None}
-    if isinstance(solved, BlaircompError):
-        summary.update(diverged=isinstance(solved, DivergenceError), error=str(solved),
-                       error_type=type(solved).__name__)
+    if isinstance(error_or_trace, BlaircompError):
+        summary.update(diverged=isinstance(error_or_trace, DivergenceError),
+                       error=str(error_or_trace), error_type=type(error_or_trace).__name__)
         return {"summary": summary, "trace": []}
-    trace, result = solved
+    trace = error_or_trace
     summary.update(converged=trace.converged, n_iters=trace.n_iters,
                    final_relative_error=float(trace.relative_error[-1]),
                    final_loss=float(trace.loss[-1]),
                    stages=state_evolution.detect_stages(trace).to_json_dict())
-    result.update(summary=summary, trace=_trace_columns(trace, trial))
-    return result
+    return {**extras, "summary": summary, "trace": _trace_columns(trace, trial)}
 
 
 def _noise_sweep_rows(trace, sigma_w_grid: Sequence[float],
@@ -539,15 +528,6 @@ def _coerce(key: str, value):
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    """``--config``, then one flag per ``ExperimentConfig`` field, as text."""
-    parser.add_argument("--config", help="key = value config file")
-    for key, kind in _KEY_TYPES.items():
-        extra = ({"choices": PRESET_NAMES} if key == "preset" else
-                 {"help": "comma separated list"} if kind is list else {})
-        parser.add_argument("--" + key.replace("_", "-"), **extra)
-
-
 def _numbers_as_values(argv: Sequence[str]) -> List[str]:
     """``--flag -1e-6,2`` as ``--flag=-1e-6,2``: argparse reads a token that
     starts with ``-`` as a flag unless it is one plain negative number."""
@@ -573,7 +553,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Blind over-the-air computation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run an experiment preset")
-    _add_common_flags(run_p)
+    run_p.add_argument("--config", help="key = value config file")
+    for key, kind in _KEY_TYPES.items():
+        extra = ({"choices": PRESET_NAMES} if key == "preset" else
+                 {"help": "comma separated list"} if kind is list else {})
+        run_p.add_argument("--" + key.replace("_", "-"), **extra)
 
     args = vars(parser.parse_args(
         _numbers_as_values(sys.argv[1:] if argv is None else argv)))

@@ -61,7 +61,8 @@ def _block_norms2(h: np.ndarray, x: np.ndarray):
     batch's extremes decide: min and max pass a NaN on, and an empty batch
     passes."""
     low, high = (v * v for v in _NORM_RANGE)
-    h2, x2 = ((np.abs(v) ** 2).sum(axis=-1) for v in (h, x))
+    with np.errstate(over="ignore"):        # an overflow is inf, outside the range
+        h2, x2 = ((np.abs(v) ** 2).sum(axis=-1) for v in (h, x))
     return h2, x2, all(v.min(initial=high) >= low and v.max(initial=low) <= high
                        for v in (h2, x2))
 

@@ -15,6 +15,23 @@ from blaircomp.cli import ExperimentConfig
 from helpers import draw_direction, explicit_sign_flip, gradient_inner, grid_search_cost
 
 ETA = 0.1
+# Criteria 2-4 measured on the 20 fig1_runs of the unmodified solver: median
+# T_gamma 47 (39-54) and median iterations 222 (191-251); each run's worst
+# error ratio per step after T_gamma 0.936-0.952, and its smallest stage-I
+# growth rate 0.069-0.108.  Each band is the measured value or range widened
+# by a factor MARGIN either way.  A solver that steps at eta/2 or 1.5 eta, or
+# that scales a block's step by its own norm or by none instead of its
+# partner's, leaves at least one band.
+MARGIN = 1.25
+T_GAMMA_MEDIAN = 47
+ITERS_MEDIAN = 222
+WORST_RATIO = (0.936, 0.952)
+SMALLEST_GROWTH = (0.069, 0.108)
+
+
+def _in_band(value, low, high=None):
+    """``value`` within a factor MARGIN of [low, high], or of low alone."""
+    return low / MARGIN <= value <= (low if high is None else high) * MARGIN
 
 
 def _criterion(n, ok, detail):
@@ -83,45 +100,48 @@ def test_criterion_2_two_stage_convergence(fig1_runs):
                   for t in converged)
     sane = all(np.all(t.relative_error <= 2.0 * t.dist + 1e-12)
                for t in converged)
-    ok = (len(converged) >= 18 and ordering_ok and sane and elapsed < 60.0)
+    # a run that never enters the contraction region counts as the latest
+    t_gamma = np.median([np.inf if rep.T_gamma is None else rep.T_gamma
+                         for _, rep in runs])
+    iters = np.median([trace.n_iters for trace, _ in runs])
+    ok = (len(converged) >= 18 and ordering_ok and sane and elapsed < 60.0
+          and _in_band(t_gamma, T_GAMMA_MEDIAN) and _in_band(iters, ITERS_MEDIAN))
     _criterion(2, ok,
                f"{len(converged)}/20 runs at rel err <= 1e-6 within 500 iters, "
-               f"stage ordering in all converged runs; error<=dist at "
-               f"{ordered}/{total} logged points (error<=2*dist everywhere); "
-               f"{elapsed:.1f}s < 60s")
+               f"stage ordering in all converged runs; median T_gamma {t_gamma:g} and "
+               f"median iterations {iters:g} within {MARGIN}x of {T_GAMMA_MEDIAN} "
+               f"and {ITERS_MEDIAN}; error<=dist at {ordered}/{total} logged "
+               f"points (error<=2*dist everywhere); {elapsed:.1f}s < 60s")
 
 
 def test_criterion_3_stage_two_linear_rate(fig1_runs):
     runs, _ = fig1_runs
-    factor = 1.0 - ETA / 16.0
-    violations = 0
-    checked = 0
+    worst = []
     for trace, rep in runs:
-        if not trace.converged or rep.T_gamma is None:
-            continue
         err = trace.relative_error
-        idx = np.flatnonzero(trace.t >= rep.T_gamma)
-        for a, b in zip(idx[:-1], idx[1:]):
-            checked += 1
-            if err[b] > factor * err[a]:
-                violations += 1
-    ok = checked > 0 and violations == 0
+        idx = np.flatnonzero(trace.t >= rep.T_gamma) if rep.T_gamma is not None else []
+        worst.append(max((err[b] / err[a] for a, b in zip(idx[:-1], idx[1:])),
+                         default=np.inf))
+    # the band on the contraction 1 - ratio; its top, 0.9616, is below the
+    # paper's 1 - eta/(16 kappa) = 0.99375
+    low, high = (1.0 - r for r in reversed(WORST_RATIO))
+    ok = all(_in_band(1.0 - r, low, high) for r in worst)
     _criterion(3, ok,
-               f"error_(t+1) <= (1 - eta/16k) error_t at every one of {checked} "
-               f"post-T_gamma steps; {violations} violations")
+               f"each run's worst post-T_gamma error ratio per step, "
+               f"{min(worst):.4f}-{max(worst):.4f}, has its contraction 1 - ratio "
+               f"within {MARGIN}x of {low:.3f}-{high:.3f}")
 
 
 def test_criterion_4_ratio_growth(fig1_runs):
     runs, _ = fig1_runs
-    floor = np.log(1 + 0.05 * ETA)
-    good = sum(
-        int(np.all(rep.growth_rate_h >= floor)
-            and np.all(rep.growth_rate_x >= floor))
-        for _, rep in runs)
-    ok = good >= 18  # >= 90% of 20
+    # NaN, a rate that cannot be fitted, propagates and fails the band
+    smallest = [np.min(np.concatenate([rep.growth_rate_h, rep.growth_rate_x]))
+                for _, rep in runs]
+    ok = all(_in_band(g, *SMALLEST_GROWTH) for g in smallest)
     _criterion(4, ok,
-               f"stage-I log(|alpha|/beta) slope >= log(1 + 0.05 eta) for every "
-               f"node in {good}/20 runs (need >= 18)")
+               f"each run's smallest stage-I log(|alpha|/beta) slope, "
+               f"{min(smallest):.4f}-{max(smallest):.4f}, within {MARGIN}x of "
+               f"{SMALLEST_GROWTH[0]}-{SMALLEST_GROWTH[1]} in all 20 runs")
 
 
 def test_criterion_5_population_state_evolution():

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import blaircomp as bc
-from blaircomp import cli
+from blaircomp import cli, ensemble
 from blaircomp.cli import _noise_sweep_rows, main, trace_header
-from blaircomp.errors import (ConfigError, DegenerateAlignmentError,
-                              DimensionMismatchError, DivergenceError, ParameterError)
+from blaircomp.errors import (ConfigError, DimensionMismatchError, DivergenceError,
+                              ParameterError)
 
 from helpers import (fit_noise_slope_loop, noise_sweep_rows_loop, run_desk_scale,
                      traced_peak, write_csv_rows)
@@ -668,31 +668,40 @@ class TestTrialBlocks:
         assert result["trials"][::2] == ref["trials"][::2]
 
 
+# The error of a run whose start has a zero block.
+_ZERO_START_ERROR = f"{ensemble._RANGE_ERROR} at iteration 0"
+
+
+def _zero_start_x(monkeypatch, fails):
+    """Zero the x block of node 0 in the start of each trial k with
+    ``fails(k)``, so that its run fails at iteration 0; trial k's seed is
+    [seed, k]."""
+    real = cli.random_init
+
+    def random_init(s, K, N, rng):
+        z0 = real(s, K, N, rng)
+        if fails(rng.bit_generator.seed_seq.entropy[1]):
+            z0.x[0] = 0.0
+        return z0
+
+    monkeypatch.setattr(cli, "random_init", random_init)
+
+
 def _fail_trial_1(monkeypatch):
-    """Make trial 1's instance build raise; trial k's seed is [seed, k]."""
-    real = cli.make_instance
-
-    def make_instance(*args, seed, **kwargs):
-        if seed.entropy[1] == 1:
-            raise DegenerateAlignmentError("forced failure in trial 1")
-        return real(*args, seed=seed, **kwargs)
-
-    monkeypatch.setattr(cli, "make_instance", make_instance)
+    """Make trial 1's run fail at iteration 0."""
+    _zero_start_x(monkeypatch, lambda trial: trial == 1)
 
 
 def _fail_every_trial(monkeypatch):
-    """Make every trial's instance build raise."""
-    def make_instance(*args, seed, **kwargs):
-        raise DegenerateAlignmentError(f"forced failure in trial {seed.entropy[1]}")
-
-    monkeypatch.setattr(cli, "make_instance", make_instance)
+    """Make every trial's run fail at iteration 0."""
+    _zero_start_x(monkeypatch, lambda trial: True)
 
 
 def _main_with_both_trials_failed(capsys, how, argv):
-    """``main(argv)`` with both trials failing: ``forced`` at the instance
-    build, or ``diverged`` for real, under noise of variance 1e300, which
-    overflows the loss at iteration 1.  It exits 1 with a line per trial;
-    returns the report, which report.json holds."""
+    """``main(argv)`` with both trials failing: ``forced`` from a start
+    with a zero block, or ``diverged`` for real, under noise of variance
+    1e300, which overflows the loss at iteration 1.  It exits 1 with a line
+    per trial; returns the report, which report.json holds."""
     results = []
     real = cli.run_experiment
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -730,7 +739,7 @@ class TestTrialFailure:
         assert not result["ok"]
         failed = result["trials"][1]
         assert failed["error_type"] == "DegenerateAlignmentError"
-        assert "forced failure" in failed["error"] and not failed["diverged"]
+        assert failed["error"] == _ZERO_START_ERROR and not failed["diverged"]
         assert [t["error"] for t in result["trials"][::2]] == [None, None]
         cols = bc.read_trace_csv(result["paths"]["trace"])
         assert set(cols["trial"]) == {0.0, 2.0}
@@ -797,6 +806,31 @@ class TestTrialFailure:
         assert report["hypotheses_csv"] == ["hypotheses_0.csv"]
         assert sorted(p.name for p in out.glob("hypotheses_*.csv")) == ["hypotheses_0.csv"]
 
+    def test_failed_lockstep_call_ends_its_block(self, tmp_path, monkeypatch, capsys):
+        # An error raised by the call that a block's trials share ends every
+        # trial of the block, and the artifacts are still written.
+        def run_wf(*args, **kwargs):
+            raise ParameterError("forced failure of the shared call")
+
+        argv = ["run", "--preset", "noise-sweep", "--trials", "3", "--jobs", "1",
+                "--out", str(tmp_path / "n")]
+        cfg = bc.parse_config(overrides={"preset": "noise-sweep", "trials": 3})
+        assert cli._trial_blocks(cfg) == [(0, 3)]
+        monkeypatch.setattr(cli, "run_wf", run_wf)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        for trial in range(3):
+            assert (f"trial {trial}: FAILED (ParameterError: forced failure of the "
+                    f"shared call)") in out
+        with open(tmp_path / "n" / "stages.json") as fh:
+            assert [t["error_type"] for t in json.load(fh)["trials"]] == \
+                ["ParameterError"] * 3
+        assert sorted(p.name for p in (tmp_path / "n").iterdir()) == [
+            "noise_sweep.csv", "plot.gp", "report.json", "stages.json", "timings.json",
+            "trace.csv"]
+        assert (tmp_path / "n" / "trace.csv").read_bytes() == \
+            (",".join(trace_header(1)) + "\r\n").encode()
+
     def test_main_exits_1_naming_the_type(self, tmp_path, monkeypatch, capsys):
         _fail_trial_1(monkeypatch)
         code = main(["run", "--preset", "custom", "--s", "1", "--K", "4",
@@ -805,7 +839,7 @@ class TestTrialFailure:
                      "--out", str(tmp_path / "cli")])
         assert code == 1
         out = capsys.readouterr().out
-        assert "trial 1: FAILED (DegenerateAlignmentError: forced failure" in out
+        assert f"trial 1: FAILED (DegenerateAlignmentError: {_ZERO_START_ERROR})" in out
         assert "trial 0: finished" in out
 
 

@@ -280,12 +280,14 @@ class TestWfStep:
         assert np.array_equal(small_iterate.h, h0)
 
     def test_zero_norm_block_rejected(self, small_iterate):
-        z = bc.Iterate(h=np.zeros((1, 2), dtype=complex),
-                       x=np.ones((1, 2), dtype=complex))
         g = bc.Iterate(h=np.zeros((1, 2), dtype=complex),
                        x=np.zeros((1, 2), dtype=complex))
-        with pytest.raises(DegenerateAlignmentError, match="zero block"):
-            bc.wf_step(z, g, 0.1)
+        # a zero block, and one whose squared entries overflow: it raises
+        # without a RuntimeWarning, which tier-1's filter would raise instead
+        for h in (np.zeros((1, 2), dtype=complex), np.full((1, 2), 1e200 + 0j)):
+            z = bc.Iterate(h=h, x=np.ones((1, 2), dtype=complex))
+            with pytest.raises(DegenerateAlignmentError, match="zero block"):
+                bc.wf_step(z, g, 0.1)
         # A block of norm just outside ensemble._NORM_RANGE raises, as
         # align_pair does; just inside, wf_step takes a finite step.
         low, high = ensemble._NORM_RANGE
