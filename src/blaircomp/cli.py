@@ -32,7 +32,7 @@ _PRESETS: Dict[str, Dict] = {
     "components": {"s": 4, "K": 10, "m_factor": 50, "tol": 1e-6},
     "noise-sweep": {"s": 1, "K": 10, "m": 100, "tol": 1e-6,
                     "sigma_w_grid": [1.0, 1e1, 1e2, 1e3, 1e4, 1e5]},
-    "diagnostics": {"s": 2, "K": 8, "m_factor": 50, "max_iters": 80},
+    "diagnostics": {"s": 2, "K": 8, "m_factor": 50, "max_iters": 80, "loo_samples": 8},
     "custom": {},
 }
 PRESET_NAMES = tuple(_PRESETS)
@@ -71,7 +71,7 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "results"
     cadence: int = SolverSettings.cadence
-    loo_samples: int = 8
+    loo_samples: Optional[int] = None
     jobs: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError(f"missing required fields: {', '.join(missing)}")
         if self.m is not None and self.m_factor is not None:
             raise ConfigError("set exactly one of m / m_factor, not both")
+        if self.loo_samples is not None and self.sigma_w_grid is not None:
+            raise ConfigError("set at most one of loo_samples / sigma_w_grid, not both")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
@@ -119,8 +121,8 @@ class ExperimentConfig:
             if self.q is not None:
                 ensemble._check_norms(self.q, self.s)
             ensemble._check_noise_variance(self.sigma2_e)
-            diag._check_loo_count(self.loo_samples)
-            if self.preset == "diagnostics":
+            if self.loo_samples is not None:
+                diag._check_loo_count(self.loo_samples)
                 diag._check_log_m(self.resolved_m())
             self.solver_settings()
             if grid is not None:        # in range, so each value has a dB value
@@ -192,11 +194,12 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
     """Run all trials for a config and write the artifact set.
 
     Emits trace.csv (fixed 5 + 5s column schema), stages.json (config echo,
-    per-trial summaries and stage reports), report.json (preset-specific
-    summary), a gnuplot stub, per-preset extras, and timings.json (wall clock,
-    worker processes used and the time spent writing the other artifacts:
-    the only artifact that changes between reruns).  Returns a summary dict
-    with artifact paths; ``ok`` is False when any trial failed.
+    per-trial summaries and stage reports), report.json (summary), a gnuplot
+    stub, noise_sweep.csv if ``sigma_w_grid`` is set, hypotheses_<trial>.csv
+    if ``loo_samples`` is, and timings.json (wall clock, worker processes used
+    and the time spent writing the other artifacts: the only artifact that
+    changes between reruns).  Returns a summary dict with artifact paths;
+    ``ok`` is False when any trial failed.
     """
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
@@ -224,14 +227,14 @@ def run_experiment(cfg: ExperimentConfig) -> Dict:
     _write_plot_stub(paths["plot"], cfg)
     _write_json(paths["stages"], {"config": cfg.to_json_dict(),
                                   "trials": [r["summary"] for r in results]})
-    if cfg.preset == "noise-sweep":
+    if cfg.sigma_w_grid is not None:
         paths["noise"] = os.path.join(cfg.out, "noise_sweep.csv")
         tables = [r["noise_rows"] for r in results if "noise_rows" in r]
         _write_csv(paths["noise"], ["trial", "t", "sigma_w", "noisy_relative_error"],
                    tables)
         if tables:
             report["noise_sweep"] = fit_noise_slope(cfg.sigma_w_grid, tables)
-    if cfg.preset == "diagnostics":
+    if cfg.loo_samples is not None:
         report["concentration"] = [r.get("concentration") for r in results]
         for r in results:
             if r.get("hypotheses") is not None:
@@ -263,11 +266,11 @@ def _trial_blocks(cfg: ExperimentConfig) -> List[Tuple[int, int]]:
     shares one lockstep solve.
 
     A block's stacked design tensors take at most ``_BLOCK_BYTES`` unless one
-    trial's alone is larger; the pool size plays no part.  A diagnostics
-    trial, whose run axis holds its auxiliary runs, is a block of its own.
+    trial's alone is larger; the pool size plays no part.  With ``loo_samples``
+    set, a trial's suite fills the run axis, so it is a block of its own.
     """
     trial_bytes = 16 * cfg.s * cfg.resolved_m() * cfg.N     # complex128 design
-    per_block = 1 if cfg.preset == "diagnostics" else max(1, _BLOCK_BYTES // trial_bytes)
+    per_block = 1 if cfg.loo_samples is not None else max(1, _BLOCK_BYTES // trial_bytes)
     n_blocks = -(-cfg.trials // per_block)
     return [(int(b[0]), len(b))
             for b in np.array_split(np.arange(cfg.trials), n_blocks)]
@@ -275,23 +278,22 @@ def _trial_blocks(cfg: ExperimentConfig) -> List[Tuple[int, int]]:
 
 def _run_trial(cfg: ExperimentConfig, first_trial: int, n_trials: int) -> List[Dict]:
     """Summaries and per-trial results of trials first_trial, ...,
-    first_trial + n_trials - 1, solved in one lockstep ``run_wf`` call, a
-    noise-sweep trial's rows drawn from its auxiliary stream; or, for a
-    diagnostics trial (a block of its own), canonicalized here and run in
-    its suite, whose auxiliary runs draw from that stream.
+    first_trial + n_trials - 1, solved in one lockstep ``run_wf`` call, with
+    ``sigma_w_grid`` set each with noise-sweep rows from its auxiliary stream;
+    or, with ``loo_samples`` set, one trial canonicalized and run in its suite.
 
     Each trial's instance, start and auxiliary stream come from
     (seed, trial), so its numbers do not depend on its block.  A failed run
     ends only its own trial: the summary records its error's type and
     message, the trial logs no trace rows, and the other trials go on.  A
-    package error raised outside the runs, which only a diagnostics suite
-    raises, ends every trial of the block.
+    package error raised outside the runs, which only the suite raises, ends
+    every trial of the block.
     """
     trials = range(first_trial, first_trial + n_trials)
     settings = cfg.solver_settings()
     try:
         built = [_build_trial(cfg, trial) for trial in trials]
-        if cfg.preset == "diagnostics":
+        if cfg.loo_samples is not None:
             (inst, z0, aux_rng), = built
             inst = diag.canonicalize_instance(inst)
             loo = diag.select_loo_indices(inst.m, cfg.loo_samples, aux_rng)
@@ -306,7 +308,7 @@ def _run_trial(cfg: ExperimentConfig, first_trial: int, n_trials: int) -> List[D
             for trial, aux_rng, trace, error in zip(trials, aux_rngs, batch.runs,
                                                     batch.errors):
                 extras = {}
-                if error is None and cfg.preset == "noise-sweep":
+                if error is None and cfg.sigma_w_grid is not None:
                     extras["noise_rows"] = _noise_sweep_rows(trace, cfg.sigma_w_grid,
                                                              aux_rng, trial)
                 solved.append((trace if error is None else error, extras))
@@ -325,7 +327,7 @@ def _build_trial(cfg: ExperimentConfig, trial: int):
 
 
 def _trial_result(trial: int, error_or_trace, extras: Dict) -> Dict:
-    """The trial's summary and trace rows, with its per-preset ``extras``:
+    """The trial's summary and trace rows, with its ``extras``:
     of its error, no rows and no extras; of its trace, the stop, the last
     logged error and loss, the stage report and one row per log point."""
     summary = {"trial": trial, "diverged": False, "error": None, "error_type": None}

@@ -244,8 +244,7 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
     truths = rows.truth              # every run's; ``rows`` drops runs that retire
     block_len = max(1, _METRIC_BLOCK // settings.cadence)   # in log points
     pending: List[tuple] = []        # (t, loss, h, x) of unsettled log points
-    blocks: List[Dict[str, np.ndarray]] = []              # each settled block's columns
-    logs: List[List[tuple]] = [[] for _ in range(n_runs)]  # (columns, k, n) per block
+    logs: List[List[Dict]] = [[] for _ in range(n_runs)]  # column views per block
     converged = np.zeros(n_runs, dtype=bool)
     errors: List[Optional[BlaircompError]] = [None] * n_runs
     runs = np.arange(n_runs)         # row of each active run, ascending
@@ -266,6 +265,7 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
         exception of active run k."""
         for k in np.flatnonzero(bad):
             errors[runs[k]] = error(k)
+            logs[runs[k]].clear()
         retire(~bad)
 
     def settle() -> None:
@@ -283,10 +283,9 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
             snap = metrics.snapshot_metrics(Iterate(h=h_b, x=x_b), rows.truth)
             values.update(vars(snap))
             stop = snap.relative_error <= settings.tol
-        blocks.append(values)
         met, first = stop.any(axis=0), stop.argmax(axis=0)
-        for k, n in enumerate(np.where(met, first + 1, len(t_b))):
-            logs[runs[k]].append((values, k, n))     # its first n points, column k
+        for k, n in enumerate(np.where(met, first + 1, len(t_b))):   # first n points
+            logs[runs[k]].append({name: col[:n, k] for name, col in values.items()})
         converged[runs[met]] = True
         retire(~met)
 
@@ -320,15 +319,13 @@ def run_wf(inst: Union[ProblemInstance, Sequence[ProblemInstance]], z0: Iterate,
                     if not len(runs):
                         break
 
-    # One column at a time, each dropped from every block once every run has
-    # its copy, so the blocks and the traces overlap by one column at most.
+    # One column at a time, its views popped from every run's log as the run
+    # copies them, so the blocks and the traces overlap by one column at most.
     finished = [r for r in range(n_runs) if errors[r] is None]
     columns: Dict[int, Dict[str, np.ndarray]] = {r: {} for r in finished}
-    for name in list(blocks[0]) if blocks else ():
+    for name in list(logs[finished[0]][0]) if finished else ():
         for r in finished:
-            columns[r][name] = np.concatenate([cols[name][:n, k] for cols, k, n in logs[r]])
-        for cols in blocks:
-            del cols[name]
+            columns[r][name] = np.concatenate([piece.pop(name) for piece in logs[r]])
     traces: List[Optional[StateTrace]] = [None] * n_runs
     for r in finished:
         run = columns.pop(r)

@@ -23,32 +23,32 @@ from helpers import (fit_noise_slope_loop, noise_sweep_rows_loop, run_desk_scale
 # What parse_config({"preset": preset, **overrides}) resolves to: the fields
 # _RESOLVED_KEYS of each case, and _RESOLVED_REST for the rest.
 _RESOLVED_KEYS = ("s", "K", "N", "m", "m_factor", "eta", "max_iters", "tol",
-                  "sigma_w_grid")
+                  "sigma_w_grid", "loo_samples")
 _RESOLVED_REST = {"sigma2_e": 0.0, "q": None, "trials": 1, "seed": 0, "out": "results",
-                  "cadence": 1, "loo_samples": 8, "jobs": None}
+                  "cadence": 1, "jobs": None}
 _GRID = [1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0]
 _INF = float("inf")
 _RESOLVED = [
-    ("fig1-convergence", {}, (10, 20, 20, None, 50, 0.1, 500, 1e-06, None)),
-    ("fig1-convergence", {"K": 6}, (10, 6, 6, None, 50, 0.1, 500, 1e-06, None)),
-    ("fig1-convergence", {"m": 90}, (10, 20, 20, 90, None, 0.1, 500, 1e-06, None)),
-    ("fig1-convergence", {"m_factor": 20}, (10, 20, 20, None, 20, 0.1, 500, 1e-06, None)),
-    ("fig1-convergence", {"K": 6, "N": 3}, (10, 6, 3, None, 50, 0.1, 500, 1e-06, None)),
-    ("components", {}, (4, 10, 10, None, 50, 0.1, 500, 1e-06, None)),
-    ("components", {"K": 6}, (4, 6, 6, None, 50, 0.1, 500, 1e-06, None)),
-    ("components", {"m": 90}, (4, 10, 10, 90, None, 0.1, 500, 1e-06, None)),
-    ("components", {"m_factor": 20}, (4, 10, 10, None, 20, 0.1, 500, 1e-06, None)),
-    ("components", {"K": 6, "N": 3}, (4, 6, 3, None, 50, 0.1, 500, 1e-06, None)),
-    ("noise-sweep", {}, (1, 10, 10, 100, None, 0.1, 500, 1e-06, _GRID)),
-    ("noise-sweep", {"K": 6}, (1, 6, 6, 100, None, 0.1, 500, 1e-06, _GRID)),
-    ("noise-sweep", {"m": 90}, (1, 10, 10, 90, None, 0.1, 500, 1e-06, _GRID)),
-    ("noise-sweep", {"m_factor": 20}, (1, 10, 10, None, 20, 0.1, 500, 1e-06, _GRID)),
-    ("noise-sweep", {"K": 6, "N": 3}, (1, 6, 3, 100, None, 0.1, 500, 1e-06, _GRID)),
-    ("diagnostics", {}, (2, 8, 8, None, 50, 0.1, 80, _INF, None)),
-    ("diagnostics", {"K": 6}, (2, 6, 6, None, 50, 0.1, 80, _INF, None)),
-    ("diagnostics", {"m": 90}, (2, 8, 8, 90, None, 0.1, 80, _INF, None)),
-    ("diagnostics", {"m_factor": 20}, (2, 8, 8, None, 20, 0.1, 80, _INF, None)),
-    ("diagnostics", {"K": 6, "N": 3}, (2, 6, 3, None, 50, 0.1, 80, _INF, None)),
+    ("fig1-convergence", {}, (10, 20, 20, None, 50, 0.1, 500, 1e-06, None, None)),
+    ("fig1-convergence", {"K": 6}, (10, 6, 6, None, 50, 0.1, 500, 1e-06, None, None)),
+    ("fig1-convergence", {"m": 90}, (10, 20, 20, 90, None, 0.1, 500, 1e-06, None, None)),
+    ("fig1-convergence", {"m_factor": 20}, (10, 20, 20, None, 20, 0.1, 500, 1e-06, None, None)),
+    ("fig1-convergence", {"K": 6, "N": 3}, (10, 6, 3, None, 50, 0.1, 500, 1e-06, None, None)),
+    ("components", {}, (4, 10, 10, None, 50, 0.1, 500, 1e-06, None, None)),
+    ("components", {"K": 6}, (4, 6, 6, None, 50, 0.1, 500, 1e-06, None, None)),
+    ("components", {"m": 90}, (4, 10, 10, 90, None, 0.1, 500, 1e-06, None, None)),
+    ("components", {"m_factor": 20}, (4, 10, 10, None, 20, 0.1, 500, 1e-06, None, None)),
+    ("components", {"K": 6, "N": 3}, (4, 6, 3, None, 50, 0.1, 500, 1e-06, None, None)),
+    ("noise-sweep", {}, (1, 10, 10, 100, None, 0.1, 500, 1e-06, _GRID, None)),
+    ("noise-sweep", {"K": 6}, (1, 6, 6, 100, None, 0.1, 500, 1e-06, _GRID, None)),
+    ("noise-sweep", {"m": 90}, (1, 10, 10, 90, None, 0.1, 500, 1e-06, _GRID, None)),
+    ("noise-sweep", {"m_factor": 20}, (1, 10, 10, None, 20, 0.1, 500, 1e-06, _GRID, None)),
+    ("noise-sweep", {"K": 6, "N": 3}, (1, 6, 3, 100, None, 0.1, 500, 1e-06, _GRID, None)),
+    ("diagnostics", {}, (2, 8, 8, None, 50, 0.1, 80, _INF, None, 8)),
+    ("diagnostics", {"K": 6}, (2, 6, 6, None, 50, 0.1, 80, _INF, None, 8)),
+    ("diagnostics", {"m": 90}, (2, 8, 8, 90, None, 0.1, 80, _INF, None, 8)),
+    ("diagnostics", {"m_factor": 20}, (2, 8, 8, None, 20, 0.1, 80, _INF, None, 8)),
+    ("diagnostics", {"K": 6, "N": 3}, (2, 6, 3, None, 50, 0.1, 80, _INF, None, 8)),
 ]
 
 
@@ -113,6 +113,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             bc.parse_config(overrides={"preset": "custom"})
         assert str(exc.value) == "missing required fields: s, K, N, m or m_factor"
+
+    def test_diagnostics_built_without_loo_samples_is_a_config_error(self):
+        # The preset sets loo_samples, so a config that names it needs one.
+        cfg = bc.ExperimentConfig(preset="diagnostics", s=2, K=8, m_factor=50)
+        with pytest.raises(ConfigError, match="^missing required fields: loo_samples$"):
+            cfg.validate()
+        dataclasses.replace(cfg, loo_samples=8).validate()
 
     def test_custom_needs_only_s_K_and_m(self):
         cfg = bc.parse_config(overrides={"preset": "custom", "s": 1, "K": 4, "m": 40})
@@ -224,7 +231,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("eta", "0.1"), ("tol", "1e-6"), ("sigma2_e", None), ("trials", None),
-        ("loo_samples", None), ("q", 1.0), ("sigma_w_grid", 10.0),
+        ("loo_samples", 2.0), ("q", 1.0), ("sigma_w_grid", 10.0),
         ("sigma_w_grid", [1, "y"]), ("out", 3), ("eta", True), ("q", [True]),
         ("sigma_w_grid", [True, 10]), ("q", (0.5,)), ("q", {0.5: 1}), ("q", ["0.5"]),
         ("q", b"0.5"), ("preset", ["noise-sweep"])])
@@ -453,6 +460,28 @@ class TestRunExperiment:
         assert result["ok"]
         assert result["report"]["concentration"][0]["incoherence"] > 0
         assert os.path.exists(os.path.join(cfg.out, "hypotheses_0.csv"))
+
+    # The keys, not the preset's name, turn on a trial's extra work.
+    def test_grid_runs_the_noise_sweep_in_any_preset(self, tmp_path):
+        cfg = _tiny_cfg(tmp_path / "ns", sigma_w_grid="1,10", max_iters=200)
+        result = bc.run_experiment(cfg)
+        assert result["ok"]
+        assert len(result["report"]["noise_sweep"]["points"]) == 2
+        assert result["paths"]["noise"] == os.path.join(cfg.out, "noise_sweep.csv")
+        _assert_reprints(result["paths"]["noise"])
+
+    def test_loo_samples_runs_the_suite_in_any_preset(self, tmp_path):
+        cfg = bc.parse_config(overrides=dict(
+            preset="components", K=4, m=60, max_iters=10, loo_samples=2,
+            trials=2, seed=4, out=str(tmp_path / "suite"), jobs=1))
+        assert cli._trial_blocks(cfg) == [(0, 1), (1, 1)]
+        result = bc.run_experiment(cfg)
+        assert result["ok"]
+        report = result["report"]
+        assert len(report["concentration"]) == 2
+        assert all(c["incoherence"] > 0 for c in report["concentration"])
+        assert report["hypotheses_csv"] == ["hypotheses_0.csv", "hypotheses_1.csv"]
+        assert os.path.exists(os.path.join(cfg.out, "hypotheses_1.csv"))
 
 
 _BLOCK_CASES = {
@@ -889,6 +918,8 @@ class TestMainEntry:
         ["--preset", "noise-sweep", "--sigma-w-grid", "1e300,1.0000000000000002e300"],
         ["--preset", "noise-sweep", "--q", "1e-160"],
         ["--preset", "noise-sweep", "--q", "1e-76"],
+        ["--preset", "noise-sweep", "--loo-samples", "3"],
+        ["--preset", "diagnostics", "--sigma-w-grid", "1,10"],
     ], ids=["cadence", "sigma_w_grid", "K_above_m", "sigma2_e", "q", "eta_nan",
             "eta_inf", "sigma2_e_inf", "sigma_w_grid_inf", "sigma_w_grid_single",
             "sigma_w_grid_repeated", "max_iters", "loo_samples", "seed",
@@ -896,7 +927,8 @@ class TestMainEntry:
             "tol_negative_exponent", "sigma2_e_negative_exponent",
             "sigma_w_grid_negative_first", "sigma_w_grid_single_any_preset",
             "s_zero", "q_length", "sigma_w_grid_subnormal", "sigma_w_grid_overflow",
-            "sigma_w_grid_same_db", "q_underflow", "q_below_norm_range"])
+            "sigma_w_grid_same_db", "q_underflow", "q_below_norm_range",
+            "loo_and_grid_noise_sweep", "loo_and_grid_diagnostics"])
     def test_bad_input_rejected_at_boundary(self, flags, tmp_path, capsys):
         out = tmp_path / "bad"
         assert main(["run", *flags, "--out", str(out)]) == 2
